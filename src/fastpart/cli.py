@@ -79,6 +79,10 @@ def read_measure(path: Path) -> ParticleMeasure:
         return ParticleMeasure(np.empty(0), np.empty((0, n_cols - 1)))
     if raw.shape[1] != n_cols:
         raise ConfigError(f"measure file {path} rows do not match its header")
+    bad = ~np.isfinite(raw).all(axis=1)
+    if bad.any():
+        raise ConfigError(f"measure file {path}: atom {int(bad.argmax()) + 1} "
+                          f"has a non-finite weight or position")
     signed = raw[:, 0]
     signs = np.where(signed < 0, -1.0, 1.0)
     return ParticleMeasure(np.abs(signed), raw[:, 1:], signs)

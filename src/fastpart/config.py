@@ -39,6 +39,8 @@ def _get_float(sec: Mapping, name: str, key: str, default=None, positive=False):
         val = float(sec[key])
     except (TypeError, ValueError):
         raise ConfigError(f"key '{key}' in [{name}] is not a number") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"key '{key}' in [{name}] is not finite")
     if positive and val <= 0:
         raise ConfigError(f"key '{key}' in [{name}] must be > 0")
     return val
@@ -252,15 +254,22 @@ def load_data_file(path: Path) -> np.ndarray:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"cannot parse data file {path}: {exc}") from exc
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise ConfigError(f"data file {path}: sample {int(bad.argmax()) + 1} "
+                          f"is not finite")
     return data
 
 
 def _parse_floats(sec, name, key):
     try:
-        return np.array([float(tok)
+        vals = np.array([float(tok)
                          for tok in str(sec[key]).replace(",", " ").split()])
     except ValueError:
         raise ConfigError(f"key '{key}' in [{name}] is not a number list") from None
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"key '{key}' in [{name}] has a non-finite entry")
+    return vals
 
 
 def _parse_points(sec, name, key, dim):
@@ -272,6 +281,8 @@ def _parse_points(sec, name, key, dim):
         raise ConfigError(f"key '{key}' in [{name}] is not a point list") from None
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ConfigError(f"key '{key}' in [{name}] needs {dim} coordinates per point")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"key '{key}' in [{name}] has a non-finite coordinate")
     return pts
 
 

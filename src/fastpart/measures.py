@@ -53,6 +53,8 @@ class ParticleMeasure:
             )
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         if self.signs is None:
             s = np.ones(len(w))
         else:
@@ -67,13 +69,20 @@ class ParticleMeasure:
         object.__setattr__(self, "unsigned", bool(np.all(s == 1.0)))
 
     @classmethod
-    def _unchecked(cls, weights, positions, signs, unsigned):
-        """Fast path for the solver loop: arrays are trusted as valid."""
+    def _unchecked(cls, weights, positions, signs, unsigned, tv=None):
+        """Fast path for the solver loop: arrays are trusted as valid.
+
+        ``tv``, when given, must be ``float(weights.sum())``; it is cached
+        as the total mass instead of being summed again.
+        """
         self = object.__new__(cls)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "unsigned", unsigned)
+        state = self.__dict__
+        state["weights"] = weights
+        state["positions"] = positions
+        state["signs"] = signs
+        state["unsigned"] = unsigned
+        if tv is not None:
+            state["_tv"] = tv
         return self
 
     @property
@@ -90,7 +99,7 @@ class ParticleMeasure:
         """Total variation norm: the exact sum of the weights."""
         cached = self.__dict__.get("_tv")
         if cached is None:
-            cached = float(self.weights.sum())
+            cached = float(np.add.reduce(self.weights))
             object.__setattr__(self, "_tv", cached)
         return cached
 

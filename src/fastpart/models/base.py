@@ -200,7 +200,8 @@ class FeatureModel(ABC):
     def contains(self, points: np.ndarray, tol: float = 1e-12) -> bool:
         """Whether every point lies in the domain up to tol."""
         pts = np.asarray(points)
-        return bool((pts**2).sum(axis=-1).max() <= (self.radius + tol) ** 2)
+        sq = np.add.reduce(pts * pts, axis=-1)
+        return bool(np.maximum.reduce(sq, axis=None) <= (self.radius + tol) ** 2)
 
     def smooth_at(self, t, step: float = 0.0) -> bool:
         """Whether the model is differentiable on a `step`-neighborhood of t."""
@@ -232,6 +233,6 @@ def project_to_ball(points: np.ndarray, radius: float) -> np.ndarray:
     if radius <= 0:
         raise ValueError("radius must be positive")
     pts = np.asarray(points, dtype=float)
-    norms = np.sqrt((pts**2).sum(axis=-1, keepdims=True))
+    norms = np.sqrt(np.add.reduce(pts * pts, axis=-1, keepdims=True))
     # max(norm, radius) leaves interior points untouched and guards norm 0
     return pts * (radius / np.maximum(norms, radius))

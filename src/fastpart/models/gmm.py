@@ -32,25 +32,42 @@ from .base import FeatureModel, GroundTruth, ModelBounds, coordinate_product_gra
 _QUAD_NODES = 64
 
 
-def _gauss_pdf(x, var):
-    return np.exp(-0.5 * x * x / var) / np.sqrt(2.0 * np.pi * var)
+def _const(value) -> np.ndarray:
+    """A hoisted constant as a 0-d float64 array.  An elementwise op
+    between two arrays dispatches faster than one with a Python float
+    operand, and rounds identically."""
+    return np.array(value, dtype=float)
+
+
+_NEG_HALF = _const(-0.5)
+_SQRT_2PI = _const(np.sqrt(2.0 * np.pi))
+
+
+def _gauss_pdf(x, var, norm=None):
+    """Gaussian density of variance ``var``; ``norm`` is its hoisted
+    normalizer ``sqrt(2 pi var)`` when the caller has one."""
+    if norm is None:
+        norm = np.sqrt(2.0 * np.pi * var)
+    return np.exp(_NEG_HALF * x * x / var) / norm
 
 
 class _GaussianProfile:
     """1-D Gaussian density of the given variance and its derivative."""
 
     def __init__(self, var: float):
-        self.var = var
+        self.var = _const(var)
+        self._norm = _const(np.sqrt(2.0 * np.pi * var))
+        self._neg_inv_var = _const(-1.0 / var)
 
     def value(self, x):
-        return _gauss_pdf(x, self.var)
+        return _gauss_pdf(x, self.var, self._norm)
 
     def deriv(self, x):
-        return -(x / self.var) * _gauss_pdf(x, self.var)
+        return -(x / self.var) * _gauss_pdf(x, self.var, self._norm)
 
     def value_and_deriv(self, x):
-        val = _gauss_pdf(x, self.var)
-        return val, (-1.0 / self.var) * x * val
+        val = _gauss_pdf(x, self.var, self._norm)
+        return val, self._neg_inv_var * x * val
 
 
 class _TruncatedConvProfile:
@@ -61,36 +78,41 @@ class _TruncatedConvProfile:
         self.vg = vg
         self.s = s
         self.a = a
-        self.vsum = vg + s * s
+        vsum = vg + s * s
+        self.vsum = _const(vsum)
         self.z = ndtr(a / s) - ndtr(-a / s)
-        c = np.sqrt(vg * s * s / self.vsum)
+        c = np.sqrt(vg * s * s / vsum)
         # constants of the Gaussian-product identity, hoisted
-        self._mu_slope = s * s / self.vsum
-        self._inv_c = 1.0 / c
-        self._a_c = a / c
-        self._dbox_coef = self._mu_slope * self._inv_c / self.z
-        self._inv_vsum = 1.0 / self.vsum
-        self._inv_z = 1.0 / self.z
+        mu_slope = s * s / vsum
+        inv_c = 1.0 / c
+        a_c = a / c
+        self._a_c = _const(a_c)
+        self._neg_a_c = _const(-a_c)
+        self._mu_c_slope = _const(mu_slope * inv_c)
+        self._dbox_coef = _const(mu_slope * inv_c / self.z)
+        self._neg_inv_vsum = _const(-(1.0 / vsum))
+        self._inv_z = _const(1.0 / self.z)
+        self._norm = _const(np.sqrt(2.0 * np.pi * vsum))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        mu_c = x * (self._mu_slope * self._inv_c)
-        box = ndtr(self._a_c - mu_c) - ndtr(-self._a_c - mu_c)
-        return _gauss_pdf(x, self.vsum) * box * self._inv_z
+        mu_c = x * self._mu_c_slope
+        box = ndtr(self._a_c - mu_c) - ndtr(self._neg_a_c - mu_c)
+        return _gauss_pdf(x, self.vsum, self._norm) * box * self._inv_z
 
     def deriv(self, x):
         return self.value_and_deriv(x)[1]
 
     def value_and_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        mu_c = x * (self._mu_slope * self._inv_c)
-        lo = -self._a_c - mu_c
+        mu_c = x * self._mu_c_slope
+        lo = self._neg_a_c - mu_c
         hi = self._a_c - mu_c
         box = ndtr(hi) - ndtr(lo)
         d_box = self._dbox_coef * (_std_pdf(lo) - _std_pdf(hi))
-        base = _gauss_pdf(x, self.vsum)
+        base = _gauss_pdf(x, self.vsum, self._norm)
         val = base * box * self._inv_z
-        return val, (-self._inv_vsum) * x * val + base * d_box
+        return val, self._neg_inv_vsum * x * val + base * d_box
 
 
 class _QuadConvProfile:
@@ -119,7 +141,7 @@ class _QuadConvProfile:
 
 
 def _std_pdf(z):
-    return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    return np.exp(_NEG_HALF * z * z) / _SQRT_2PI
 
 
 def _prod_profile(profile, x):
@@ -140,16 +162,27 @@ def _prod_profile_both(profile, x):
     return np.prod(vals, axis=-1), coordinate_product_grad(vals, ders)
 
 
+def _truncation_window(trunc_width: float):
+    """Standard normal CDF at ``-trunc_width`` and the CDF mass up to
+    ``+trunc_width``: the quantile window of the truncated draw."""
+    lo = ndtr(-trunc_width)
+    return _const(lo), _const(ndtr(trunc_width) - lo)
+
+
+def _truncated_normal(rng: np.random.Generator, size, scale: float,
+                      window) -> np.ndarray:
+    """Inverse-CDF draw of a Gaussian restricted to a quantile window."""
+    lo, span = window
+    return scale * ndtri(lo + rng.random(size=size) * span)
+
+
 def sample_mixing_noise(rng: np.random.Generator, size, scale: float,
                         trunc_width: float | None = None) -> np.ndarray:
     """Draw from the mixing density: Gaussian of the given scale, optionally
     truncated at ``trunc_width`` scales per coordinate."""
     if trunc_width is None:
         return rng.normal(scale=scale, size=size)
-    lo = ndtr(-trunc_width)
-    hi = ndtr(trunc_width)
-    q = lo + rng.random(size=size) * (hi - lo)
-    return scale * ndtri(q)
+    return _truncated_normal(rng, size, scale, _truncation_window(trunc_width))
 
 
 def sample_mixture_data(truth: GroundTruth, mixing_scale: float, n: int,
@@ -209,6 +242,7 @@ class GaussianMixtureModel(FeatureModel):
             a = trunc_width * mixing_scale
             self._ktilde = _TruncatedConvProfile(m2, mixing_scale, a)
             self._kern = _QuadConvProfile(self._ktilde, mixing_scale, a)
+            self._u_window = _truncation_window(trunc_width)
 
     # ----- exact quantities -------------------------------------------------
 
@@ -248,8 +282,10 @@ class GaussianMixtureModel(FeatureModel):
     # ----- stochastic surrogates --------------------------------------------
 
     def sample_u(self, rng, size):
-        return sample_mixing_noise(rng, (size, self.dim), self.mixing_scale,
-                                   self.trunc_width)
+        if self.trunc_width is None:
+            return rng.normal(scale=self.mixing_scale, size=(size, self.dim))
+        return _truncated_normal(rng, (size, self.dim), self.mixing_scale,
+                                 self._u_window)
 
     def sample_v(self, rng, size):
         return self.data[rng.integers(self.n_data, size=size)]
@@ -284,13 +320,16 @@ class GaussianMixtureModel(FeatureModel):
         return _prod_profile_both(self._ktilde, arg)
 
     def surrogate_fields(self, t, t_prime, u, v):
-        # both argument blocks share one profile evaluation
-        t = np.asarray(t, dtype=float)
-        arg_g = t - np.asarray(t_prime, dtype=float) - np.asarray(u, dtype=float)
-        arg_h = np.broadcast_to(t - np.asarray(v, dtype=float), arg_g.shape)
-        stacked = np.concatenate([arg_g, arg_h], axis=0)
+        # both argument blocks share one profile evaluation: the g block
+        # fills the first half of the stacked buffer, the h block the rest
+        shape = np.broadcast(t, t_prime, u).shape
+        n = shape[0]
+        stacked = np.empty((2 * n,) + shape[1:])
+        arg_g = stacked[:n]
+        np.subtract(t, t_prime, out=arg_g)
+        np.subtract(arg_g, u, out=arg_g)
+        np.subtract(t, v, out=stacked[n:])
         vals, grads = _prod_profile_both(self._ktilde, stacked)
-        n = arg_g.shape[0]
         return vals[:n], grads[:n], vals[n:], grads[n:]
 
     def data_fit(self, t):

@@ -197,23 +197,27 @@ def step(state: IterateState, model: FeatureModel, cfg: RunConfig) -> IterateSta
         weight_grad = signs * (cost_vals - cfg.lam) + cfg.lam
         move = cfg.eta * signs[:, None] * grad_vals
 
-    new_w = nu.weights * np.exp(-cfg.alpha * weight_grad)
+    upd_w = nu.weights * np.exp(-cfg.alpha * weight_grad)
     # nonnegative weights: a nonfinite sum flags any overflowed entry
-    if not math.isfinite(float(new_w.sum())):
+    upd_tv = float(np.add.reduce(upd_w))
+    if not math.isfinite(upd_tv):
         raise RuntimeError("weight update overflowed; reduce alpha")
     raw_pos = positions - move
-    new_w, new_pos = model.finalize_positions(new_w, raw_pos)
+    new_w, new_pos = model.finalize_positions(upd_w, raw_pos)
 
     # position increments can never exceed the unprojected step
-    inc_sq = (model.displacement(new_pos, positions)**2).sum(axis=-1)
-    step_sq = (move**2).sum(axis=-1)
-    if np.any(inc_sq > step_sq * (1.0 + 1e-9) + 1e-18):
+    inc = model.displacement(new_pos, positions)
+    inc_sq = np.add.reduce(inc * inc, axis=-1)
+    step_sq = np.add.reduce(move * move, axis=-1)
+    if np.logical_or.reduce(inc_sq > step_sq * (1.0 + 1e-9) + 1e-18):
         raise RuntimeError("position increment exceeded the gradient step")
     if not model.contains(new_pos):
         raise RuntimeError("projected position left the domain")
 
-    new_measure = ParticleMeasure._unchecked(new_w, new_pos, nu.signs,
-                                             nu.unsigned)
+    # the checked sum is the new mass unless finalize_positions reweighted
+    new_measure = ParticleMeasure._unchecked(
+        new_w, new_pos, nu.signs, nu.unsigned,
+        tv=upd_tv if new_w is upd_w else None)
     state.measure = new_measure
     state.k += 1
     if state.tracker is not None:

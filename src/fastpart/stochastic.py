@@ -70,9 +70,9 @@ def draw_batch(model: FeatureModel, measure: ParticleMeasure, size: int,
     if total <= 0.0:
         raise ValueError("cannot sample from null measure")
     # inverse-CDF draw of the atom indices
-    cdf = np.cumsum(measure.weights)
-    idx = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
-    np.minimum(idx, measure.size - 1, out=idx)
+    cdf = np.add.accumulate(measure.weights)
+    idx = cdf.searchsorted(rng.random(size) * cdf[-1], side="right")
+    np.minimum(idx, len(cdf) - 1, out=idx)
     u, v = model.sample_uv(rng, size)
     return Minibatch(idx, np.asarray(u), np.asarray(v))
 
@@ -157,18 +157,20 @@ def minibatch_fields(model: FeatureModel, measure: ParticleMeasure, points,
     evaluates each surrogate pair in one model call.
     """
     pts = np.asarray(points, dtype=float)
-    atoms = measure.positions[batch.t_indices]
+    t_indices = batch.t_indices
+    atoms = measure.positions[t_indices]
     total = measure.tv_norm
-    inv_m = 1.0 / batch.size
-    tview = pts[:, None, :]
+    inv_m = 1.0 / len(t_indices)
     gval, ggrad, hval, hgrad = model.surrogate_fields(
-        tview, atoms[None, :, :], batch.u[None, ...], batch.v[None, ...])
+        pts[:, None, :], atoms[None, :, :], batch.u[None, ...], batch.v[None, ...])
     if not measure.unsigned:
-        signs = measure.signs[batch.t_indices]
+        signs = measure.signs[t_indices]
         gval = signs * gval
         ggrad = signs[None, :, None] * ggrad
-    cost = (total * inv_m) * gval.sum(axis=1) - inv_m * hval.sum(axis=1) + lam
-    grad = (total * inv_m) * ggrad.sum(axis=1) - inv_m * hgrad.sum(axis=1)
+    scale = total * inv_m
+    add = np.add.reduce
+    cost = scale * add(gval, axis=1) - inv_m * add(hval, axis=1) + lam
+    grad = scale * add(ggrad, axis=1) - inv_m * add(hgrad, axis=1)
     if DEBUG_BOUND_CHECKS:
         b = model.bounds()
         cap = max(b.g_sup, b.h_sup + lam) * (total + 1.0)

@@ -72,6 +72,17 @@ class TestRunCommand:
         assert main(["run", cfg, "--quiet"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("eta = 0.0001", "eta = nan", "eta"),
+        ("lambda = 0.05", "lambda = inf", "lambda"),
+    ])
+    def test_nonfinite_key_exits_2(self, tmp_path, capsys, old, new, key):
+        # eta = nan used to fail at run time: "projected position left the domain"
+        text = BASE_GMM.format(k=10, out=tmp_path / "o", trace_every=1)
+        cfg = write_cfg(tmp_path, text.replace(old, new))
+        assert main(["run", cfg, "--quiet"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
@@ -190,6 +201,16 @@ tol = 1e-5
         bad.write_text("weight,x0\nnot,a,number\n")
         assert main(["certify", cfg, str(bad)]) == 2
 
+    @pytest.mark.parametrize("row", ["nan,0.1", "0.5,inf", "-inf,0.2"])
+    def test_nonfinite_measure_exits_2(self, tmp_path, capsys, row):
+        cfg = write_cfg(tmp_path, BASE_GMM.format(k=5, out=tmp_path / "o",
+                                                  trace_every=1))
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text(f"weight,x0\n0.2,0.0\n{row}\n")
+        assert main(["certify", cfg, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "nonfinite.csv" in err and "atom 2" in err
+
     def test_dimension_mismatch_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_GMM.format(k=5, out=tmp_path / "o",
                                                   trace_every=1))
@@ -243,6 +264,20 @@ class TestGenData:
                             f"benchmark = gmm3a\ndata = {out.name}")
         cfg = write_cfg(tmp_path, text)
         assert main(["run", cfg, "--quiet"]) == 0
+
+
+    def test_nonfinite_data_file_exits_2(self, tmp_path, capsys):
+        # a nan sample used to surface as a "reduce alpha" overflow, exit 1
+        data = tmp_path / "d.csv"
+        data.write_text("# fastpart data\n0.1\n-0.2\nnan\n0.3\n")
+        text = BASE_GMM.format(k=5, out=tmp_path / "o", trace_every=1)
+        text = text.replace("benchmark = gmm3a\nn = 300",
+                            f"benchmark = gmm3a\ndata = {data.name}")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "d.csv" in err and "sample 3" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCompareCommand:
@@ -360,6 +395,34 @@ p = 4
         cfg = write_cfg(tmp_path, text)
         assert main(["run", cfg, "--quiet"]) == 2
         assert "spike_positions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("spike_weights = 0.7", "spike_weights = nan", "spike_weights"),
+        ("spike_positions = -1.0 0.5", "spike_positions = -1.0 inf",
+         "spike_positions"),
+    ])
+    def test_nonfinite_spikes_exit_2(self, tmp_path, capsys, old, new, key):
+        text = """
+[model]
+kind = fourier
+freq_cutoff = 1
+dim = 2
+spike_weights = 0.7
+spike_positions = -1.0 0.5
+
+[solver]
+mode = stochastic
+schedule = manual
+alpha = 0.1
+eta = 0.01
+k = 5
+lambda = 0.2
+init = random
+p = 4
+"""
+        cfg = write_cfg(tmp_path, text.replace(old, new, 1))
+        assert main(["run", cfg, "--quiet"]) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestReluConfig:

@@ -49,6 +49,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             measure_1d([-0.1], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_position_rejected(self, bad):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            ParticleMeasure([0.5, 0.5], [[0.0, 0.1], [bad, 0.2]])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             measure_1d([1.0, 2.0], [0.0])

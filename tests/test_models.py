@@ -67,6 +67,39 @@ class TestGmmClosedForms:
         assert abs(vals.mean() - exact) <= 4 * se
 
 
+class TestFusedSurrogates:
+    """``surrogate_fields`` against the separate g/grad_g/h/grad_h views."""
+
+    @staticmethod
+    def _model(dim, trunc_width):
+        rng = np.random.default_rng(dim)
+        data = rng.uniform(-0.8, 0.8, size=(50, dim))
+        return GaussianMixtureModel(data, bandwidth=0.3, mixing_scale=0.2,
+                                    radius=1.0, trunc_width=trunc_width)
+
+    @pytest.mark.parametrize("trunc_width", [None, 3.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [1, 5, 33])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_fused_matches_separate(self, trunc_width, dim, p, m):
+        model = self._model(dim, trunc_width)
+        rng = np.random.default_rng(100 * p + m)
+        t = project_to_ball(rng.uniform(-1, 1, size=(p, 1, dim)), 1.0)
+        atoms = project_to_ball(rng.uniform(-1, 1, size=(1, m, dim)), 1.0)
+        u = model.sample_u(rng, m)[None]
+        v = model.sample_v(rng, m)[None]
+        fused = model.surrogate_fields(t, atoms, u, v)
+        separate = (model.g(t, atoms, u), model.grad_g(t, atoms, u),
+                    model.h(t, v), model.grad_h(t, v))
+        for a, b in zip(fused, separate):
+            assert a.shape == b.shape
+            if trunc_width is None:
+                # fused gradient is (-1/var) x val, separate -(x/var) pdf
+                np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
+            else:
+                assert np.array_equal(a, b)
+
+
 class TestFourierModel:
     def test_kernel_normalization(self, fourier_fc1):
         assert fourier_fc1.kernel(pt(0.3), pt(0.3)) == pytest.approx(1.0)
