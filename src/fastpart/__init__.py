@@ -7,7 +7,6 @@ from .measures import (
     cesaro_average,
     grid_points,
     sample_particle_index,
-    tv_norm,
     uniform_grid_measure,
 )
 from .models import (
@@ -23,12 +22,8 @@ from .models import (
 )
 from .stochastic import (
     Minibatch,
-    NoiseSample,
     draw_batch,
     marginal_cost,
-    marginal_cost_grad,
-    marginal_cost_grad_minibatch,
-    marginal_cost_minibatch,
 )
 from .diagnostics import (
     KktReport,
@@ -37,7 +32,6 @@ from .diagnostics import (
     grid_oracle,
     kkt_certificate,
     objective,
-    stationarity_norms,
 )
 from .optimizer import (
     Radii,

@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    if args.trace_every:
+    if args.trace_every is not None:
         cfg.trace_every = args.trace_every
     model = build_model(cfg)
     tv_star = _resolve_tv_star(cfg, cfg.solver, model, args.quiet)
@@ -232,6 +232,16 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fastpart",
@@ -242,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one solver configuration")
     p_run.add_argument("config")
     p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--trace-every", type=int, default=None)
+    p_run.add_argument("--trace-every", type=_positive_int, default=None)
     p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(func=cmd_run)
 

@@ -71,11 +71,7 @@ def _get_bool(sec: Mapping, name: str, key: str, default=False):
     raise ConfigError(f"key '{key}' in [{name}] is not a boolean")
 
 
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
+_REQUIRED = object()  # default marking a key that must be present
 
 
 @dataclass
@@ -133,12 +129,8 @@ def _parse_solver(sec: Mapping, name: str,
     if spec.schedule not in ("manual", "global", "local"):
         raise ConfigError(f"key 'schedule' in [{name}] must be manual, global or local")
     if spec.schedule == "manual":
-        spec.alpha = _get_float(sec, name, "alpha", default=_REQUIRED)
-        spec.eta = _get_float(sec, name, "eta", default=_REQUIRED)
-        if spec.alpha <= 0:
-            raise ConfigError(f"key 'alpha' in [{name}] must be > 0")
-        if spec.eta <= 0:
-            raise ConfigError(f"key 'eta' in [{name}] must be > 0")
+        spec.alpha = _get_float(sec, name, "alpha", default=_REQUIRED, positive=True)
+        spec.eta = _get_float(sec, name, "eta", default=_REQUIRED, positive=True)
     if spec.schedule == "global":
         raw = str(sec.get("tv_star", "oracle")).strip()
         spec.tv_star = raw if raw == "oracle" else _get_float(sec, name, "tv_star",

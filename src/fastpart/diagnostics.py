@@ -14,35 +14,23 @@ import numpy as np
 
 from .measures import ParticleMeasure, grid_points
 from .models.base import FeatureModel
-from .stochastic import marginal_cost, marginal_cost_grad
+from .stochastic import exact_fields, marginal_cost
 
 
 def objective(model: FeatureModel, measure: ParticleMeasure, lam: float) -> float:
     """Regularized objective: half squared embedding error plus lam * mass."""
-    base = 0.5 * model.y_norm_sq
-    if measure.size == 0:
-        return base
-    sw = measure.signed_weights
-    iy = model.inner_y(measure.positions)
-    gram = model.gram(measure.positions, measure.positions)
-    return float(base + lam * np.sum(measure.weights) - sw @ iy
-                 + 0.5 * sw @ (gram @ sw))
-
-
-def stationarity_norms(model: FeatureModel, measure: ParticleMeasure,
-                       lam: float) -> tuple[float, float]:
-    """Measure-weighted squared norms of the marginal cost and its gradient.
-
-    Both vanish on the support of a minimizer, so their decay along the
-    iterates measures how close the support is to stationary.
-    """
-    _, j2, g2 = trace_stats(model, measure, lam)
-    return j2, g2
+    return trace_stats(model, measure, lam)[0]
 
 
 def trace_stats(model: FeatureModel, measure: ParticleMeasure,
                 lam: float) -> tuple[float, float, float]:
-    """(objective, weighted cost norm, weighted gradient norm) in one pass."""
+    """(objective, weighted cost norm, weighted gradient norm) in one pass.
+
+    The two norms are the measure-weighted squares of the marginal cost
+    and of its gradient at the atoms.  Both vanish on the support of a
+    minimizer, so their decay along the iterates measures how close the
+    support is to stationary.
+    """
     base = 0.5 * model.y_norm_sq
     if measure.size == 0:
         return base, 0.0, 0.0
@@ -252,7 +240,7 @@ def finite_diff_check(model: FeatureModel, measure: ParticleMeasure, t,
     t = np.asarray(t, dtype=float).ravel()
     if not model.smooth_at(t, step):
         return math.nan
-    grad = marginal_cost_grad(model, measure, t)
+    grad = exact_fields(model, measure, t[None, :], 0.0)[1][0]
     worst = 0.0
     for i in range(len(t)):
         hi = t.copy()
@@ -281,8 +269,3 @@ def bound_c1(model: FeatureModel, lam: float) -> float:
     """Almost-sure bound constant for the stochastic marginal cost."""
     b = model.bounds()
     return max(b.g_sup, b.h_sup + lam)
-
-
-def bound_c2(model: FeatureModel, lam: float) -> float:
-    """Almost-sure bound constant for the estimator noise."""
-    return bound_c0(model, lam) + bound_c1(model, lam)

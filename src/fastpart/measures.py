@@ -107,29 +107,22 @@ class ParticleMeasure:
     def signed_weights(self) -> np.ndarray:
         return self.weights * self.signs
 
-    def with_state(self, weights, positions) -> "ParticleMeasure":
-        """Next iterate with the same signs."""
-        return ParticleMeasure(weights, positions, self.signs)
-
-
-def tv_norm(measure: ParticleMeasure) -> float:
-    """Sum of atom weights; 0 for the empty measure."""
-    return measure.tv_norm
-
 
 def sample_particle_index(measure: ParticleMeasure, rng: np.random.Generator,
                           size: int | None = None):
     """Draw particle indices with probability proportional to their weights.
 
-    Returns a scalar index when ``size`` is None, else an int array of the
-    requested length.  Raises ``ValueError`` on a measure with zero mass.
+    One uniform per index, mapped through the weights' cumulative sum
+    (inverse CDF).  Returns a scalar index when ``size`` is None, else an
+    int array of the requested length.  Raises ``ValueError`` on a
+    measure with zero mass.
     """
-    total = measure.tv_norm
-    if total <= 0.0:
+    if measure.tv_norm <= 0.0:
         raise ValueError("cannot sample from null measure")
-    probs = measure.weights / total
-    idx = rng.choice(measure.size, size=size, p=probs)
-    return idx
+    cdf = np.add.accumulate(measure.weights)
+    idx = cdf.searchsorted(rng.random(size) * cdf[-1], side="right")
+    # a uniform that rounds up to the total mass would index past the end
+    return np.minimum(idx, len(cdf) - 1)
 
 
 def grid_points(radius: float, dim: int, step: float) -> np.ndarray:

@@ -3,15 +3,16 @@ unbiased stochastic surrogates.
 
 A feature model bundles everything the solver needs about one inverse
 problem: the kernel ``K(t, t') = <phi_t, phi_t'>``, the data inner
-product ``<phi_t, y>``, their gradients in ``t``, and randomized
-single-sample estimates of all four.  The estimates take two draws: a
-frequency/offset draw ``u`` for the kernel side and a data draw ``v``
-for the observation side, with
+product ``<phi_t, y>``, and randomized single-sample estimates of both.
+The estimates take two draws: a frequency/offset draw ``u`` for the
+kernel side and a data draw ``v`` for the observation side, with
 
     E_u[g(t, t', u)] = K(t, t')      E_v[h(t, v)] = <phi_t, y>
 
-and the same identities for the gradients.  Models are immutable once
-built and never hold random state; callers pass RNG streams in.
+and the same identities for the gradients in ``t``.  Each quantity is
+implemented once, as a fused value-and-gradient primitive; see
+``FeatureModel``.  Models are immutable once built and never hold random
+state; callers pass RNG streams in.
 """
 from __future__ import annotations
 
@@ -28,8 +29,7 @@ class ModelBounds:
     ``g_inf``/``g_sup`` bound the kernel surrogate from below/above,
     ``h_sup`` bounds the magnitude of the data surrogate, and the two
     gradient fields are bounded in Euclidean norm by ``grad_g_sup`` and
-    ``grad_h_sup``.  ``kernel_lip`` is a Lipschitz constant for the
-    feature map.  Sup bounds are conservative over-approximations; the
+    ``grad_h_sup``.  Sup bounds are conservative over-approximations; the
     inf is an under-approximation.
     """
 
@@ -38,7 +38,6 @@ class ModelBounds:
     h_sup: float
     grad_g_sup: float
     grad_h_sup: float
-    kernel_lip: float
 
     def __post_init__(self):
         if self.g_inf > self.g_sup:
@@ -72,9 +71,27 @@ class GroundTruth:
 class FeatureModel(ABC):
     """Capability interface shared by all problem models.
 
-    Point-valued methods broadcast: ``t`` and ``t_prime`` may be single
-    ``(d,)`` vectors or stacked ``(..., d)`` arrays, and scalar outputs
-    follow the broadcast shape.
+    A model implements six quantity primitives.  Point arguments
+    broadcast: ``t`` and ``t_prime`` may be single ``(d,)`` vectors or
+    stacked ``(..., d)`` arrays; values follow the broadcast shape and
+    gradients (in ``t``) add a trailing ``d`` axis.
+
+    * ``kernel(t, t')`` and ``inner_y(t)``: values only, for the lattice
+      scans (grid oracle gram, certificates) that must not allocate a
+      gradient array;
+    * ``kernel_fields(t, t') -> (K, grad K)`` and
+      ``data_fit(t) -> (<phi_t, y>, its gradient)``: the exact fields;
+    * ``kernel_surrogate(t, t', u) -> (g, grad g)`` and
+      ``data_surrogate(t, v) -> (h, grad h)``: the stochastic fields.
+
+    A value primitive must equal the first output of its fused twin bit
+    for bit.  Everything else is derived here from the primitives: the
+    single-quantity views ``grad_kernel``, ``grad_inner_y``, ``g``,
+    ``grad_g``, ``h``, ``grad_h``, the joint ``surrogate_fields`` and the
+    pairwise ``gram``/``gram_bundle``.  Models override a derived method
+    only for speed, each with its reason: the mixture model's
+    ``surrogate_fields`` (same bits) and the ReLU model's matmul
+    ``gram``/``gram_bundle``.
 
     Cost attributes count scalar feature evaluations per call and feed
     the solver's work counter: ``cost_kernel``/``cost_inner_y`` for the
@@ -86,42 +103,36 @@ class FeatureModel(ABC):
     cost_kernel: int = 1
     cost_inner_y: int = 1
 
-    # ----- exact quantities -------------------------------------------------
+    # ----- quantity primitives ---------------------------------------------
 
     @abstractmethod
     def kernel(self, t, t_prime):
-        """K(t, t'), broadcast over leading axes."""
-
-    @abstractmethod
-    def grad_kernel(self, t, t_prime):
-        """Gradient of K(t, t') in its first argument, shape (..., d)."""
+        """K(t, t')."""
 
     @abstractmethod
     def inner_y(self, t):
-        """<phi_t, y>, broadcast over leading axes."""
+        """<phi_t, y>."""
 
     @abstractmethod
-    def grad_inner_y(self, t):
-        """Gradient of <phi_t, y> in t, shape (..., d)."""
+    def kernel_fields(self, t, t_prime):
+        """(K(t, t'), its gradient in t)."""
+
+    @abstractmethod
+    def data_fit(self, t):
+        """(<phi_t, y>, its gradient in t)."""
+
+    @abstractmethod
+    def kernel_surrogate(self, t, t_prime, u):
+        """(g, grad g): unbiased kernel surrogate, E_u g = K(t, t')."""
+
+    @abstractmethod
+    def data_surrogate(self, t, v):
+        """(h, grad h): unbiased data surrogate, E_v h = <phi_t, y>."""
 
     @property
     @abstractmethod
     def y_norm_sq(self) -> float:
         """Squared Hilbert norm of the observation."""
-
-    def gram(self, t, t_prime):
-        """Kernel matrix between two point sets, shape (n, q)."""
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        s = np.atleast_2d(np.asarray(t_prime, dtype=float))
-        return self.kernel(t[:, None, :], s[None, :, :])
-
-    def gram_grad(self, t, t_prime):
-        """Gradients grad_t K(t_i, s_j), shape (n, q, d)."""
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        s = np.atleast_2d(np.asarray(t_prime, dtype=float))
-        return self.grad_kernel(t[:, None, :], s[None, :, :])
-
-    # ----- stochastic surrogates --------------------------------------------
 
     @abstractmethod
     def sample_u(self, rng: np.random.Generator, size: int):
@@ -136,48 +147,40 @@ class FeatureModel(ABC):
         return self.sample_u(rng, size), self.sample_v(rng, size)
 
     @abstractmethod
-    def g(self, t, t_prime, u):
-        """Unbiased kernel surrogate, E_u g = K(t, t')."""
-
-    @abstractmethod
-    def grad_g(self, t, t_prime, u):
-        """Gradient of g in t, shape (..., d)."""
-
-    @abstractmethod
-    def h(self, t, v):
-        """Unbiased data surrogate, E_v h = <phi_t, y>."""
-
-    @abstractmethod
-    def grad_h(self, t, v):
-        """Gradient of h in t, shape (..., d)."""
-
-    @abstractmethod
     def bounds(self) -> ModelBounds:
         """Conservative almost-sure bounds valid on the domain."""
 
-    # ----- fused evaluation paths (override for speed, not semantics) ---------
+    # ----- derived views -----------------------------------------------------
 
-    def kernel_surrogate(self, t, t_prime, u):
-        """(g, grad_g) in one call; hot path of the solver loop."""
-        return self.g(t, t_prime, u), self.grad_g(t, t_prime, u)
+    def grad_kernel(self, t, t_prime):
+        return self.kernel_fields(t, t_prime)[1]
 
-    def data_surrogate(self, t, v):
-        """(h, grad_h) in one call."""
-        return self.h(t, v), self.grad_h(t, v)
+    def grad_inner_y(self, t):
+        return self.data_fit(t)[1]
+
+    def g(self, t, t_prime, u):
+        return self.kernel_surrogate(t, t_prime, u)[0]
+
+    def grad_g(self, t, t_prime, u):
+        return self.kernel_surrogate(t, t_prime, u)[1]
+
+    def h(self, t, v):
+        return self.data_surrogate(t, v)[0]
+
+    def grad_h(self, t, v):
+        return self.data_surrogate(t, v)[1]
 
     def surrogate_fields(self, t, t_prime, u, v):
-        """(g, grad_g, h, grad_h) in one call."""
-        gval, ggrad = self.kernel_surrogate(t, t_prime, u)
-        hval, hgrad = self.data_surrogate(t, v)
-        return gval, ggrad, hval, hgrad
+        """(g, grad g, h, grad h) in one call; the solver's hot path."""
+        return (*self.kernel_surrogate(t, t_prime, u), *self.data_surrogate(t, v))
 
-    def data_fit(self, t):
-        """(inner_y, grad_inner_y) in one call."""
-        return self.inner_y(t), self.grad_inner_y(t)
+    def gram(self, t, t_prime):
+        """Kernel matrix between two point sets, shape (n, q)."""
+        return self.kernel(*_pairwise(t, t_prime))
 
     def gram_bundle(self, t, t_prime):
-        """(gram, gram_grad) in one call."""
-        return self.gram(t, t_prime), self.gram_grad(t, t_prime)
+        """(gram, grad_t K(t_i, s_j) of shape (n, q, d)) in one call."""
+        return self.kernel_fields(*_pairwise(t, t_prime))
 
     # ----- geometry ----------------------------------------------------------
 
@@ -206,6 +209,22 @@ class FeatureModel(ABC):
     def smooth_at(self, t, step: float = 0.0) -> bool:
         """Whether the model is differentiable on a `step`-neighborhood of t."""
         return True
+
+
+def _pairwise(t, t_prime):
+    """Two point sets as (n, 1, d) and (1, q, d) stacks."""
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    s = np.atleast_2d(np.asarray(t_prime, dtype=float))
+    return t[:, None, :], s[None, :, :]
+
+
+def positive_finite(name: str, value) -> float:
+    """``value`` as a float, or ValueError naming ``name`` unless it is
+    finite and > 0."""
+    value = float(value)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def coordinate_product_grad(vals: np.ndarray, ders: np.ndarray) -> np.ndarray:

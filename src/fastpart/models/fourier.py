@@ -86,20 +86,22 @@ class FourierDeconvolutionModel(FeatureModel):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
         return np.prod(self._k_1d(diff), axis=-1)
 
-    def grad_kernel(self, t, t_prime):
+    def kernel_fields(self, t, t_prime):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return coordinate_product_grad(self._k_1d(diff), self._k_1d_deriv(diff))
+        vals = self._k_1d(diff)
+        return (np.prod(vals, axis=-1),
+                coordinate_product_grad(vals, self._k_1d_deriv(diff)))
 
+    # y is a finite combination of kernel translates
     def inner_y(self, t):
-        t = np.asarray(t, dtype=float)
-        diff = t[..., None, :] - self._atom_positions
-        return np.prod(self._k_1d(diff), axis=-1) @ self._atom_coeffs
+        t = np.asarray(t, dtype=float)[..., None, :]
+        return self.kernel(t, self._atom_positions) @ self._atom_coeffs
 
-    def grad_inner_y(self, t):
-        t = np.asarray(t, dtype=float)
-        diff = t[..., None, :] - self._atom_positions
-        grads = coordinate_product_grad(self._k_1d(diff), self._k_1d_deriv(diff))
-        return np.einsum("...ad,a->...d", grads, self._atom_coeffs)
+    def data_fit(self, t):
+        t = np.asarray(t, dtype=float)[..., None, :]
+        vals, grads = self.kernel_fields(t, self._atom_positions)
+        return (vals @ self._atom_coeffs,
+                np.einsum("...ad,a->...d", grads, self._atom_coeffs))
 
     @cached_property
     def y_norm_sq(self) -> float:
@@ -116,29 +118,6 @@ class FourierDeconvolutionModel(FeatureModel):
         # data side is deterministic for this model
         return np.zeros(size)
 
-    def g(self, t, t_prime, u):
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        phase = np.sum(np.asarray(u, dtype=float) * diff, axis=-1)
-        return np.cos(phase)
-
-    def grad_g(self, t, t_prime, u):
-        u = np.asarray(u, dtype=float)
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        phase = np.sum(u * diff, axis=-1)
-        return -np.sin(phase)[..., None] * u
-
-    def h(self, t, v):
-        out = self.inner_y(t)
-        shape = np.broadcast_shapes(np.shape(out), np.shape(v))
-        return np.broadcast_to(out, shape)
-
-    def grad_h(self, t, v):
-        out = self.grad_inner_y(t)
-        shape = np.broadcast_shapes(np.shape(out), np.shape(v) + (1,))
-        return np.broadcast_to(out, shape)
-
-    # ----- fused paths ----------------------------------------------------------
-
     def kernel_surrogate(self, t, t_prime, u):
         u = np.asarray(u, dtype=float)
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
@@ -150,16 +129,6 @@ class FourierDeconvolutionModel(FeatureModel):
         return (np.broadcast_to(iy, np.broadcast_shapes(np.shape(iy), np.shape(v))),
                 np.broadcast_to(giy, np.broadcast_shapes(np.shape(giy),
                                                          np.shape(v) + (1,))))
-
-    def data_fit(self, t):
-        t = np.asarray(t, dtype=float)
-        diff = t[..., None, :] - self._atom_positions
-        vals = self._k_1d(diff)
-        ders = self._k_1d_deriv(diff)
-        prods = np.prod(vals, axis=-1)
-        grads = coordinate_product_grad(vals, ders)
-        return (prods @ self._atom_coeffs,
-                np.einsum("...ad,a->...d", grads, self._atom_coeffs))
 
     # ----- geometry ---------------------------------------------------------------
 
@@ -182,7 +151,6 @@ class FourierDeconvolutionModel(FeatureModel):
             g_inf = 1.0
             grad_g_sup = 0.0
             mean_norm = 0.0
-            mean_sq = 0.0
         else:
             g_inf = -1.0
             freqs = np.stack(np.meshgrid(*([self._freqs_1d] * self.dim),
@@ -190,14 +158,12 @@ class FourierDeconvolutionModel(FeatureModel):
             norms = np.sqrt(np.sum(freqs.astype(float)**2, axis=1))
             grad_g_sup = float(np.max(norms))
             mean_norm = float(np.mean(norms))
-            mean_sq = float(np.mean(norms**2))
         return ModelBounds(
             g_inf=g_inf,
             g_sup=1.0,
             h_sup=beta_abs,
             grad_g_sup=grad_g_sup,
             grad_h_sup=beta_abs * mean_norm,
-            kernel_lip=np.sqrt(mean_sq),
         )
 
     def bounds(self) -> ModelBounds:

@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .base import FeatureModel, GroundTruth, ModelBounds, coordinate_product_grad
+from .base import (FeatureModel, GroundTruth, ModelBounds, coordinate_product_grad,
+                   positive_finite)
 
 _QUAD_NODES = 64
 
@@ -61,9 +62,6 @@ class _GaussianProfile:
 
     def value(self, x):
         return _gauss_pdf(x, self.var, self._norm)
-
-    def deriv(self, x):
-        return -(x / self.var) * _gauss_pdf(x, self.var, self._norm)
 
     def value_and_deriv(self, x):
         val = _gauss_pdf(x, self.var, self._norm)
@@ -100,9 +98,6 @@ class _TruncatedConvProfile:
         box = ndtr(self._a_c - mu_c) - ndtr(self._neg_a_c - mu_c)
         return _gauss_pdf(x, self.vsum, self._norm) * box * self._inv_z
 
-    def deriv(self, x):
-        return self.value_and_deriv(x)[1]
-
     def value_and_deriv(self, x):
         x = np.asarray(x, dtype=float)
         mu_c = x * self._mu_c_slope
@@ -130,10 +125,6 @@ class _QuadConvProfile:
         x = np.asarray(x, dtype=float)
         return self.inner.value(x[..., None] - self.u) @ self.w
 
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.inner.deriv(x[..., None] - self.u) @ self.w
-
     def value_and_deriv(self, x):
         x = np.asarray(x, dtype=float)
         val, der = self.inner.value_and_deriv(x[..., None] - self.u)
@@ -147,11 +138,6 @@ def _std_pdf(z):
 def _prod_profile(profile, x):
     """Coordinate-wise product of a 1-D profile, x of shape (..., d)."""
     return np.prod(profile.value(x), axis=-1)
-
-
-def _prod_profile_grad(profile, x):
-    """Gradient of the coordinate product, shape (..., d)."""
-    return coordinate_product_grad(profile.value(x), profile.deriv(x))
 
 
 def _prod_profile_both(profile, x):
@@ -222,12 +208,14 @@ class GaussianMixtureModel(FeatureModel):
             data = data[:, None]
         if data.ndim != 2 or len(data) == 0:
             raise ValueError("data must be a nonempty (N, d) array")
-        if bandwidth <= 0 or mixing_scale <= 0 or radius <= 0:
-            raise ValueError("bandwidth, mixing_scale and radius must be positive")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("data must be finite")
         self.data = data
-        self.bandwidth = float(bandwidth)
-        self.mixing_scale = float(mixing_scale)
-        self.radius = float(radius)
+        self.bandwidth = positive_finite("bandwidth", bandwidth)
+        self.mixing_scale = positive_finite("mixing_scale", mixing_scale)
+        self.radius = positive_finite("radius", radius)
+        if trunc_width is not None:
+            trunc_width = positive_finite("trunc_width", trunc_width)
         self.trunc_width = trunc_width
         self.dim = data.shape[1]
         self.n_data = len(data)
@@ -250,23 +238,20 @@ class GaussianMixtureModel(FeatureModel):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
         return _prod_profile(self._kern, diff)
 
-    def grad_kernel(self, t, t_prime):
+    def kernel_fields(self, t, t_prime):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return _prod_profile_grad(self._kern, diff)
-
-    def ktilde(self, x):
-        """The shifted-argument profile shared by the surrogates."""
-        return _prod_profile(self._ktilde, np.asarray(x, dtype=float))
+        return _prod_profile_both(self._kern, diff)
 
     def inner_y(self, t):
         t = np.asarray(t, dtype=float)
         diff = t[..., None, :] - self.data
         return np.mean(_prod_profile(self._ktilde, diff), axis=-1)
 
-    def grad_inner_y(self, t):
+    def data_fit(self, t):
         t = np.asarray(t, dtype=float)
         diff = t[..., None, :] - self.data
-        return np.mean(_prod_profile_grad(self._ktilde, diff), axis=-2)
+        vals, grads = _prod_profile_both(self._ktilde, diff)
+        return np.mean(vals, axis=-1), np.mean(grads, axis=-2)
 
     @cached_property
     def y_norm_sq(self) -> float:
@@ -290,26 +275,6 @@ class GaussianMixtureModel(FeatureModel):
     def sample_v(self, rng, size):
         return self.data[rng.integers(self.n_data, size=size)]
 
-    def g(self, t, t_prime, u):
-        arg = (np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-               - np.asarray(u, dtype=float))
-        return _prod_profile(self._ktilde, arg)
-
-    def grad_g(self, t, t_prime, u):
-        arg = (np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-               - np.asarray(u, dtype=float))
-        return _prod_profile_grad(self._ktilde, arg)
-
-    def h(self, t, v):
-        arg = np.asarray(t, dtype=float) - np.asarray(v, dtype=float)
-        return _prod_profile(self._ktilde, arg)
-
-    def grad_h(self, t, v):
-        arg = np.asarray(t, dtype=float) - np.asarray(v, dtype=float)
-        return _prod_profile_grad(self._ktilde, arg)
-
-    # ----- fused paths ---------------------------------------------------------
-
     def kernel_surrogate(self, t, t_prime, u):
         arg = (np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
                - np.asarray(u, dtype=float))
@@ -320,8 +285,9 @@ class GaussianMixtureModel(FeatureModel):
         return _prod_profile_both(self._ktilde, arg)
 
     def surrogate_fields(self, t, t_prime, u, v):
-        # both argument blocks share one profile evaluation: the g block
-        # fills the first half of the stacked buffer, the h block the rest
+        # speed override, same bits as the derived method: both argument
+        # blocks share one profile evaluation, the g block filling the
+        # first half of one preallocated buffer and the h block the rest
         shape = np.broadcast(t, t_prime, u).shape
         n = shape[0]
         stacked = np.empty((2 * n,) + shape[1:])
@@ -331,18 +297,6 @@ class GaussianMixtureModel(FeatureModel):
         np.subtract(t, v, out=stacked[n:])
         vals, grads = _prod_profile_both(self._ktilde, stacked)
         return vals[:n], grads[:n], vals[n:], grads[n:]
-
-    def data_fit(self, t):
-        t = np.asarray(t, dtype=float)
-        diff = t[..., None, :] - self.data
-        vals, grads = _prod_profile_both(self._ktilde, diff)
-        return np.mean(vals, axis=-1), np.mean(grads, axis=-2)
-
-    def gram_bundle(self, t, t_prime):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        s = np.atleast_2d(np.asarray(t_prime, dtype=float))
-        diff = t[:, None, :] - s[None, :, :]
-        return _prod_profile_both(self._kern, diff)
 
     # ----- bounds -------------------------------------------------------------
 
@@ -356,26 +310,20 @@ class GaussianMixtureModel(FeatureModel):
             grad_sup = _gauss_pdf(np.sqrt(v1), v1) / np.sqrt(v1)
             if self.dim > 1:
                 grad_sup = np.sqrt(self.dim) * grad_sup * peak_1d ** (self.dim - 1)
-            v2 = self.bandwidth**2 + 2.0 * self.mixing_scale**2
-            lip = np.sqrt(self.dim * _gauss_pdf(0.0, v2) / v2)
         else:
             a = self.trunc_width * self.mixing_scale
             reach = 2.0 * self.radius + a
             g_inf = float(self._ktilde.value(np.array(reach))) ** self.dim
             probe = np.linspace(0.0, reach, 20001)
-            grad_1d = float(np.max(np.abs(self._ktilde.deriv(probe)))) * 1.001
+            deriv = self._ktilde.value_and_deriv(probe)[1]
+            grad_1d = float(np.max(np.abs(deriv))) * 1.001
             grad_sup = np.sqrt(self.dim) * grad_1d * peak_1d ** max(self.dim - 1, 0)
-            eps = 1e-5
-            k0 = float(self._kern.value(np.array(0.0)))
-            curv = max(2.0 * (k0 - float(self._kern.value(np.array(eps)))) / eps**2, 0.0)
-            lip = np.sqrt(self.dim * curv) * 1.01
         return ModelBounds(
             g_inf=g_inf,
             g_sup=sup,
             h_sup=sup,
             grad_g_sup=float(grad_sup),
             grad_h_sup=float(grad_sup),
-            kernel_lip=float(lip),
         )
 
     def bounds(self) -> ModelBounds:

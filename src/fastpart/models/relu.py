@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import FeatureModel, ModelBounds
+from .base import FeatureModel, ModelBounds, positive_finite
 
 
 def sample_regression_data(n: int, dim: int, rng: np.random.Generator,
@@ -62,10 +62,14 @@ class ReluFeatureModel(FeatureModel):
         y = np.asarray(y, dtype=float).ravel()
         if len(x) != len(y) or len(y) == 0:
             raise ValueError("x and y must be nonempty with matching length")
+        if x.ndim != 2 or not np.all(np.isfinite(x)):
+            raise ValueError("x must be a finite (N, d) array")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
         self.x = x
         self.y = y
         self.dim = x.shape[1]
-        self.radius = float(radius)
+        self.radius = positive_finite("radius", radius)
         self.n_data = len(y)
         self.cost_kernel = self.n_data
         self.cost_inner_y = self.n_data
@@ -77,31 +81,35 @@ class ReluFeatureModel(FeatureModel):
         fs = np.maximum(np.asarray(t_prime, dtype=float) @ self.x.T, 0.0)
         return np.mean(ft * fs, axis=-1)
 
-    def grad_kernel(self, t, t_prime):
+    def kernel_fields(self, t, t_prime):
         zt = np.asarray(t, dtype=float) @ self.x.T
         fs = np.maximum(np.asarray(t_prime, dtype=float) @ self.x.T, 0.0)
-        active = (zt > 0.0) * fs
-        return active @ self.x / self.n_data
-
-    def gram(self, t, t_prime):
-        ft = np.maximum(np.atleast_2d(np.asarray(t, dtype=float)) @ self.x.T, 0.0)
-        fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
-        return ft @ fs.T / self.n_data
-
-    def gram_grad(self, t, t_prime):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        s = np.atleast_2d(np.asarray(t_prime, dtype=float))
-        mask = (t @ self.x.T > 0.0).astype(float)
-        fs = np.maximum(s @ self.x.T, 0.0)
-        return np.einsum("in,jn,nd->ijd", mask, fs, self.x) / self.n_data
+        return (np.mean(np.maximum(zt, 0.0) * fs, axis=-1),
+                ((zt > 0.0) * fs) @ self.x / self.n_data)
 
     def inner_y(self, t):
         ft = np.maximum(np.asarray(t, dtype=float) @ self.x.T, 0.0)
         return np.mean(ft * self.y, axis=-1)
 
-    def grad_inner_y(self, t):
+    def data_fit(self, t):
         zt = np.asarray(t, dtype=float) @ self.x.T
-        return ((zt > 0.0) * self.y) @ self.x / self.n_data
+        return (np.mean(np.maximum(zt, 0.0) * self.y, axis=-1),
+                ((zt > 0.0) * self.y) @ self.x / self.n_data)
+
+    # speed overrides of the derived pairwise forms: one matmul over the
+    # sample instead of an (n, q, N) broadcast.  They differ from the
+    # pointwise mean in the last bits; the golden ReLU cases pin them.
+    def gram(self, t, t_prime):
+        ft = np.maximum(np.atleast_2d(np.asarray(t, dtype=float)) @ self.x.T, 0.0)
+        fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
+        return ft @ fs.T / self.n_data
+
+    def gram_bundle(self, t, t_prime):
+        t = np.atleast_2d(np.asarray(t, dtype=float))
+        mask = (t @ self.x.T > 0.0).astype(float)
+        fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
+        grad = np.einsum("in,jn,nd->ijd", mask, fs, self.x) / self.n_data
+        return self.gram(t, t_prime), grad
 
     @cached_property
     def y_norm_sq(self) -> float:
@@ -120,29 +128,17 @@ class ReluFeatureModel(FeatureModel):
         idx = rng.integers(self.n_data, size=size)
         return idx, idx
 
-    def g(self, t, t_prime, u):
-        xu = self.x[np.asarray(u, dtype=int)]
-        ft = np.maximum(np.sum(np.asarray(t, dtype=float) * xu, axis=-1), 0.0)
-        fs = np.maximum(np.sum(np.asarray(t_prime, dtype=float) * xu, axis=-1), 0.0)
-        return ft * fs
-
-    def grad_g(self, t, t_prime, u):
+    def kernel_surrogate(self, t, t_prime, u):
         xu = self.x[np.asarray(u, dtype=int)]
         zt = np.sum(np.asarray(t, dtype=float) * xu, axis=-1)
         fs = np.maximum(np.sum(np.asarray(t_prime, dtype=float) * xu, axis=-1), 0.0)
-        return ((zt > 0.0) * fs)[..., None] * xu
+        return np.maximum(zt, 0.0) * fs, ((zt > 0.0) * fs)[..., None] * xu
 
-    def h(self, t, v):
+    def data_surrogate(self, t, v):
         v = np.asarray(v, dtype=int)
-        xv = self.x[v]
-        ft = np.maximum(np.sum(np.asarray(t, dtype=float) * xv, axis=-1), 0.0)
-        return ft * self.y[v]
-
-    def grad_h(self, t, v):
-        v = np.asarray(v, dtype=int)
-        xv = self.x[v]
+        xv, yv = self.x[v], self.y[v]
         zt = np.sum(np.asarray(t, dtype=float) * xv, axis=-1)
-        return ((zt > 0.0) * self.y[v])[..., None] * xv
+        return np.maximum(zt, 0.0) * yv, ((zt > 0.0) * yv)[..., None] * xv
 
     # ----- geometry ------------------------------------------------------------------
 
@@ -174,7 +170,6 @@ class ReluFeatureModel(FeatureModel):
             h_sup=float(np.max(feat_max * np.abs(self.y))),
             grad_g_sup=float(np.max(xnorm * feat_max)),
             grad_h_sup=float(np.max(xnorm * np.abs(self.y))),
-            kernel_lip=float(np.sqrt(np.mean(xnorm**2))),
         )
 
     def bounds(self) -> ModelBounds:

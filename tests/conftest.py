@@ -86,23 +86,21 @@ class StubModel(FeatureModel):
         self._y_sq = y_sq
         self._stub_bounds = stub_bounds or ModelBounds(
             g_inf=k0, g_sup=k0, h_sup=abs(iy), grad_g_sup=0.0,
-            grad_h_sup=abs(giy) * np.sqrt(dim), kernel_lip=0.0)
+            grad_h_sup=abs(giy) * np.sqrt(dim))
 
     def kernel(self, t, t_prime):
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return np.full(diff.shape[:-1], self.k0)
+        return self.kernel_fields(t, t_prime)[0]
 
-    def grad_kernel(self, t, t_prime):
+    def kernel_fields(self, t, t_prime):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return np.zeros(diff.shape)
+        return np.full(diff.shape[:-1], self.k0), np.zeros(diff.shape)
 
     def inner_y(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape[:-1], self.iy)
+        return self.data_fit(t)[0]
 
-    def grad_inner_y(self, t):
+    def data_fit(self, t):
         t = np.asarray(t, dtype=float)
-        return np.full(t.shape, self.giy)
+        return np.full(t.shape[:-1], self.iy), np.full(t.shape, self.giy)
 
     @property
     def y_norm_sq(self):
@@ -114,23 +112,17 @@ class StubModel(FeatureModel):
     def sample_v(self, rng, size):
         return np.zeros(size)
 
-    def g(self, t, t_prime, u):
+    def kernel_surrogate(self, t, t_prime, u):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return np.full(np.broadcast_shapes(diff.shape[:-1], np.shape(u)[:-1]),
-                       self.k0)
+        return (np.full(np.broadcast_shapes(diff.shape[:-1], np.shape(u)[:-1]),
+                        self.k0),
+                np.zeros(np.broadcast_shapes(diff.shape, np.shape(u))))
 
-    def grad_g(self, t, t_prime, u):
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return np.zeros(np.broadcast_shapes(diff.shape, np.shape(u)))
-
-    def h(self, t, v):
-        t = np.asarray(t, dtype=float)
-        return np.full(np.broadcast_shapes(t.shape[:-1], np.shape(v)), self.iy)
-
-    def grad_h(self, t, v):
+    def data_surrogate(self, t, v):
         t = np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(t.shape, np.shape(v) + (1,))
-        return np.full(shape, self.giy)
+        return (np.full(np.broadcast_shapes(t.shape[:-1], np.shape(v)), self.iy),
+                np.full(shape, self.giy))
 
     def bounds(self):
         return self._stub_bounds

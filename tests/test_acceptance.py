@@ -22,13 +22,7 @@ from fastpart import (
 from fastpart import diagnostics as diag
 from fastpart.cli import main, write_measure
 from fastpart.optimizer import IterateState, RunConfig, make_schedule, mass_radii, run, step
-from fastpart.stochastic import (
-    draw_batch,
-    marginal_cost,
-    marginal_cost_grad,
-    marginal_cost_grad_samples,
-    marginal_cost_samples,
-)
+from fastpart.stochastic import draw_batch, exact_fields, marginal_cost, sample_fields
 
 
 def announce(n, text):
@@ -135,10 +129,9 @@ def _unbias_checks(model, rng, lam, batch_size):
     nu = ParticleMeasure(rng.random(p) + 0.1, pos)
     t = model.project(rng.uniform(-1, 1, size=(1, model.dim)))[0]
     batch = draw_batch(model, nu, batch_size, rng)
-    cost_samp = marginal_cost_samples(model, nu, t, lam, batch)[0]
-    grad_samp = marginal_cost_grad_samples(model, nu, t, batch)[0]
+    cost_samp, grad_samp = (a[0] for a in sample_fields(model, nu, t, lam, batch))
     exact_cost = marginal_cost(model, nu, t, lam)
-    exact_grad = marginal_cost_grad(model, nu, t)
+    exact_grad = exact_fields(model, nu, t[None], lam)[1][0]
     out = []
     se = cost_samp.std() / math.sqrt(batch.size)
     out.append(abs(cost_samp.mean() - exact_cost) <= 4 * se + 1e-15)
@@ -216,7 +209,7 @@ def test_criterion_4_gradient_correctness(bench3a, trunc_problem,
         w = rng.random(p) + 0.3
         nu = ParticleMeasure(w, pos)
         cost = marginal_cost(model, nu, pos, 0.05)
-        grad = marginal_cost_grad(model, nu, pos)
+        grad = exact_fields(model, nu, pos, 0.05)[1]
         for j in range(p):
             wp, wm = w.copy(), w.copy()
             wp[j] += h

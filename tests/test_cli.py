@@ -66,6 +66,16 @@ class TestRunCommand:
         rows = read_trace(tmp_path / "o" / "trace.csv")
         assert [r[0] for r in rows] == ["0", "10", "20", "25"]
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_trace_every_below_one_exits_2(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path, BASE_GMM.format(k=5, out=tmp_path / "o",
+                                                  trace_every=1))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", cfg, "--quiet", "--trace-every", value])
+        assert exc.value.code == 2
+        assert "--trace-every" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_alpha_exits_2(self, tmp_path, capsys):
         text = BASE_GMM.format(k=10, out=tmp_path / "o", trace_every=1)
         cfg = write_cfg(tmp_path, text.replace("alpha = 0.1", "alpha = 0"))

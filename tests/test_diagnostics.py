@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from fastpart import ParticleMeasure, marginal_cost, marginal_cost_grad
+from fastpart import ParticleMeasure, marginal_cost
 from fastpart.diagnostics import (
     bound_c0,
     finite_diff_check,
     grid_oracle,
     kkt_certificate,
     objective,
-    stationarity_norms,
+    trace_stats,
 )
 from fastpart.measures import grid_points, uniform_grid_measure
+from fastpart.stochastic import exact_fields
 
 
 def measure_1d(weights, positions, signs=None):
@@ -89,7 +90,7 @@ class TestObjective:
         lam = 0.12
         h = 1e-6
         cost = marginal_cost(gmm_small, nu, nu.positions, lam)
-        grad = marginal_cost_grad(gmm_small, nu, nu.positions)
+        grad = exact_fields(gmm_small, nu, nu.positions, lam)[1]
         for j in range(4):
             wp, wm = w.copy(), w.copy()
             wp[j] += h
@@ -112,30 +113,26 @@ class TestStationarityNorms:
         model = stub_model(dim=2, k0=1.5, iy=0.0, giy=0.0, y_sq=0.0)
 
         class Fixed(type(model)):
-            def inner_y(self, t):
-                t = np.asarray(t, dtype=float)
-                return np.full(t.shape[:-1], 2 * 1.5 - 3 + 0.0)
-
-            def grad_inner_y(self, t):
+            def data_fit(self, t):
                 t = np.asarray(t, dtype=float)
                 out = np.zeros(t.shape)
                 out[..., 0] = -1.0
                 out[..., 1] = 1.0
-                return out
+                return np.full(t.shape[:-1], 2 * 1.5 - 3 + 0.0), out
 
         fixed = Fixed(dim=2, k0=1.5)
         nu = ParticleMeasure([2.0], [[0.1, 0.2]])
-        j2, g2 = stationarity_norms(fixed, nu, 0.0)
+        _, j2, g2 = trace_stats(fixed, nu, 0.0)
         assert j2 == pytest.approx(2 * 3.0**2)
         assert g2 == pytest.approx(2 * 2.0)
 
     def test_empty_measure(self, gmm_unit):
-        assert stationarity_norms(gmm_unit, EMPTY, 0.1) == (0.0, 0.0)
+        assert trace_stats(gmm_unit, EMPTY, 0.1)[1:] == (0.0, 0.0)
 
     def test_small_at_oracle_support(self, gmm_small):
         orc = grid_oracle(gmm_small, 0.05, grid_step=0.01, tol=1e-8)
         assert orc.converged
-        j2, g2 = stationarity_norms(gmm_small, orc.measure, 0.05)
+        _, j2, g2 = trace_stats(gmm_small, orc.measure, 0.05)
         assert j2 <= 1e-8 * orc.measure.tv_norm
         # gradient norm on the support is grid-limited, not zero
 

@@ -7,7 +7,6 @@ from fastpart import (
     cesaro_average,
     grid_points,
     sample_particle_index,
-    tv_norm,
     uniform_grid_measure,
 )
 
@@ -19,13 +18,13 @@ def measure_1d(weights, positions, signs=None):
 
 class TestTvNorm:
     def test_sums_weights(self):
-        assert tv_norm(measure_1d([0.5, 0.3, 0.2], [0, 1, 2])) == 1.0
+        assert measure_1d([0.5, 0.3, 0.2], [0, 1, 2]).tv_norm == 1.0
 
     def test_empty_measure(self):
-        assert tv_norm(ParticleMeasure([], np.empty((0, 1)))) == 0.0
+        assert ParticleMeasure([], np.empty((0, 1))).tv_norm == 0.0
 
     def test_plain_sum(self):
-        assert tv_norm(measure_1d([1.5, 2.5], [0, 1])) == 4.0
+        assert measure_1d([1.5, 2.5], [0, 1]).tv_norm == 4.0
 
     def test_additive_under_concatenation(self):
         rng = np.random.default_rng(0)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fastpart import GaussianMixtureModel, project_to_ball
+from fastpart import (
+    FourierDeconvolutionModel,
+    GaussianMixtureModel,
+    GroundTruth,
+    ReluFeatureModel,
+    project_to_ball,
+    sample_regression_data,
+)
 
 
 def pt(*coords):
@@ -93,11 +100,98 @@ class TestFusedSurrogates:
                     model.h(t, v), model.grad_h(t, v))
         for a, b in zip(fused, separate):
             assert a.shape == b.shape
-            if trunc_width is None:
-                # fused gradient is (-1/var) x val, separate -(x/var) pdf
-                np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
-            else:
-                assert np.array_equal(a, b)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["fourier", "relu"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p,m", [(1, 1), (5, 4), (33, 4)])
+    def test_fused_matches_separate_other_models(self, kind, dim, p, m):
+        model = _any_model(kind, dim)
+        rng = np.random.default_rng(100 * p + m)
+        t = model.project(rng.uniform(-1, 1, size=(p, dim)))[:, None, :]
+        atoms = model.project(rng.uniform(-1, 1, size=(m, dim)))[None]
+        u = model.sample_u(rng, m)[None]
+        v = model.sample_v(rng, m)[None]
+        fused = model.surrogate_fields(t, atoms, u, v)
+        separate = (model.g(t, atoms, u), model.grad_g(t, atoms, u),
+                    model.h(t, v), model.grad_h(t, v))
+        for a, b in zip(fused, separate):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+def _any_model(kind, dim):
+    """A small model of each kind in dimension ``dim``."""
+    rng = np.random.default_rng(dim)
+    if kind in ("gmm_plain", "gmm_trunc"):
+        return GaussianMixtureModel(
+            rng.uniform(-0.8, 0.8, size=(50, dim)), bandwidth=0.3, mixing_scale=0.2,
+            radius=1.0, trunc_width=3.0 if kind == "gmm_trunc" else None)
+    if kind == "fourier":
+        truth = GroundTruth(weights=[0.8, 0.6], positions=rng.uniform(-2, 2, (2, dim)),
+                            noise_coeffs=[0.05],
+                            noise_positions=rng.uniform(-2, 2, (1, dim)))
+        return FourierDeconvolutionModel(freq_cutoff=3, dim=dim, truth=truth)
+    x, y = sample_regression_data(64, dim, rng, teacher_width=3)
+    return ReluFeatureModel(x, y, radius=1.0)
+
+
+class TestValueContract:
+    """The value-only primitives equal the first output of their fused
+    twins bit for bit; the grid routines rely on it."""
+
+    @pytest.mark.parametrize("kind", ["gmm_plain", "gmm_trunc", "fourier", "relu"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_values_match_fused(self, kind, dim):
+        model = _any_model(kind, dim)
+        rng = np.random.default_rng(7 + dim)
+        t = model.project(rng.uniform(-1, 1, size=(9, dim)))
+        s = model.project(rng.uniform(-1, 1, size=(4, dim)))
+        assert np.array_equal(model.kernel(t[:, None], s[None]),
+                              model.kernel_fields(t[:, None], s[None])[0])
+        assert np.array_equal(model.kernel(t[0], s[0]),
+                              model.kernel_fields(t[0], s[0])[0])
+        assert np.array_equal(model.inner_y(t), model.data_fit(t)[0])
+        assert np.array_equal(model.inner_y(t[0]), model.data_fit(t[0])[0])
+        assert np.array_equal(model.gram(t, s), model.gram_bundle(t, s)[0])
+
+
+class TestConstructorValidation:
+    DATA = np.linspace(-0.5, 0.5, 10)
+
+    @pytest.mark.parametrize("name,value", [
+        ("trunc_width", -1.0), ("trunc_width", 0.0), ("trunc_width", np.nan),
+        ("bandwidth", np.nan), ("mixing_scale", np.nan), ("radius", np.nan),
+    ])
+    def test_gmm_rejects_bad_scalar(self, name, value):
+        kwargs = dict(bandwidth=0.3, mixing_scale=0.2, radius=1.0, trunc_width=3.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            GaussianMixtureModel(self.DATA, **kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gmm_rejects_nonfinite_data(self, bad):
+        data = self.DATA.copy()
+        data[3] = bad
+        with pytest.raises(ValueError, match="data"):
+            GaussianMixtureModel(data, bandwidth=0.3, mixing_scale=0.2)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_relu_rejects_bad_radius(self, relu_model, radius):
+        with pytest.raises(ValueError, match="radius"):
+            ReluFeatureModel(relu_model.x, relu_model.y, radius=radius)
+
+    def test_relu_rejects_nonfinite_x(self, relu_model):
+        x = relu_model.x.copy()
+        x[2, 1] = np.nan
+        with pytest.raises(ValueError, match="x must be"):
+            ReluFeatureModel(x, relu_model.y)
+
+    def test_relu_rejects_nonfinite_y(self, relu_model):
+        y = relu_model.y.copy()
+        y[5] = np.inf
+        with pytest.raises(ValueError, match="y must be"):
+            ReluFeatureModel(relu_model.x, y)
 
 
 class TestFourierModel:

@@ -24,8 +24,7 @@ class TestMassRadii:
     def test_null_solution_regime(self, stub_model):
         # h_sup == lam: no excess, r0 = 0, R0 is the initial mass
         model = stub_model(stub_bounds=ModelBounds(
-            g_inf=0.5, g_sup=1.0, h_sup=0.4, grad_g_sup=1, grad_h_sup=1,
-            kernel_lip=1))
+            g_inf=0.5, g_sup=1.0, h_sup=0.4, grad_g_sup=1, grad_h_sup=1))
         nu0 = measure_1d([0.3, 0.4], [0.0, 0.5])
         radii = mass_radii(model, 0.4, nu0)
         assert radii.r0 == 0.0
@@ -35,8 +34,7 @@ class TestMassRadii:
     def test_formula_substitution(self, stub_model):
         # h_sup - lam = 1 and g_inf = 0.5 give r0 = 2 e
         model = stub_model(stub_bounds=ModelBounds(
-            g_inf=0.5, g_sup=2.0, h_sup=1.5, grad_g_sup=1, grad_h_sup=1,
-            kernel_lip=1))
+            g_inf=0.5, g_sup=2.0, h_sup=1.5, grad_g_sup=1, grad_h_sup=1))
         radii = mass_radii(model, 0.5, measure_1d([1.0], [0.0]))
         assert radii.r0 == pytest.approx(2 * math.e, rel=1e-12)
         assert radii.r0 == pytest.approx(5.4365637, abs=1e-6)
@@ -47,7 +45,7 @@ class TestMassRadii:
         g_inf = excess * math.exp(excess) / 0.2
         model = stub_model(stub_bounds=ModelBounds(
             g_inf=g_inf, g_sup=1.0, h_sup=0.5 + excess, grad_g_sup=1,
-            grad_h_sup=1, kernel_lip=1))
+            grad_h_sup=1))
         nu0 = measure_1d(np.full(10, 0.1), np.linspace(-1, 1, 10))
         radii = mass_radii(model, 0.5, nu0)
         assert radii.r0 == pytest.approx(0.2, rel=1e-12)

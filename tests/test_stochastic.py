@@ -6,17 +6,9 @@ from fastpart import (
     ParticleMeasure,
     draw_batch,
     marginal_cost,
-    marginal_cost_grad,
-    marginal_cost_grad_minibatch,
-    marginal_cost_minibatch,
 )
 from fastpart.diagnostics import bound_c1
-from fastpart.stochastic import (
-    exact_fields,
-    marginal_cost_grad_samples,
-    marginal_cost_samples,
-    minibatch_fields,
-)
+from fastpart.stochastic import exact_fields, minibatch_fields, sample_fields
 
 
 def measure_1d(weights, positions, signs=None):
@@ -58,13 +50,6 @@ class TestDrawBatch:
         with pytest.raises(ValueError):
             draw_batch(gmm_small, nu, 0, np.random.default_rng(0))
 
-    def test_sample_indexing(self, gmm_small):
-        nu = measure_1d([0.5, 0.5], [-0.3, 0.3])
-        batch = draw_batch(gmm_small, nu, 4, np.random.default_rng(2))
-        sample = batch[1]
-        assert sample.t_index == batch.t_indices[1]
-        assert np.array_equal(sample.u, batch.u[1])
-
 
 class TestExactCost:
     def test_empty_measure(self, gmm_unit):
@@ -90,19 +75,19 @@ class TestExactCost:
 
     def test_gradient_empty_measure(self, gmm_unit):
         t = np.array([0.4])
-        grad = marginal_cost_grad(gmm_unit, EMPTY, t)
+        grad = exact_fields(gmm_unit, EMPTY, t[None], 0.0)[1][0]
         assert grad == pytest.approx(-gmm_unit.grad_inner_y(t))
 
     def test_gradient_flat_kernel(self, fourier_flat):
         nu = measure_1d([1.0], [0.3])
-        grad = marginal_cost_grad(fourier_flat, nu, np.array([0.9]))
+        grad = exact_fields(fourier_flat, nu, np.array([[0.9]]), 0.0)[1][0]
         assert grad[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_gradient_symmetric_configuration(self):
         from fastpart import GaussianMixtureModel
         model = GaussianMixtureModel([0.0], bandwidth=1.0, mixing_scale=1.0)
         nu = measure_1d([1.0, 1.0], [-0.6, 0.6])
-        grad = marginal_cost_grad(model, nu, np.zeros(1))
+        grad = exact_fields(model, nu, np.zeros((1, 1)), 0.0)[1][0]
         assert grad[0] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -111,11 +96,11 @@ class TestMinibatchEstimators:
         nu = measure_1d([1.0], [0.3])
         rng = np.random.default_rng(0)
         batch = draw_batch(fourier_flat, nu, 1, rng)
-        est = marginal_cost_minibatch(fourier_flat, nu, np.array([0.9]), 0.5, batch)
+        est = minibatch_fields(fourier_flat, nu, np.array([[0.9]]), 0.5, batch)[0][0]
         exact = marginal_cost(fourier_flat, nu, np.array([0.9]), 0.5)
         assert est == exact
         batch5 = draw_batch(fourier_flat, nu, 5, rng)
-        est5 = marginal_cost_minibatch(fourier_flat, nu, np.array([0.9]), 0.5, batch5)
+        est5 = minibatch_fields(fourier_flat, nu, np.array([[0.9]]), 0.5, batch5)[0][0]
         assert est5 == pytest.approx(exact, rel=1e-15)
 
     def test_single_particle_reduction(self, gmm_small):
@@ -127,7 +112,7 @@ class TestMinibatchEstimators:
         lam = 0.4
         manual = (w * np.mean(gmm_small.g(t, np.array([s]), batch.u))
                   - np.mean(gmm_small.h(t, batch.v)) + lam)
-        est = marginal_cost_minibatch(gmm_small, nu, t, lam, batch)
+        est = minibatch_fields(gmm_small, nu, t[None], lam, batch)[0][0]
         assert est == pytest.approx(float(manual), rel=1e-12)
 
     def test_mean_matches_exact_within_se(self, gmm_small):
@@ -135,7 +120,7 @@ class TestMinibatchEstimators:
         t = np.array([0.2])
         lam = 0.1
         batch = draw_batch(gmm_small, nu, 20_000, np.random.default_rng(4))
-        samples = marginal_cost_samples(gmm_small, nu, t, lam, batch)[0]
+        samples = sample_fields(gmm_small, nu, t, lam, batch)[0][0]
         exact = marginal_cost(gmm_small, nu, t, lam)
         se = samples.std() / np.sqrt(len(samples))
         assert abs(samples.mean() - exact) <= 4 * se
@@ -143,7 +128,7 @@ class TestMinibatchEstimators:
     def test_gradient_zero_variance(self, fourier_flat):
         nu = measure_1d([1.0], [0.3])
         batch = draw_batch(fourier_flat, nu, 4, np.random.default_rng(5))
-        grad = marginal_cost_grad_minibatch(fourier_flat, nu, np.array([0.9]), batch)
+        grad = minibatch_fields(fourier_flat, nu, np.array([[0.9]]), 0.0, batch)[1][0]
         assert np.all(grad == 0.0)
 
     def test_gradient_even_peak_leaves_data_term(self, gmm_small):
@@ -152,7 +137,7 @@ class TestMinibatchEstimators:
         t = np.array([0.2])
         nu = measure_1d([0.7], [0.2])
         batch = Minibatch(np.array([0]), np.zeros((1, 1)), np.array([[0.45]]))
-        grad = marginal_cost_grad_minibatch(gmm_small, nu, t, batch)
+        grad = minibatch_fields(gmm_small, nu, t[None], 0.0, batch)[1][0]
         expected = -gmm_small.grad_h(t, np.array([0.45]))
         assert grad == pytest.approx(expected)
         assert grad[0] != 0.0
@@ -161,8 +146,8 @@ class TestMinibatchEstimators:
         nu = measure_1d([0.5, 0.5], [-0.2, 0.3])
         t = np.array([0.05])
         batch = draw_batch(gmm_small, nu, 20_000, np.random.default_rng(6))
-        samples = marginal_cost_grad_samples(gmm_small, nu, t, batch)[0]
-        exact = marginal_cost_grad(gmm_small, nu, t)
+        samples = sample_fields(gmm_small, nu, t, 0.0, batch)[1][0]
+        exact = exact_fields(gmm_small, nu, t[None], 0.0)[1][0]
         for i in range(1):
             se = samples[:, i].std() / np.sqrt(len(samples))
             assert abs(samples[:, i].mean() - exact[i]) <= 4 * se
@@ -172,19 +157,20 @@ class TestMinibatchEstimators:
         pts = nu.positions
         batch = draw_batch(gmm_trunc, nu, 9, np.random.default_rng(7))
         cost, grad = minibatch_fields(gmm_trunc, nu, pts, 0.3, batch)
-        assert np.allclose(cost, marginal_cost_minibatch(gmm_trunc, nu, pts, 0.3,
-                                                         batch), rtol=1e-12)
-        assert np.allclose(grad, marginal_cost_grad_minibatch(gmm_trunc, nu, pts,
-                                                              batch), rtol=1e-12)
+        scost, sgrad = sample_fields(gmm_trunc, nu, pts, 0.3, batch)
+        assert np.allclose(cost, scost.mean(axis=1), rtol=1e-12)
+        assert np.allclose(grad, sgrad.mean(axis=1), rtol=1e-12)
         ecost, egrad = exact_fields(gmm_trunc, nu, pts, 0.3)
         assert np.allclose(ecost, marginal_cost(gmm_trunc, nu, pts, 0.3), rtol=1e-12)
-        assert np.allclose(egrad, marginal_cost_grad(gmm_trunc, nu, pts), rtol=1e-12)
+        reference = (np.einsum("ijd,j->id", gmm_trunc.gram_bundle(pts, pts)[1],
+                               nu.signed_weights) - gmm_trunc.grad_inner_y(pts))
+        assert np.allclose(egrad, reference, rtol=1e-12)
 
     def test_signed_measure_estimator_unbiased(self, gmm_small):
         nu = measure_1d([0.5, 0.5], [-0.3, 0.4], signs=[1, -1])
         t = np.array([0.1])
         batch = draw_batch(gmm_small, nu, 40_000, np.random.default_rng(8))
-        samples = marginal_cost_samples(gmm_small, nu, t, 0.2, batch)[0]
+        samples = sample_fields(gmm_small, nu, t, 0.2, batch)[0][0]
         sw = nu.signed_weights
         exact = (sw @ gmm_small.kernel(np.broadcast_to(t, (2, 1)), nu.positions)
                  - float(gmm_small.inner_y(t)) + 0.2)
@@ -203,7 +189,7 @@ class TestAlmostSureBounds:
             nu = measure_1d(rng.random(p) * 2, rng.uniform(-1, 1, p))
             batch = draw_batch(gmm_trunc, nu, 3, rng)
             t = rng.uniform(-1, 1, size=(4, 1))
-            vals = marginal_cost_samples(gmm_trunc, nu, t, lam, batch)
+            vals = sample_fields(gmm_trunc, nu, t, lam, batch)[0]
             assert np.all(np.abs(vals) <= c1 * (nu.tv_norm + 1) + 1e-12)
 
     def test_gradient_bound(self, gmm_trunc, fourier_noisy):
@@ -215,7 +201,7 @@ class TestAlmostSureBounds:
                 nu = measure_1d(rng.random(p), rng.uniform(-1, 1, p))
                 batch = draw_batch(model, nu, 2, rng)
                 t = rng.uniform(-1, 1, size=(3, 1))
-                grads = marginal_cost_grad_samples(model, nu, t, batch)
+                grads = sample_fields(model, nu, t, 0.0, batch)[1]
                 norms = np.linalg.norm(grads, axis=-1)
                 cap = nu.tv_norm * b.grad_g_sup + b.grad_h_sup
                 assert np.all(norms <= cap + 1e-12)
@@ -233,8 +219,7 @@ class TestAlmostSureBounds:
                 from fastpart.models.base import ModelBounds
                 return ModelBounds(g_inf=0.0, g_sup=1e-9, h_sup=1e-9,
                                    grad_g_sup=b.grad_g_sup,
-                                   grad_h_sup=b.grad_h_sup,
-                                   kernel_lip=b.kernel_lip)
+                                   grad_h_sup=b.grad_h_sup)
 
         lying = Lying(gmm_trunc.data, bandwidth=1.0, mixing_scale=0.5,
                       radius=1.0, trunc_width=3.0)
@@ -248,7 +233,7 @@ class TestAlmostSureBounds:
         rng = np.random.default_rng(11)
         n_rep = 3000
         base_batch = draw_batch(gmm_small, nu, n_rep * 64, rng)
-        samples = marginal_cost_samples(gmm_small, nu, t, 0.1, base_batch)[0]
+        samples = sample_fields(gmm_small, nu, t, 0.1, base_batch)[0][0]
         var1 = samples.var()
         for m in (4, 16, 64):
             means = samples[:n_rep * m].reshape(n_rep, m).mean(axis=1)
