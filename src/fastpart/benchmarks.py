@@ -30,7 +30,6 @@ class BenchmarkProblem:
     data_seed: int
     init_step: float
     init_mass: float
-    trunc_width: float | None = None
 
 
 _REGISTRY = {
@@ -91,20 +90,14 @@ def gen_data(problem: BenchmarkProblem, seed: int) -> np.ndarray:
     """Regenerate the benchmark sample; bit-identical for a given seed."""
     rng = np.random.default_rng(seed)
     return sample_mixture_data(problem.truth, problem.mixing_scale,
-                               problem.n_samples, rng, problem.trunc_width)
+                               problem.n_samples, rng)
 
 
-def build_model(problem: BenchmarkProblem,
-                data: np.ndarray | None = None,
-                data_seed: int | None = None) -> GaussianMixtureModel:
-    """Model for a benchmark, generating its canonical data if none given."""
-    if data is None:
-        data = gen_data(problem, problem.data_seed if data_seed is None
-                        else data_seed)
+def build_model(problem: BenchmarkProblem) -> GaussianMixtureModel:
+    """Model for a benchmark on its canonical data."""
     return GaussianMixtureModel(
-        data,
+        gen_data(problem, problem.data_seed),
         bandwidth=problem.bandwidth,
         mixing_scale=problem.mixing_scale,
         radius=problem.radius,
-        trunc_width=problem.trunc_width,
     )

@@ -2,10 +2,11 @@
 
 Plain sectioned ``key = value`` text ([model], [solver], [output], plus
 optional [oracle], [certify], [compare] and [variant NAME] sections),
-'#' comment lines allowed.  Parsing is strict: unknown model kinds,
-missing required keys and out-of-range numbers raise ``ConfigError``
-naming the offending field.  When [model] names a benchmark, solver
-keys left unset inherit the benchmark's canonical values.
+'#' comment lines allowed.  Parsing is strict: unknown sections, keys
+and model kinds, missing required keys and out-of-range numbers raise
+``ConfigError`` naming the offending field.  When [model] names a
+benchmark, solver keys left unset inherit the benchmark's canonical
+values.
 """
 from __future__ import annotations
 
@@ -72,6 +73,42 @@ def _get_bool(sec: Mapping, name: str, key: str, default=False):
 
 
 _REQUIRED = object()  # default marking a key that must be present
+
+# the keys each section reads; [model] per kind, [variant NAME] as [solver]
+_MODEL_KEYS = {
+    "gmm": {"kind", "benchmark", "data", "data_seed", "n", "bandwidth",
+            "mixing_scale", "radius", "trunc_width"},
+    "fourier": {"kind", "dim", "freq_cutoff", "spike_weights", "spike_positions",
+                "noise_coeffs", "noise_positions"},
+    "relu": {"kind", "dim", "n", "data_seed", "teacher_width", "noise", "radius"},
+}
+_SECTION_KEYS = {
+    "solver": {"mode", "schedule", "alpha", "eta", "tv_star", "r0", "k", "batch",
+               "lambda", "seed", "init", "init_step", "p", "init_mass", "signs",
+               "cesaro", "trace_cesaro"},
+    "output": {"dir", "trace_every"},
+    "oracle": {"grid_step", "tol", "max_iter"},
+    "certify": {"grid_step", "tol", "mass_threshold"},
+    "compare": {"threshold_frac"},
+}
+
+
+def _check_vocabulary(parser: configparser.ConfigParser, kind: str):
+    """Refuse a section or key that no parser step reads."""
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
+    for name in parser.sections():
+        if name == "model":
+            allowed = _MODEL_KEYS[kind]
+        elif name.startswith("variant "):
+            allowed = _SECTION_KEYS["solver"]
+        elif name in _SECTION_KEYS:
+            allowed = _SECTION_KEYS[name]
+        else:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown = sorted(set(parser[name]) - allowed)
+        if unknown:
+            raise ConfigError(f"unknown key '{unknown[0]}' in [{name}]")
 
 
 @dataclass
@@ -190,6 +227,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             problem = benchmarks.get_benchmark(model_section["benchmark"])
         except KeyError as exc:
             raise ConfigError(str(exc)) from None
+    _check_vocabulary(parser, kind)
 
     if "solver" not in parser:
         raise ConfigError("missing [solver] section")
@@ -293,8 +331,7 @@ def build_model(cfg: ExperimentConfig) -> FeatureModel:
             seed = _get_int(sec, "model", "data_seed", default=problem.data_seed)
             n = _get_int(sec, "model", "n", default=problem.n_samples, minimum=1)
             data = sample_mixture_data(problem.truth, problem.mixing_scale, n,
-                                       np.random.default_rng(seed),
-                                       problem.trunc_width)
+                                       np.random.default_rng(seed))
         bandwidth = _get_float(sec, "model", "bandwidth",
                                default=problem.bandwidth if problem else _REQUIRED,
                                positive=True)
@@ -304,10 +341,7 @@ def build_model(cfg: ExperimentConfig) -> FeatureModel:
         radius = _get_float(sec, "model", "radius",
                             default=problem.radius if problem else 1.0,
                             positive=True)
-        if "trunc_width" in sec:
-            trunc = _get_float(sec, "model", "trunc_width", positive=True)
-        else:
-            trunc = problem.trunc_width if problem else None
+        trunc = _get_float(sec, "model", "trunc_width", positive=True)
         return GaussianMixtureModel(data, bandwidth=bandwidth,
                                     mixing_scale=mixing, radius=radius,
                                     trunc_width=trunc)

@@ -256,15 +256,6 @@ def finite_diff_check(model: FeatureModel, measure: ParticleMeasure, t,
 # ----- uniform bound constants ----------------------------------------------------------
 
 
-def bound_c0(model: FeatureModel, lam: float) -> float:
-    """Uniform bound constant for the exact marginal cost:
-    |cost| <= c0 * (mass + 1)."""
-    k0 = float(model.kernel(np.zeros(model.dim), np.zeros(model.dim)))
-    phi_sup = math.sqrt(max(k0, 0.0))
-    y_norm = math.sqrt(max(model.y_norm_sq, 0.0))
-    return max(lam + phi_sup * y_norm, k0)
-
-
 def bound_c1(model: FeatureModel, lam: float) -> float:
     """Almost-sure bound constant for the stochastic marginal cost."""
     b = model.bounds()

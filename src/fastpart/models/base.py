@@ -26,18 +26,16 @@ import numpy as np
 class ModelBounds:
     """Almost-sure bounds on the stochastic features over the domain.
 
-    ``g_inf``/``g_sup`` bound the kernel surrogate from below/above,
-    ``h_sup`` bounds the magnitude of the data surrogate, and the two
-    gradient fields are bounded in Euclidean norm by ``grad_g_sup`` and
-    ``grad_h_sup``.  Sup bounds are conservative over-approximations; the
-    inf is an under-approximation.
+    ``g_inf``/``g_sup`` bound the kernel surrogate from below/above and
+    ``h_sup`` bounds the magnitude of the data surrogate: the constants
+    the mass radii and the bound constant C1 are built from.  Sup bounds
+    are conservative over-approximations; the inf is an
+    under-approximation.
     """
 
     g_inf: float
     g_sup: float
     h_sup: float
-    grad_g_sup: float
-    grad_h_sup: float
 
     def __post_init__(self):
         if self.g_inf > self.g_sup:
@@ -46,7 +44,9 @@ class ModelBounds:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Sparse truth behind a synthetic problem: spikes and optional noise atoms."""
+    """Sparse truth behind a synthetic problem: spikes and optional noise
+    atoms.  Every array must be finite and each coefficient list must
+    match its position list in length; ValueError names the field."""
 
     weights: np.ndarray
     positions: np.ndarray
@@ -54,18 +54,25 @@ class GroundTruth:
     noise_positions: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float).ravel())
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim == 1:
-            pos = pos[:, None]
-        object.__setattr__(self, "positions", pos)
+        arrays = {"weights": np.asarray(self.weights, dtype=float).ravel(),
+                  "positions": _as_points(self.positions)}
         if self.noise_coeffs is not None:
-            object.__setattr__(self, "noise_coeffs",
-                               np.asarray(self.noise_coeffs, dtype=float).ravel())
-            npos = np.asarray(self.noise_positions, dtype=float)
-            if npos.ndim == 1:
-                npos = npos[:, None]
-            object.__setattr__(self, "noise_positions", npos)
+            arrays["noise_coeffs"] = np.asarray(self.noise_coeffs, dtype=float).ravel()
+            arrays["noise_positions"] = _as_points(self.noise_positions)
+        for name, arr in arrays.items():
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"GroundTruth {name} must be finite")
+            object.__setattr__(self, name, arr)
+        for coeffs, points in (("weights", "positions"),
+                               ("noise_coeffs", "noise_positions")):
+            if coeffs in arrays and len(arrays[coeffs]) != len(arrays[points]):
+                raise ValueError(f"GroundTruth {coeffs} and {points} differ in length")
+
+
+def _as_points(points) -> np.ndarray:
+    """A position list as an (n, d) array; a flat list is n points in 1-D."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 class FeatureModel(ABC):
@@ -85,13 +92,15 @@ class FeatureModel(ABC):
       ``data_surrogate(t, v) -> (h, grad h)``: the stochastic fields.
 
     A value primitive must equal the first output of its fused twin bit
-    for bit.  Everything else is derived here from the primitives: the
-    single-quantity views ``grad_kernel``, ``grad_inner_y``, ``g``,
-    ``grad_g``, ``h``, ``grad_h``, the joint ``surrogate_fields`` and the
-    pairwise ``gram``/``gram_bundle``.  Models override a derived method
-    only for speed, each with its reason: the mixture model's
-    ``surrogate_fields`` (same bits) and the ReLU model's matmul
-    ``gram``/``gram_bundle``.
+    for bit.  The joint ``surrogate_fields`` and the pairwise
+    ``gram``/``gram_bundle`` are derived here from the primitives; a
+    single quantity is the matching primitive's ``[0]`` or ``[1]``.
+    Models override a derived method only for speed, each with its
+    reason: the mixture model's ``surrogate_fields`` (same bits) and the
+    ReLU model's matmul ``gram``/``gram_bundle``.
+
+    Each model also caches its almost-sure surrogate bounds as a
+    ``_bounds`` property; ``bounds()`` returns them.
 
     Cost attributes count scalar feature evaluations per call and feed
     the solver's work counter: ``cost_kernel``/``cost_inner_y`` for the
@@ -146,29 +155,11 @@ class FeatureModel(ABC):
         """Joint draw of (u, v); independent unless a model couples them."""
         return self.sample_u(rng, size), self.sample_v(rng, size)
 
-    @abstractmethod
     def bounds(self) -> ModelBounds:
         """Conservative almost-sure bounds valid on the domain."""
+        return self._bounds
 
-    # ----- derived views -----------------------------------------------------
-
-    def grad_kernel(self, t, t_prime):
-        return self.kernel_fields(t, t_prime)[1]
-
-    def grad_inner_y(self, t):
-        return self.data_fit(t)[1]
-
-    def g(self, t, t_prime, u):
-        return self.kernel_surrogate(t, t_prime, u)[0]
-
-    def grad_g(self, t, t_prime, u):
-        return self.kernel_surrogate(t, t_prime, u)[1]
-
-    def h(self, t, v):
-        return self.data_surrogate(t, v)[0]
-
-    def grad_h(self, t, v):
-        return self.data_surrogate(t, v)[1]
+    # ----- derived forms -----------------------------------------------------
 
     def surrogate_fields(self, t, t_prime, u, v):
         """(g, grad g, h, grad h) in one call; the solver's hot path."""

@@ -146,28 +146,8 @@ class FourierDeconvolutionModel(FeatureModel):
 
     @cached_property
     def _bounds(self) -> ModelBounds:
-        beta_abs = float(np.sum(np.abs(self._atom_coeffs)))
-        if self.freq_cutoff == 0:
-            g_inf = 1.0
-            grad_g_sup = 0.0
-            mean_norm = 0.0
-        else:
-            g_inf = -1.0
-            freqs = np.stack(np.meshgrid(*([self._freqs_1d] * self.dim),
-                                         indexing="ij"), axis=-1).reshape(-1, self.dim)
-            norms = np.sqrt(np.sum(freqs.astype(float)**2, axis=1))
-            grad_g_sup = float(np.max(norms))
-            mean_norm = float(np.mean(norms))
-        return ModelBounds(
-            g_inf=g_inf,
-            g_sup=1.0,
-            h_sup=beta_abs,
-            grad_g_sup=grad_g_sup,
-            grad_h_sup=beta_abs * mean_norm,
-        )
-
-    def bounds(self) -> ModelBounds:
-        return self._bounds
+        return ModelBounds(g_inf=1.0 if self.freq_cutoff == 0 else -1.0, g_sup=1.0,
+                           h_sup=float(np.sum(np.abs(self._atom_coeffs))))
 
 
 def wrap_torus(points: np.ndarray) -> np.ndarray:

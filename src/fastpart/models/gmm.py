@@ -302,29 +302,9 @@ class GaussianMixtureModel(FeatureModel):
 
     @cached_property
     def _bounds(self) -> ModelBounds:
-        peak_1d = float(self._ktilde.value(np.array(0.0)))
-        sup = peak_1d**self.dim
-        if self.trunc_width is None:
-            v1 = self.bandwidth**2 + self.mixing_scale**2
-            g_inf = 0.0
-            grad_sup = _gauss_pdf(np.sqrt(v1), v1) / np.sqrt(v1)
-            if self.dim > 1:
-                grad_sup = np.sqrt(self.dim) * grad_sup * peak_1d ** (self.dim - 1)
-        else:
-            a = self.trunc_width * self.mixing_scale
-            reach = 2.0 * self.radius + a
+        sup = float(self._ktilde.value(np.array(0.0)))**self.dim
+        g_inf = 0.0
+        if self.trunc_width is not None:
+            reach = 2.0 * self.radius + self.trunc_width * self.mixing_scale
             g_inf = float(self._ktilde.value(np.array(reach))) ** self.dim
-            probe = np.linspace(0.0, reach, 20001)
-            deriv = self._ktilde.value_and_deriv(probe)[1]
-            grad_1d = float(np.max(np.abs(deriv))) * 1.001
-            grad_sup = np.sqrt(self.dim) * grad_1d * peak_1d ** max(self.dim - 1, 0)
-        return ModelBounds(
-            g_inf=g_inf,
-            g_sup=sup,
-            h_sup=sup,
-            grad_g_sup=float(grad_sup),
-            grad_h_sup=float(grad_sup),
-        )
-
-    def bounds(self) -> ModelBounds:
-        return self._bounds
+        return ModelBounds(g_inf=g_inf, g_sup=sup, h_sup=sup)

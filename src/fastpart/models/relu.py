@@ -162,15 +162,9 @@ class ReluFeatureModel(FeatureModel):
 
     @cached_property
     def _bounds(self) -> ModelBounds:
-        xnorm = np.linalg.norm(self.x, axis=1)
-        feat_max = self.radius * xnorm
+        feat_max = self.radius * np.linalg.norm(self.x, axis=1)
         return ModelBounds(
             g_inf=0.0,
             g_sup=float(np.max(feat_max**2)),
             h_sup=float(np.max(feat_max * np.abs(self.y))),
-            grad_g_sup=float(np.max(xnorm * feat_max)),
-            grad_h_sup=float(np.max(xnorm * np.abs(self.y))),
         )
-
-    def bounds(self) -> ModelBounds:
-        return self._bounds

@@ -13,7 +13,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,10 +34,10 @@ STOCHASTIC_EVALS_PER_POINT = 4
 class RunConfig:
     """Everything one descent run needs besides the model.
 
-    ``batch_schedule`` is a constant batch size or a function of the
-    iteration index k >= 1.  ``mode`` selects the mini-batch estimators
-    ("stochastic") or their exact counterparts ("deterministic", the
-    classical conic particle descent baseline).
+    ``batch_schedule`` is the mini-batch size of every iteration.
+    ``mode`` selects the mini-batch estimators ("stochastic") or their
+    exact counterparts ("deterministic", the classical conic particle
+    descent baseline).
     """
 
     alpha: float
@@ -46,16 +46,11 @@ class RunConfig:
     lam: float
     init: ParticleMeasure
     seed: int = 0
-    batch_schedule: int | Callable[[int], int] = 1
+    batch_schedule: int = 1
     mode: str = "stochastic"
     cesaro: bool = False
     trace_every: int = 1
     trace_cesaro: bool = False
-
-    def batch_size(self, k: int) -> int:
-        if callable(self.batch_schedule):
-            return int(self.batch_schedule(k))
-        return int(self.batch_schedule)
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ def mass_radii(model: FeatureModel, lam: float,
 class Schedule:
     alpha: float
     eta: float
-    batch_schedule: int | Callable[[int], int]
+    batch_schedule: int
 
 
 def make_schedule(kind: str, dim: int, tv_star: float, R0: float, K: int,
@@ -176,7 +171,7 @@ def step(state: IterateState, model: FeatureModel, cfg: RunConfig) -> IterateSta
         if nu.tv_norm < MASS_EXTINCT_TV:
             state.status = "mass extinct"
             return state
-        m = cfg.batch_size(state.k + 1)
+        m = cfg.batch_schedule
         if m < 1:
             raise ValueError("batch schedule produced a size < 1")
         batch = draw_batch(model, nu, m, state.rng)

@@ -26,10 +26,6 @@ import numpy as np
 from .measures import ParticleMeasure, sample_particle_index
 from .models.base import FeatureModel
 
-# when enabled, every mini-batch cost evaluation is checked against its
-# almost-sure bound max(g_sup, h_sup + lam) * (mass + 1)
-DEBUG_BOUND_CHECKS = False
-
 
 @dataclass(frozen=True)
 class Minibatch:
@@ -115,12 +111,6 @@ def minibatch_fields(model: FeatureModel, measure: ParticleMeasure, points,
     add = np.add.reduce
     cost = scale * add(gval, axis=1) - inv_m * add(hval, axis=1) + lam
     grad = scale * add(ggrad, axis=1) - inv_m * add(hgrad, axis=1)
-    if DEBUG_BOUND_CHECKS:
-        b = model.bounds()
-        cap = max(b.g_sup, b.h_sup + lam) * (total + 1.0)
-        if np.max(np.abs(cost)) > cap + 1e-12:
-            raise AssertionError(
-                f"stochastic cost exceeded its almost-sure bound {cap}")
     return cost, grad
 
 

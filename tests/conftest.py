@@ -85,8 +85,7 @@ class StubModel(FeatureModel):
         self.giy = giy
         self._y_sq = y_sq
         self._stub_bounds = stub_bounds or ModelBounds(
-            g_inf=k0, g_sup=k0, h_sup=abs(iy), grad_g_sup=0.0,
-            grad_h_sup=abs(giy) * np.sqrt(dim))
+            g_inf=k0, g_sup=k0, h_sup=abs(iy))
 
     def kernel(self, t, t_prime):
         return self.kernel_fields(t, t_prime)[0]

@@ -5,14 +5,13 @@ import pytest
 
 from fastpart import ParticleMeasure, marginal_cost
 from fastpart.diagnostics import (
-    bound_c0,
     finite_diff_check,
     grid_oracle,
     kkt_certificate,
     objective,
     trace_stats,
 )
-from fastpart.measures import grid_points, uniform_grid_measure
+from fastpart.measures import uniform_grid_measure
 from fastpart.stochastic import exact_fields
 
 
@@ -223,15 +222,3 @@ class TestFiniteDiff:
         nu = ParticleMeasure([1.0], [[0.5, 0.5]])
         assert math.isnan(finite_diff_check(relu_model, nu, t, 1e-5))
 
-
-class TestBoundConstants:
-    def test_uniform_cost_bound(self, gmm_small):
-        lam = 0.2
-        c0 = bound_c0(gmm_small, lam)
-        rng = np.random.default_rng(4)
-        grid = grid_points(1.0, 1, 0.02)
-        for _ in range(10):
-            p = int(rng.integers(1, 8))
-            nu = measure_1d(rng.random(p) * 3, rng.uniform(-1, 1, p))
-            vals = marginal_cost(gmm_small, nu, grid, lam)
-            assert np.max(np.abs(vals)) <= c0 * (nu.tv_norm + 1) + 1e-12

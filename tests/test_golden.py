@@ -7,7 +7,9 @@ and the trace's objective column, plus the evaluation counter, with the
 values in ``golden_runs.json``.  Each exact case evaluates the exact
 layer (``objective``, ``trace_stats``, ``exact_fields`` and
 ``marginal_cost`` on a lattice, ``kkt_certificate``) for one model and
-measure, and each oracle case pins a ``grid_oracle`` solve.  A speed-up
+measure, each oracle case pins a ``grid_oracle`` solve, and each bounds
+case pins the surrogate bounds a model reports and the mass radii and
+bound constant derived from them.  A speed-up
 or a refactor of the solver path must leave every one of them unchanged.
 
 Floating-point results depend on the numerical stack (numpy's SIMD
@@ -39,9 +41,10 @@ from fastpart import (
 )
 from fastpart import benchmarks
 from fastpart.config import build_model, parse_config
-from fastpart.diagnostics import grid_oracle, kkt_certificate, objective, trace_stats
+from fastpart.diagnostics import (bound_c1, grid_oracle, kkt_certificate, objective,
+                                  trace_stats)
 from fastpart.measures import grid_points
-from fastpart.optimizer import RunConfig, run
+from fastpart.optimizer import RunConfig, mass_radii, run
 from fastpart.stochastic import exact_fields, marginal_cost
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
@@ -195,6 +198,35 @@ ORACLE_CASES = {
 }
 
 
+def _run_model(case):
+    cfg, model = CASES[case]()
+    return model, cfg.lam, cfg.init
+
+
+def _exact_model(case):
+    model, measure, lam, *_ = EXACT_CASES[case]()
+    return model, lam, measure
+
+
+def _fourier_flat():
+    truth = GroundTruth(weights=[1.0], positions=[[0.0]])
+    model = FourierDeconvolutionModel(freq_cutoff=0, dim=1, truth=truth)
+    return model, 0.1, uniform_grid_measure(np.pi, 1, 0.5, 1.0)
+
+
+# name -> () -> (model, lam, initial measure)
+BOUNDS_CASES = {
+    "trunc_gmm": lambda: _run_model("trunc_gmm_seed0"),
+    "plain_gmm_2d": lambda: _run_model("plain_gmm_2d_m4"),
+    "fourier_torus": lambda: _run_model("fourier_torus"),
+    "relu_signed": lambda: _run_model("relu_signed"),
+    "gmm_deterministic": lambda: _run_model("gmm_deterministic"),
+    "gmm3a": lambda: _exact_model("gmm3a"),
+    "fourier_cfg": lambda: _exact_model("fourier_cfg"),
+    "fourier_flat": _fourier_flat,
+}
+
+
 def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
 
@@ -229,6 +261,18 @@ def _oracle_outputs(case):
         "iterations": orc.iterations,
         "converged": orc.converged,
         "kkt_residual": _hex([orc.kkt_residual]),
+    }
+
+
+def _bounds_outputs(case):
+    model, lam, init = BOUNDS_CASES[case]()
+    b = model.bounds()
+    radii = mass_radii(model, lam, init)
+    return {
+        "bounds": _hex([b.g_inf, b.g_sup, b.h_sup]),
+        "radii": _hex([radii.r0, radii.R0]),
+        "hypothesis_ok": radii.hypothesis_ok,
+        "bound_c1": _hex([bound_c1(model, lam)]),
     }
 
 
@@ -278,10 +322,16 @@ def test_grid_oracle_matches_golden_bits(golden, case):
     _compare(_oracle_outputs(case), golden["oracle"][case], case)
 
 
+@pytest.mark.parametrize("case", sorted(BOUNDS_CASES))
+def test_bounds_match_golden_bits(golden, case):
+    _compare(_bounds_outputs(case), golden["bounds"][case], case)
+
+
 if __name__ == "__main__":
     json.dump({"stack": _stack(),
                "cases": {c: _outputs(c) for c in sorted(CASES)},
                "exact": {c: _exact_outputs(c) for c in sorted(EXACT_CASES)},
-               "oracle": {c: _oracle_outputs(c) for c in sorted(ORACLE_CASES)}},
+               "oracle": {c: _oracle_outputs(c) for c in sorted(ORACLE_CASES)},
+               "bounds": {c: _bounds_outputs(c) for c in sorted(BOUNDS_CASES)}},
               sys.stdout, indent=1)
     sys.stdout.write("\n")

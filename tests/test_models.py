@@ -41,7 +41,7 @@ class TestGmmClosedForms:
         assert m.inner_y(pt(0.0)) == pytest.approx(oracle, rel=1e-10)
 
     def test_g_at_zero_offset(self, gmm_unit):
-        val = gmm_unit.g(pt(0.3), pt(0.3), np.zeros(1))
+        val = gmm_unit.kernel_surrogate(pt(0.3), pt(0.3), np.zeros(1))[0]
         assert val == pytest.approx(0.2820948, abs=1e-7)
 
     def test_y_norm_matches_direct_sum(self, gmm_unit):
@@ -68,7 +68,7 @@ class TestGmmClosedForms:
     def test_truncated_surrogate_mean_is_kernel(self, gmm_trunc):
         rng = np.random.default_rng(11)
         u = gmm_trunc.sample_u(rng, 400_000)
-        vals = gmm_trunc.g(pt(0.2), pt(-0.17), u)
+        vals = gmm_trunc.kernel_surrogate(pt(0.2), pt(-0.17), u)[0]
         exact = gmm_trunc.kernel(pt(0.2), pt(-0.17))
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se
@@ -96,8 +96,7 @@ class TestFusedSurrogates:
         u = model.sample_u(rng, m)[None]
         v = model.sample_v(rng, m)[None]
         fused = model.surrogate_fields(t, atoms, u, v)
-        separate = (model.g(t, atoms, u), model.grad_g(t, atoms, u),
-                    model.h(t, v), model.grad_h(t, v))
+        separate = (*model.kernel_surrogate(t, atoms, u), *model.data_surrogate(t, v))
         for a, b in zip(fused, separate):
             assert a.shape == b.shape
             assert np.array_equal(a, b)
@@ -113,8 +112,7 @@ class TestFusedSurrogates:
         u = model.sample_u(rng, m)[None]
         v = model.sample_v(rng, m)[None]
         fused = model.surrogate_fields(t, atoms, u, v)
-        separate = (model.g(t, atoms, u), model.grad_g(t, atoms, u),
-                    model.h(t, v), model.grad_h(t, v))
+        separate = (*model.kernel_surrogate(t, atoms, u), *model.data_surrogate(t, v))
         for a, b in zip(fused, separate):
             assert a.shape == b.shape
             assert np.array_equal(a, b)
@@ -193,6 +191,28 @@ class TestConstructorValidation:
         with pytest.raises(ValueError, match="y must be"):
             ReluFeatureModel(relu_model.x, y)
 
+    @pytest.mark.parametrize("field", ["weights", "positions", "noise_coeffs",
+                                       "noise_positions"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ground_truth_rejects_nonfinite(self, field, bad):
+        # a NaN weight used to give a model with NaN y_norm_sq and h_sup
+        arrays = dict(weights=[0.5, 0.5], positions=[-0.4, 0.4],
+                      noise_coeffs=[0.05], noise_positions=[2.0])
+        arrays[field] = [bad, *arrays[field][1:]]
+        with pytest.raises(ValueError, match=f"GroundTruth {field} must be finite"):
+            GroundTruth(**arrays)
+
+    def test_ground_truth_rejects_count_mismatch(self):
+        # used to build, then fail later with a matmul error
+        with pytest.raises(ValueError, match="weights and positions differ"):
+            GroundTruth([1.0, 2.0], [0.0])
+
+    def test_ground_truth_rejects_noise_count_mismatch(self):
+        with pytest.raises(ValueError,
+                           match="noise_coeffs and noise_positions differ"):
+            GroundTruth([1.0], [0.0], noise_coeffs=[0.05, -0.03],
+                        noise_positions=[2.0])
+
 
 class TestFourierModel:
     def test_kernel_normalization(self, fourier_fc1):
@@ -213,27 +233,26 @@ class TestFourierModel:
     def test_flat_surrogates_degenerate(self, fourier_flat):
         rng = np.random.default_rng(0)
         u = fourier_flat.sample_u(rng, 50)
-        g = fourier_flat.g(pt(0.5), pt(-0.5), u)
-        gg = fourier_flat.grad_g(pt(0.5), pt(-0.5), u)
+        g, gg = fourier_flat.kernel_surrogate(pt(0.5), pt(-0.5), u)
         assert np.all(g == 1.0)
         assert np.all(gg == 0.0)
 
     def test_spectral_surrogate_values(self, fourier_fc1):
         # g = cos(u (t - t')), so the gradient is -u sin(u (t - t')),
         # cross-checked by central differences
-        g = fourier_fc1.g(pt(np.pi / 2), pt(0.0), pt(1.0))
-        gg = fourier_fc1.grad_g(pt(np.pi / 2), pt(0.0), pt(1.0))
+        g, gg = fourier_fc1.kernel_surrogate(pt(np.pi / 2), pt(0.0), pt(1.0))
         assert g == pytest.approx(0.0, abs=1e-12)
         assert gg[0] == pytest.approx(-1.0, rel=1e-12)
         h = 1e-6
-        fd = (fourier_fc1.g(pt(np.pi / 2 + h), pt(0.0), pt(1.0))
-              - fourier_fc1.g(pt(np.pi / 2 - h), pt(0.0), pt(1.0))) / (2 * h)
+        g_hi = fourier_fc1.kernel_surrogate(pt(np.pi / 2 + h), pt(0.0), pt(1.0))[0]
+        g_lo = fourier_fc1.kernel_surrogate(pt(np.pi / 2 - h), pt(0.0), pt(1.0))[0]
+        fd = (g_hi - g_lo) / (2 * h)
         assert gg[0] == pytest.approx(fd, abs=1e-8)
 
     def test_surrogate_mean_is_kernel(self, fourier_noisy):
         rng = np.random.default_rng(1)
         u = fourier_noisy.sample_u(rng, 200_000)
-        vals = fourier_noisy.g(pt(0.8), pt(-0.4), u)
+        vals = fourier_noisy.kernel_surrogate(pt(0.8), pt(-0.4), u)[0]
         exact = fourier_noisy.kernel(pt(0.8), pt(-0.4))
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se
@@ -279,7 +298,6 @@ class TestBounds:
         assert b.g_inf == -1.0
         flat = fourier_flat.bounds()
         assert flat.g_inf == 1.0
-        assert flat.grad_g_sup == 0.0
 
     def test_sampled_values_respect_bounds(self, gmm_trunc, fourier_noisy):
         rng = np.random.default_rng(2)
@@ -288,11 +306,9 @@ class TestBounds:
             u = model.sample_u(rng, 5000)
             t = model.project(rng.uniform(-1, 1, size=(1, model.dim)))[0]
             s = model.project(rng.uniform(-1, 1, size=(1, model.dim)))[0]
-            g = model.g(t, s, u)
-            gg = model.grad_g(t, s, u)
+            g = model.kernel_surrogate(t, s, u)[0]
             assert np.all(g <= b.g_sup + 1e-12)
             assert np.all(g >= b.g_inf - 1e-12)
-            assert np.all(np.linalg.norm(gg, axis=-1) <= b.grad_g_sup + 1e-12)
 
 
 class TestStructuralInvariants:
@@ -323,13 +339,13 @@ class TestStructuralInvariants:
             for _ in range(10):
                 t = rng.uniform(-0.8, 0.8, size=model.dim)
                 s = rng.uniform(-0.8, 0.8, size=model.dim)
-                grad = model.grad_kernel(t, s)
+                grad = model.kernel_fields(t, s)[1]
                 for i in range(model.dim):
                     e = np.zeros(model.dim)
                     e[i] = h
                     fd = (model.kernel(t + e, s) - model.kernel(t - e, s)) / (2 * h)
                     assert abs(fd - grad[i]) / (1 + abs(grad[i])) <= 1e-5
-                giy = model.grad_inner_y(t)
+                giy = model.data_fit(t)[1]
                 for i in range(model.dim):
                     e = np.zeros(model.dim)
                     e[i] = h
@@ -348,7 +364,7 @@ class TestStructuralInvariants:
             errs = []
             for _ in range(reps):
                 u = gmm_small.sample_u(rng, m)
-                errs.append(np.mean(gmm_small.g(t, s, u)) - exact)
+                errs.append(np.mean(gmm_small.kernel_surrogate(t, s, u)[0]) - exact)
             rmse.append(np.sqrt(np.mean(np.square(errs))))
         slope = np.polyfit(np.log(sizes), np.log(rmse), 1)[0]
         assert -0.65 <= slope <= -0.35
@@ -372,7 +388,7 @@ class TestReluModel:
         rng = np.random.default_rng(9)
         t, s = pt(0.3, -0.2), pt(-0.5, 0.7)
         u = relu_model.sample_u(rng, 200_000)
-        vals = relu_model.g(t, s, u)
+        vals = relu_model.kernel_surrogate(t, s, u)[0]
         exact = float(relu_model.kernel(t, s))
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se
@@ -380,7 +396,7 @@ class TestReluModel:
     def test_kink_gradient_zero(self, relu_model):
         x0 = relu_model.x[0]
         t = np.array([-x0[1], x0[0]])  # orthogonal to the first sample
-        grad = relu_model.grad_g(t, pt(0.5, 0.5), np.array(0))
+        grad = relu_model.kernel_surrogate(t, pt(0.5, 0.5), np.array(0))[1]
         assert np.all(grad == 0.0)
 
     def test_smooth_at_detects_kinks(self, relu_model):

@@ -76,7 +76,7 @@ class TestExactCost:
     def test_gradient_empty_measure(self, gmm_unit):
         t = np.array([0.4])
         grad = exact_fields(gmm_unit, EMPTY, t[None], 0.0)[1][0]
-        assert grad == pytest.approx(-gmm_unit.grad_inner_y(t))
+        assert grad == pytest.approx(-gmm_unit.data_fit(t)[1])
 
     def test_gradient_flat_kernel(self, fourier_flat):
         nu = measure_1d([1.0], [0.3])
@@ -110,8 +110,9 @@ class TestMinibatchEstimators:
         batch = draw_batch(gmm_small, nu, 6, np.random.default_rng(3))
         t = np.array([0.1])
         lam = 0.4
-        manual = (w * np.mean(gmm_small.g(t, np.array([s]), batch.u))
-                  - np.mean(gmm_small.h(t, batch.v)) + lam)
+        manual = (w * np.mean(gmm_small.kernel_surrogate(t, np.array([s]),
+                                                         batch.u)[0])
+                  - np.mean(gmm_small.data_surrogate(t, batch.v)[0]) + lam)
         est = minibatch_fields(gmm_small, nu, t[None], lam, batch)[0][0]
         assert est == pytest.approx(float(manual), rel=1e-12)
 
@@ -138,7 +139,7 @@ class TestMinibatchEstimators:
         nu = measure_1d([0.7], [0.2])
         batch = Minibatch(np.array([0]), np.zeros((1, 1)), np.array([[0.45]]))
         grad = minibatch_fields(gmm_small, nu, t[None], 0.0, batch)[1][0]
-        expected = -gmm_small.grad_h(t, np.array([0.45]))
+        expected = -gmm_small.data_surrogate(t, np.array([0.45]))[1]
         assert grad == pytest.approx(expected)
         assert grad[0] != 0.0
 
@@ -163,7 +164,7 @@ class TestMinibatchEstimators:
         ecost, egrad = exact_fields(gmm_trunc, nu, pts, 0.3)
         assert np.allclose(ecost, marginal_cost(gmm_trunc, nu, pts, 0.3), rtol=1e-12)
         reference = (np.einsum("ijd,j->id", gmm_trunc.gram_bundle(pts, pts)[1],
-                               nu.signed_weights) - gmm_trunc.grad_inner_y(pts))
+                               nu.signed_weights) - gmm_trunc.data_fit(pts)[1])
         assert np.allclose(egrad, reference, rtol=1e-12)
 
     def test_signed_measure_estimator_unbiased(self, gmm_small):
@@ -191,40 +192,6 @@ class TestAlmostSureBounds:
             t = rng.uniform(-1, 1, size=(4, 1))
             vals = sample_fields(gmm_trunc, nu, t, lam, batch)[0]
             assert np.all(np.abs(vals) <= c1 * (nu.tv_norm + 1) + 1e-12)
-
-    def test_gradient_bound(self, gmm_trunc, fourier_noisy):
-        rng = np.random.default_rng(10)
-        for model in (gmm_trunc, fourier_noisy):
-            b = model.bounds()
-            for _ in range(15):
-                p = int(rng.integers(1, 5))
-                nu = measure_1d(rng.random(p), rng.uniform(-1, 1, p))
-                batch = draw_batch(model, nu, 2, rng)
-                t = rng.uniform(-1, 1, size=(3, 1))
-                grads = sample_fields(model, nu, t, 0.0, batch)[1]
-                norms = np.linalg.norm(grads, axis=-1)
-                cap = nu.tv_norm * b.grad_g_sup + b.grad_h_sup
-                assert np.all(norms <= cap + 1e-12)
-
-    def test_debug_mode_checks_bound(self, gmm_trunc, monkeypatch):
-        from fastpart import stochastic as st
-        monkeypatch.setattr(st, "DEBUG_BOUND_CHECKS", True)
-        nu = measure_1d([0.5, 0.5], [-0.4, 0.4])
-        batch = draw_batch(gmm_trunc, nu, 4, np.random.default_rng(20))
-        minibatch_fields(gmm_trunc, nu, nu.positions, 0.3, batch)  # within bound
-
-        class Lying(type(gmm_trunc)):
-            def bounds(self):
-                b = gmm_trunc.bounds()
-                from fastpart.models.base import ModelBounds
-                return ModelBounds(g_inf=0.0, g_sup=1e-9, h_sup=1e-9,
-                                   grad_g_sup=b.grad_g_sup,
-                                   grad_h_sup=b.grad_h_sup)
-
-        lying = Lying(gmm_trunc.data, bandwidth=1.0, mixing_scale=0.5,
-                      radius=1.0, trunc_width=3.0)
-        with pytest.raises(AssertionError, match="almost-sure bound"):
-            minibatch_fields(lying, nu, nu.positions, 1e-6, batch)
 
     def test_variance_scaling_with_batch_size(self, gmm_small):
         # var of the m-average should scale like 1/m (within a 1.3 factor)
