@@ -177,7 +177,7 @@ def _parse_solver(sec: Mapping, name: str,
     spec.batch = _get_int(sec, name, "batch", default=1, minimum=1)
     default_lam = problem.lam if problem else _REQUIRED
     spec.lam = _get_float(sec, name, "lambda", default=default_lam, positive=True)
-    spec.seed = _get_int(sec, name, "seed", default=0)
+    spec.seed = _get_int(sec, name, "seed", default=0, minimum=0)
     spec.init = str(sec.get("init", "grid")).strip()
     if spec.init not in ("grid", "random"):
         raise ConfigError(f"key 'init' in [{name}] must be grid or random")
@@ -328,7 +328,8 @@ def build_model(cfg: ExperimentConfig) -> FeatureModel:
         if "data" in sec:
             data = load_data_file(cfg.base_dir / sec["data"])
         else:
-            seed = _get_int(sec, "model", "data_seed", default=problem.data_seed)
+            seed = _get_int(sec, "model", "data_seed", default=problem.data_seed,
+                            minimum=0)
             n = _get_int(sec, "model", "n", default=problem.n_samples, minimum=1)
             data = sample_mixture_data(problem.truth, problem.mixing_scale, n,
                                        np.random.default_rng(seed))
@@ -358,6 +359,10 @@ def build_model(cfg: ExperimentConfig) -> FeatureModel:
             raise ConfigError("spike_weights and spike_positions in [model] "
                               "differ in length")
         noise_c = noise_p = None
+        for key, other in (("noise_coeffs", "noise_positions"),
+                           ("noise_positions", "noise_coeffs")):
+            if key in sec and other not in sec:
+                raise ConfigError(f"key '{key}' in [model] needs '{other}'")
         if "noise_coeffs" in sec:
             noise_c = _parse_floats(sec, "model", "noise_coeffs")
             noise_p = _parse_points(sec, "model", "noise_positions", dim)
@@ -370,7 +375,7 @@ def build_model(cfg: ExperimentConfig) -> FeatureModel:
     # relu
     dim = _get_int(sec, "model", "dim", default=2, minimum=1)
     n = _get_int(sec, "model", "n", default=256, minimum=1)
-    seed = _get_int(sec, "model", "data_seed", default=0)
+    seed = _get_int(sec, "model", "data_seed", default=0, minimum=0)
     teacher = _get_int(sec, "model", "teacher_width", default=4, minimum=1)
     noise = _get_float(sec, "model", "noise", default=0.05)
     x, y = sample_regression_data(n, dim, np.random.default_rng(seed),

@@ -217,6 +217,9 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
 
     active = best_w > 0
     sol = ParticleMeasure(best_w[active], grid[active])
+    # the objective may be the first to build the model's (N, N) y_norm_sq
+    # matrix; the lattice gram must not be alive beside it
+    del gram
     return OracleResult(
         objective=objective(model, sol, lam),
         measure=sol,

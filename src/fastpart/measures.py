@@ -7,6 +7,7 @@ nonnegative weights.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,21 @@ def sample_particle_index(measure: ParticleMeasure, rng: np.random.Generator,
     return np.minimum(idx, len(cdf) - 1)
 
 
+def _axis_steps(radius: float, step: float) -> int:
+    # small slack so 2R/step that is integral up to roundoff keeps +R
+    return int(np.floor(2.0 * radius / step + 1e-9))
+
+
+def grid_size_estimate(radius: float, dim: int, step: float) -> float:
+    """About how many points ``grid_points`` returns, without building it.
+
+    The cube count (floor(2R/step) + 1)^d bounds the lattice; it is scaled
+    by the ball's share of its bounding cube (exact in 1-D).
+    """
+    ball_share = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) / 2.0**dim
+    return float(_axis_steps(radius, step) + 1) ** dim * ball_share
+
+
 def grid_points(radius: float, dim: int, step: float) -> np.ndarray:
     """Uniform lattice of the given step covering the centered ball.
 
@@ -137,9 +153,7 @@ def grid_points(radius: float, dim: int, step: float) -> np.ndarray:
         raise ValueError("grid step must be positive")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    # small slack so 2R/step that is integral up to roundoff keeps +R
-    n_steps = int(np.floor(2.0 * radius / step + 1e-9))
-    axis = -radius + step * np.arange(n_steps + 1)
+    axis = -radius + step * np.arange(_axis_steps(radius, step) + 1)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     inside = np.sqrt(np.sum(pts**2, axis=1)) <= radius * (1.0 + 1e-12)

@@ -167,11 +167,15 @@ class FeatureModel(ABC):
 
     def gram(self, t, t_prime):
         """Kernel matrix between two point sets, shape (n, q)."""
-        return self.kernel(*_pairwise(t, t_prime))
+        t, s = _pairwise(t, t_prime)
+        return _fill_row_blocks(lambda rows: (self.kernel(t[rows], s),),
+                                len(t), s.shape[1])[0]
 
     def gram_bundle(self, t, t_prime):
         """(gram, grad_t K(t_i, s_j) of shape (n, q, d)) in one call."""
-        return self.kernel_fields(*_pairwise(t, t_prime))
+        t, s = _pairwise(t, t_prime)
+        return _fill_row_blocks(lambda rows: self.kernel_fields(t[rows], s),
+                                len(t), s.shape[1])
 
     # ----- geometry ----------------------------------------------------------
 
@@ -200,6 +204,35 @@ class FeatureModel(ABC):
     def smooth_at(self, t, step: float = 0.0) -> bool:
         """Whether the model is differentiable on a `step`-neighborhood of t."""
         return True
+
+
+# Point pairs per row block of a pairwise or data-side evaluation: about
+# 512 KB per float64 temporary, whatever the number of points.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _fill_row_blocks(evaluate, n_rows: int, row_width: int):
+    """Evaluate n_rows rows in blocks and return the stacked outputs.
+
+    ``evaluate(rows)`` takes a slice of rows and returns a tuple of
+    arrays whose leading axis is that slice; each block holds
+    ``_BLOCK_PAIRS // row_width`` rows (at least one) and is written into
+    preallocated outputs, so the peak is the outputs plus one block's
+    temporaries.  Only the row axis is split, never a reduced one, so
+    every output element sees the same arithmetic as in one whole-array
+    call.  No rows still make one (empty) call, which fixes the shapes.
+    """
+    step = max(1, _BLOCK_PAIRS // max(row_width, 1))
+    outs = None
+    for start in range(0, max(n_rows, 1), step):
+        rows = slice(start, min(start + step, n_rows))
+        parts = evaluate(rows)
+        if outs is None:
+            outs = tuple(np.empty((n_rows,) + p.shape[1:], dtype=p.dtype)
+                         for p in parts)
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs
 
 
 def _pairwise(t, t_prime):

@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .base import (FeatureModel, GroundTruth, ModelBounds, coordinate_product_grad,
-                   positive_finite)
+from .base import (FeatureModel, GroundTruth, ModelBounds, _fill_row_blocks,
+                   coordinate_product_grad, positive_finite)
 
 _QUAD_NODES = 64
 
@@ -242,26 +242,47 @@ class GaussianMixtureModel(FeatureModel):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
         return _prod_profile_both(self._kern, diff)
 
+    # the data-side quantities take row blocks of the points against all
+    # N samples; leading point dims are flattened, then restored
     def inner_y(self, t):
         t = np.asarray(t, dtype=float)
-        diff = t[..., None, :] - self.data
-        return np.mean(_prod_profile(self._ktilde, diff), axis=-1)
+        pts = t.reshape(-1, t.shape[-1])
+
+        def block(rows):
+            diff = pts[rows, None, :] - self.data
+            return (np.mean(_prod_profile(self._ktilde, diff), axis=-1),)
+
+        (vals,) = _fill_row_blocks(block, len(pts), self.n_data)
+        return vals.reshape(t.shape[:-1])[()]
 
     def data_fit(self, t):
         t = np.asarray(t, dtype=float)
-        diff = t[..., None, :] - self.data
-        vals, grads = _prod_profile_both(self._ktilde, diff)
-        return np.mean(vals, axis=-1), np.mean(grads, axis=-2)
+        pts = t.reshape(-1, t.shape[-1])
+
+        def block(rows):
+            diff = pts[rows, None, :] - self.data
+            vals, grads = _prod_profile_both(self._ktilde, diff)
+            return np.mean(vals, axis=-1), np.mean(grads, axis=-2)
+
+        vals, grads = _fill_row_blocks(block, len(pts), self.n_data)
+        return vals.reshape(t.shape[:-1])[()], grads.reshape(t.shape)
 
     @cached_property
     def y_norm_sq(self) -> float:
         # reproducing kernel of the embedding space is the Gaussian of
-        # scale ``bandwidth``, so <y, y> is a double mean over the sample
-        sq = np.sum(self.data**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * self.data @ self.data.T
-        np.maximum(d2, 0.0, out=d2)
+        # scale ``bandwidth``, so <y, y> is a double mean over the sample;
+        # the (N, N) matrix is filled by row blocks and averaged at once
+        data = self.data
+        sq = np.sum(data**2, axis=1)
         var = self.bandwidth**2
-        vals = np.exp(-0.5 * d2 / var) / (2.0 * np.pi * var) ** (self.dim / 2.0)
+        norm = (2.0 * np.pi * var) ** (self.dim / 2.0)
+
+        def block(rows):
+            d2 = sq[rows, None] + sq[None, :] - 2.0 * data[rows] @ data.T
+            np.maximum(d2, 0.0, out=d2)
+            return (np.exp(-0.5 * d2 / var) / norm,)
+
+        (vals,) = _fill_row_blocks(block, self.n_data, self.n_data)
         return float(np.mean(vals))
 
     # ----- stochastic surrogates --------------------------------------------

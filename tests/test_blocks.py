@@ -1,0 +1,146 @@
+"""Row-blocked exact evaluation: the same bits as one row at a time, and a
+peak memory bounded by the output plus one block.
+
+``gram``, ``gram_bundle``, the mixture model's ``inner_y``/``data_fit``
+and its ``y_norm_sq`` evaluate fixed-size blocks of points and write
+each block into a preallocated output.  Only the point axis is split,
+so every output element must equal its one-row evaluation exactly.
+Peak memory is read with ``tracemalloc``, which sees numpy's buffers.
+"""
+import functools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel, GroundTruth,
+                      benchmarks, sample_mixture_data)
+from fastpart.measures import grid_points
+
+
+def _gmm3a():
+    return benchmarks.build_model(benchmarks.get_benchmark("gmm3a"))
+
+
+def _trunc():
+    truth = GroundTruth(weights=[0.5, 0.5], positions=[-0.4, 0.4])
+    data = sample_mixture_data(truth, 0.5, 300, np.random.default_rng(7),
+                               trunc_width=3.0)
+    return GaussianMixtureModel(data, bandwidth=1.0, mixing_scale=0.5,
+                                radius=1.0, trunc_width=3.0)
+
+
+def _plain_2d():
+    truth = GroundTruth(weights=[0.5, 0.5], positions=[[-0.4, 0.2], [0.3, -0.5]])
+    data = sample_mixture_data(truth, 0.1, 700, np.random.default_rng(11))
+    return GaussianMixtureModel(data, bandwidth=0.15, mixing_scale=0.1, radius=1.0)
+
+
+def _fourier():
+    truth = GroundTruth(weights=[0.8, 0.6], positions=[[-1.2], [0.9]],
+                        noise_coeffs=[0.05, -0.03], noise_positions=[[2.0], [-2.5]])
+    return FourierDeconvolutionModel(freq_cutoff=3, dim=1, truth=truth)
+
+
+# name -> (model factory, lattice step): every lattice spans several blocks
+# of gram(lattice, lattice), and of inner_y for the mixture models
+MODELS = {
+    "gmm3a": (_gmm3a, 0.004),
+    "trunc_gmm": (_trunc, 0.0045),
+    "plain_gmm_2d": (_plain_2d, 0.065),
+    "fourier": (_fourier, 0.01),
+}
+MIXTURES = ["gmm3a", "plain_gmm_2d", "trunc_gmm"]
+
+
+@functools.lru_cache(maxsize=None)
+def _case(name):
+    factory, step = MODELS[name]
+    model = factory()
+    return model, grid_points(model.radius, model.dim, step)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_pairwise_rows_match_single_row_evaluation(name):
+    model, lattice = _case(name)
+    gram = model.gram(lattice, lattice)
+    bundle = model.gram_bundle(lattice, lattice)
+    assert np.array_equal(gram, bundle[0])
+    for i, t in enumerate(lattice):
+        k, grad = model.kernel_fields(t, lattice)
+        assert np.array_equal(bundle[0][i], k)
+        assert np.array_equal(bundle[1][i], grad)
+        assert np.array_equal(gram[i], model.kernel(t, lattice))
+
+
+@pytest.mark.parametrize("name", MIXTURES)
+def test_data_side_rows_match_single_row_evaluation(name):
+    model, lattice = _case(name)
+    iy = model.inner_y(lattice)
+    val, grad = model.data_fit(lattice)
+    for i, t in enumerate(lattice):
+        one_val, one_grad = model.data_fit(t)
+        assert np.array_equal(iy[i], model.inner_y(t))
+        assert np.array_equal(val[i], one_val)
+        assert np.array_equal(grad[i], one_grad)
+
+
+@pytest.mark.parametrize("name", MIXTURES)
+def test_y_norm_sq_matches_whole_matrix_mean(name):
+    model, _ = _case(name)
+    x, var = model.data, model.bandwidth**2
+    sq = np.sum(x**2, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * x @ x.T, 0.0)
+    vals = np.exp(-0.5 * d2 / var) / (2.0 * np.pi * var) ** (model.dim / 2.0)
+    assert model.y_norm_sq == float(np.mean(vals))
+
+
+def test_shapes_across_leading_dims_and_empty_input():
+    model = _plain_2d()
+    pts = grid_points(1.0, 2, 0.2)[:12]
+    stacked = pts.reshape(3, 4, 2)
+    assert np.array_equal(model.inner_y(stacked), model.inner_y(pts).reshape(3, 4))
+    val, grad = model.data_fit(stacked)
+    flat_val, flat_grad = model.data_fit(pts)
+    assert np.array_equal(val, flat_val.reshape(3, 4))
+    assert np.array_equal(grad, flat_grad.reshape(3, 4, 2))
+    assert np.ndim(model.inner_y(pts[0])) == 0
+    empty = np.empty((0, 2))
+    assert model.inner_y(empty).shape == (0,)
+    assert [a.shape for a in model.data_fit(empty)] == [(0,), (0, 2)]
+    assert model.gram(empty, pts).shape == (0, 12)
+    assert [a.shape for a in model.gram_bundle(pts, empty)] == [(12, 0), (12, 0, 2)]
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def oracle_lattice():
+    """The 2001-point lattice of gmm3a_compare.cfg's [oracle] grid_step."""
+    return grid_points(1.0, 1, 0.001)
+
+
+def test_inner_y_on_oracle_lattice_peaks_below_8_mb(oracle_lattice):
+    model = _gmm3a()
+    assert _peak_bytes(lambda: model.inner_y(oracle_lattice)) < 8e6
+
+
+def test_lattice_gram_peaks_near_its_output(oracle_lattice):
+    model = _gmm3a()
+    n = len(oracle_lattice)
+    peak = _peak_bytes(lambda: model.gram(oracle_lattice, oracle_lattice))
+    assert peak < 1.25 * n * n * 8
+
+
+def test_y_norm_sq_peaks_near_its_matrix():
+    model = _gmm3a()
+    peak = _peak_bytes(lambda: model.y_norm_sq)
+    assert peak < 1.25 * model.n_data**2 * 8

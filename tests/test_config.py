@@ -87,3 +87,52 @@ def test_unknown_section(tmp_path, section):
     path = _config(tmp_path, extra=f"\n[{section}]\nk = 5\n")
     with pytest.raises(ConfigError, match=f"unknown section \\[{section}\\]"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("present,missing", [("noise_coeffs = 0.05", "noise_positions"),
+                                             ("noise_positions = 2.0", "noise_coeffs")])
+def test_fourier_noise_key_without_its_pair_exits_2(tmp_path, capsys, present, missing):
+    # noise_coeffs alone used to exit 1 with a bare KeyError, and
+    # noise_positions alone was silently ignored
+    out = tmp_path / "out"
+    path = _config(tmp_path, "fourier", extra_model=present + "\n",
+                   extra=f"\n[output]\ndir = {out}\n")
+    assert main(["run", str(path), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"needs '{missing}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,extra_model,extra,key", [
+    ("gmm", "", "seed = -1\n", "'seed' in [solver]"),
+    ("gmm", "", "\n[variant a]\nseed = -1\n", "'seed' in [variant a]"),
+    ("gmm", "data_seed = -1\n", "", "'data_seed' in [model]"),
+    ("relu", "data_seed = -1\n", "", "'data_seed' in [model]"),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, model, extra_model, extra, key):
+    # each used to pass parsing and exit 1 with numpy's "expected
+    # non-negative integer", which names no key
+    out = tmp_path / "out"
+    path = _config(tmp_path, model, extra_model=extra_model,
+                   extra=extra + f"\n[output]\ndir = {out}\n")
+    assert main(["run", str(path), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"key {key} must be >= 0" in capsys.readouterr().err
+
+
+ORACLE_TOO_FINE = "\n[oracle]\ngrid_step = 0.001\n"
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("oracle", ORACLE_TOO_FINE),
+    ("compare", "\n[variant a]\nk = 5\n\n[variant b]\nk = 5\n" + ORACLE_TOO_FINE),
+    ("run", "schedule = global\ntv_star = oracle\n" + ORACLE_TOO_FINE),
+])
+def test_oracle_lattice_beyond_memory_is_refused_before_it_is_built(
+        tmp_path, capsys, command, extra):
+    # the 2-D unit disk at step 1e-3 holds about 3.1M points: a ~79 TB gram
+    out = tmp_path / "out"
+    path = _config(tmp_path, "relu", extra=extra + f"\n[output]\ndir = {out}\n")
+    assert main([command, str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "[oracle] grid_step = 0.001" in err and "3.14e+06 points" in err
+    assert not out.exists()

@@ -9,7 +9,10 @@ layer (``objective``, ``trace_stats``, ``exact_fields`` and
 ``marginal_cost`` on a lattice, ``kkt_certificate``) for one model and
 measure, each oracle case pins a ``grid_oracle`` solve, and each bounds
 case pins the surrogate bounds a model reports and the mass radii and
-bound constant derived from them.  A speed-up
+bound constant derived from them.  The blocks cases pin the pairwise and
+data-side arrays on lattices long enough to be evaluated in several row
+blocks, and a ``grid_oracle`` solve whose lattice gram spans 16 blocks.
+A speed-up
 or a refactor of the solver path must leave every one of them unchanged.
 
 Floating-point results depend on the numerical stack (numpy's SIMD
@@ -21,6 +24,7 @@ Re-record only when a change of output is intended:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_runs.json
 """
+import hashlib
 import json
 import platform
 import sys
@@ -252,7 +256,10 @@ def _exact_outputs(case):
 
 
 def _oracle_outputs(case):
-    model, lam, step = ORACLE_CASES[case]()
+    return _oracle_outputs_of(*ORACLE_CASES[case]())
+
+
+def _oracle_outputs_of(model, lam, step):
     orc = grid_oracle(model, lam, step)
     return {
         "objective": _hex([orc.objective]),
@@ -274,6 +281,43 @@ def _bounds_outputs(case):
         "hypothesis_ok": radii.hypothesis_ok,
         "bound_c1": _hex([bound_c1(model, lam)]),
     }
+
+
+# name -> () -> (model, lattice step); each lattice spans at least three row
+# blocks of gram(lattice, lattice) and, on the mixtures, of inner_y
+BLOCK_CASES = {
+    "gmm3a": lambda: (_gmm3a()[0], 0.004),
+    "trunc_gmm": lambda: (_trunc_case(0)[1], 0.0045),
+    "plain_gmm_2d": lambda: (_plain_gmm_2d()[1], 0.065),
+    "fourier_cfg": lambda: (_fourier_cfg()[0], 0.01),
+}
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr, dtype=float)
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _blocks_outputs(case):
+    model, step = BLOCK_CASES[case]()
+    lattice = grid_points(model.radius, model.dim, step)
+    return {
+        "points": len(lattice),
+        "gram": _digest([model.gram(lattice, lattice)]),
+        "gram_bundle": _digest(model.gram_bundle(lattice, lattice)),
+        "inner_y": _digest([model.inner_y(lattice)]),
+        "data_fit": _digest(model.data_fit(lattice)),
+        "y_norm_sq": float(model.y_norm_sq).hex(),
+    }
+
+
+def _blocks_oracle_outputs():
+    model, _ = _gmm3a()
+    return _oracle_outputs_of(model, 0.05, 0.002)
 
 
 def _outputs(case):
@@ -327,11 +371,27 @@ def test_bounds_match_golden_bits(golden, case):
     _compare(_bounds_outputs(case), golden["bounds"][case], case)
 
 
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocked_arrays_match_golden_bits(golden, case):
+    _compare(_blocks_outputs(case), golden["blocks"][case], case)
+
+
+def test_multi_block_grid_oracle_matches_golden_bits(golden):
+    _compare(_blocks_oracle_outputs(), golden["blocks"]["oracle_gmm3a"], "oracle_gmm3a")
+
+
+def _blocks_golden():
+    out = {c: _blocks_outputs(c) for c in sorted(BLOCK_CASES)}
+    out["oracle_gmm3a"] = _blocks_oracle_outputs()
+    return out
+
+
 if __name__ == "__main__":
     json.dump({"stack": _stack(),
                "cases": {c: _outputs(c) for c in sorted(CASES)},
                "exact": {c: _exact_outputs(c) for c in sorted(EXACT_CASES)},
                "oracle": {c: _oracle_outputs(c) for c in sorted(ORACLE_CASES)},
-               "bounds": {c: _bounds_outputs(c) for c in sorted(BOUNDS_CASES)}},
+               "bounds": {c: _bounds_outputs(c) for c in sorted(BOUNDS_CASES)},
+               "blocks": _blocks_golden()},
               sys.stdout, indent=1)
     sys.stdout.write("\n")

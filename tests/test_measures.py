@@ -9,6 +9,7 @@ from fastpart import (
     sample_particle_index,
     uniform_grid_measure,
 )
+from fastpart.measures import grid_size_estimate
 
 
 def measure_1d(weights, positions, signs=None):
@@ -193,3 +194,14 @@ class TestCesaro:
                 tr.record(ParticleMeasure(rng.random(p), pts))
             avg = cesaro_average(tr)
             assert np.all(np.linalg.norm(avg.positions, axis=1) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("radius,dim,step", [(1.0, 1, 0.001), (np.pi, 1, 0.01),
+                                             (1.0, 2, 0.02), (1.0, 3, 0.1)])
+def test_grid_size_estimate_tracks_the_lattice(radius, dim, step):
+    n = len(grid_points(radius, dim, step))
+    est = grid_size_estimate(radius, dim, step)
+    # the cube count scaled by the ball's share: within 16% above the
+    # lattice on these grids, equal to it in 1-D
+    assert n * (1 - 1e-12) <= est < 1.2 * n
+    assert est <= (int(2 * radius / step + 1e-9) + 1) ** dim
