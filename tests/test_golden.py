@@ -1,5 +1,5 @@
 """Golden outputs: ``optimizer.run`` and the exact layer pinned bit for
-bit to recorded values.
+bit to recorded values, and what each config file builds.
 
 Each run case runs a short descent and compares, as ``float.hex``
 strings, the final (and, where tracked, Cesaro) weights and positions
@@ -12,6 +12,11 @@ case pins the surrogate bounds a model reports and the mass radii and
 bound constant derived from them.  The blocks cases pin the pairwise and
 data-side arrays on lattices long enough to be evaluated in several row
 blocks, and a ``grid_oracle`` solve whose lattice gram spans 16 blocks.
+The configs cases pin, for every shipped config (and two inline ones
+covering the ReLU model, random and mixed-sign starts and the explicit
+global schedule keys), the ``RunConfig`` fields, initial measure and
+model that each [solver] or [variant NAME] section builds, plus the
+[output], [oracle], [certify] and [compare] values.
 A speed-up
 or a refactor of the solver path must leave every one of them unchanged.
 
@@ -44,7 +49,7 @@ from fastpart import (
     uniform_grid_measure,
 )
 from fastpart import benchmarks
-from fastpart.config import build_model, parse_config
+from fastpart.config import build_init, build_model, build_run_config, parse_config
 from fastpart.diagnostics import (bound_c1, grid_oracle, kkt_certificate, objective,
                                   trace_stats)
 from fastpart.measures import grid_points
@@ -52,7 +57,8 @@ from fastpart.optimizer import RunConfig, mass_radii, run
 from fastpart.stochastic import exact_fields, marginal_cost
 
 GOLDEN = Path(__file__).with_name("golden_runs.json")
-FOURIER_CFG = Path(__file__).parents[1] / "configs" / "fourier_spikes.cfg"
+CONFIG_DIR = Path(__file__).parents[1] / "configs"
+FOURIER_CFG = CONFIG_DIR / "fourier_spikes.cfg"
 
 
 def _stack():
@@ -320,6 +326,123 @@ def _blocks_oracle_outputs():
     return _oracle_outputs_of(model, 0.05, 0.002)
 
 
+# ----- config files ----------------------------------------------------------------
+
+# name -> config text, beside the shipped configs/*.cfg
+INLINE_CONFIGS = {
+    "relu_random_mixed": """
+[model]
+kind = relu
+n = 40
+
+[solver]
+alpha = 0.2
+eta = 0.05
+k = 30
+lambda = 0.01
+seed = 3
+init = random
+p = 7
+signs = mixed
+""",
+    "gmm_global_explicit": """
+[model]
+kind = gmm
+benchmark = gmm3a
+n = 60
+data_seed = 4
+bandwidth = 0.12
+trunc_width = 3
+
+[solver]
+mode = deterministic
+schedule = global
+tv_star = 0.7
+r0 = 0.3
+k = 40
+batch = 2
+init_mass = 0.4
+cesaro = yes
+trace_cesaro = on
+
+[variant manual]
+mode = stochastic
+schedule = manual
+alpha = 0.3
+eta = 0.02
+seed = 2
+init_step = 0.25
+
+[output]
+trace_every = 4
+
+[oracle]
+max_iter = 300
+
+[certify]
+mass_threshold = 1e-4
+
+[compare]
+threshold_frac = 0.1
+""",
+}
+
+
+def _config_path(name, tmp_dir):
+    if name in INLINE_CONFIGS:
+        path = Path(tmp_dir) / f"{name}.cfg"
+        path.write_text(INLINE_CONFIGS[name], encoding="utf-8")
+        return path
+    return CONFIG_DIR / name
+
+
+def _config_names():
+    return sorted(p.name for p in CONFIG_DIR.glob("*.cfg")) + sorted(INLINE_CONFIGS)
+
+
+def _model_outputs(model):
+    arrays = {"GaussianMixtureModel": lambda m: [m.data],
+              "ReluFeatureModel": lambda m: [m.x, m.y],
+              "FourierDeconvolutionModel": lambda m: [
+                  m.truth.weights, m.truth.positions,
+                  *((m.truth.noise_coeffs, m.truth.noise_positions)
+                    if m.truth.noise_coeffs is not None else ())]}
+    params = {}
+    for key in ("bandwidth", "mixing_scale", "radius", "trunc_width",
+                "freq_cutoff", "dim"):
+        value = getattr(model, key, None)
+        params[key] = value if value is None or isinstance(value, int) else float(value).hex()
+    kind = type(model).__name__
+    return {"class": kind, "params": params, "data": _digest(arrays[kind](model))}
+
+
+def _config_outputs(name, tmp_dir):
+    cfg = parse_config(_config_path(name, tmp_dir))
+    model = build_model(cfg)
+    out = {"model": _model_outputs(model),
+           "settings": {"out_dir": str(cfg.out_dir), "trace_every": cfg.trace_every,
+                        "oracle_max_iter": cfg.oracle_max_iter,
+                        **{key: float(getattr(cfg, key)).hex() for key in (
+                            "oracle_step", "oracle_tol", "certify_step",
+                            "certify_tol", "certify_mass_threshold",
+                            "compare_threshold_frac")}}}
+    specs = [("solver", cfg.solver)] + [(f"variant {v}", cfg.variants[v])
+                                        for v in sorted(cfg.variants)]
+    for section, spec in specs:
+        tv_star = 1.0 if spec.tv_star == "oracle" else None
+        rc = build_run_config(spec, model, cfg.trace_every, tv_star_value=tv_star)
+        init = build_init(spec, model)
+        out[section] = {
+            "alpha": float(rc.alpha).hex(), "eta": float(rc.eta).hex(),
+            "lam": float(rc.lam).hex(), "iterations": rc.iterations,
+            "seed": rc.seed, "batch": rc.batch_schedule, "mode": rc.mode,
+            "cesaro": rc.cesaro, "trace_every": rc.trace_every,
+            "trace_cesaro": rc.trace_cesaro,
+            "init": _digest([init.weights, init.positions, init.signs]),
+        }
+    return out
+
+
 def _outputs(case):
     cfg, model = CASES[case]()
     res = run(cfg, model)
@@ -380,10 +503,21 @@ def test_multi_block_grid_oracle_matches_golden_bits(golden):
     _compare(_blocks_oracle_outputs(), golden["blocks"]["oracle_gmm3a"], "oracle_gmm3a")
 
 
+@pytest.mark.parametrize("name", _config_names())
+def test_config_builds_golden_fields(golden, tmp_path, name):
+    _compare(_config_outputs(name, tmp_path), golden["configs"][name], name)
+
+
 def _blocks_golden():
     out = {c: _blocks_outputs(c) for c in sorted(BLOCK_CASES)}
     out["oracle_gmm3a"] = _blocks_oracle_outputs()
     return out
+
+
+def _configs_golden():
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        return {name: _config_outputs(name, tmp_dir) for name in _config_names()}
 
 
 if __name__ == "__main__":
@@ -392,6 +526,7 @@ if __name__ == "__main__":
                "exact": {c: _exact_outputs(c) for c in sorted(EXACT_CASES)},
                "oracle": {c: _oracle_outputs(c) for c in sorted(ORACLE_CASES)},
                "bounds": {c: _bounds_outputs(c) for c in sorted(BOUNDS_CASES)},
-               "blocks": _blocks_golden()},
+               "blocks": _blocks_golden(),
+               "configs": _configs_golden()},
               sys.stdout, indent=1)
     sys.stdout.write("\n")
