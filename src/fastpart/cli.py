@@ -19,14 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, diagnostics
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    build_init,
-    build_model,
-    build_run_config,
-    parse_config,
-)
+from .config import ConfigError, build_init, build_model, build_run_config, parse_config
 from .measures import ParticleMeasure, grid_size_estimate
 from .optimizer import RunResult, run
 
@@ -104,7 +97,7 @@ def _physical_memory_bytes() -> float:
         return math.inf
 
 
-def _grid_oracle(cfg: ExperimentConfig, model, lam: float):
+def _grid_oracle(cfg, model, lam: float):
     """``grid_oracle`` on the [oracle] lattice, refused before anything is
     built when that lattice's n x n gram exceeds physical memory."""
     n = grid_size_estimate(model.radius, model.dim, cfg.oracle_step)
@@ -118,7 +111,7 @@ def _grid_oracle(cfg: ExperimentConfig, model, lam: float):
                                    cfg.oracle_tol, cfg.oracle_max_iter)
 
 
-def _resolve_tv_star(cfg: ExperimentConfig, spec, model, quiet: bool):
+def _resolve_tv_star(cfg, spec, model, quiet: bool):
     """The global schedule may ask for the oracle's mass estimate."""
     if spec.schedule == "global" and isinstance(spec.tv_star, str):
         if not quiet:
@@ -207,10 +200,11 @@ def cmd_certify(args) -> int:
                                          cfg.certify_step,
                                          cfg.certify_mass_threshold)
     ok = report.certified(cfg.certify_tol)
-    print(f"grid_min={report.grid_min:.8g}")
-    print(f"support_max_abs={report.support_max_abs:.8g}")
-    print(f"grid_step={report.grid_step:.8g}")
-    print(f"certified={'yes' if ok else 'no'} (tol={cfg.certify_tol:g})")
+    if not args.quiet:
+        print(f"grid_min={report.grid_min:.8g}")
+        print(f"support_max_abs={report.support_max_abs:.8g}")
+        print(f"grid_step={report.grid_step:.8g}")
+        print(f"certified={'yes' if ok else 'no'} (tol={cfg.certify_tol:g})")
     return EXIT_OK if ok else EXIT_NOT_CERTIFIED
 
 
@@ -242,11 +236,12 @@ def cmd_oracle(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_measure(out / "oracle_measure.csv", orc.measure)
-    flag = "" if orc.converged else " (unconverged)"
-    print(f"J_star={orc.objective:.12g}{flag}")
-    print(f"kkt_residual={orc.kkt_residual:.6g} iterations={orc.iterations}")
-    print(f"tv={orc.measure.tv_norm:.12g} atoms={orc.measure.size}")
-    print(f"wrote {out / 'oracle_measure.csv'}")
+    if not args.quiet:
+        flag = "" if orc.converged else " (unconverged)"
+        print(f"J_star={orc.objective:.12g}{flag}")
+        print(f"kkt_residual={orc.kkt_residual:.6g} iterations={orc.iterations}")
+        print(f"tv={orc.measure.tv_norm:.12g} atoms={orc.measure.size}")
+        print(f"wrote {out / 'oracle_measure.csv'}")
     return EXIT_OK
 
 

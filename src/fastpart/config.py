@@ -2,19 +2,20 @@
 
 Plain sectioned ``key = value`` text ([model], [solver], [output], plus
 optional [oracle], [certify], [compare] and [variant NAME] sections),
-'#' comment lines allowed.  Parsing is strict: unknown sections, keys
-and model kinds, missing required keys and out-of-range numbers raise
-``ConfigError`` naming the offending field.  When [model] names a
-benchmark, solver keys left unset inherit the benchmark's canonical
-values.
+'#' comment lines allowed.  One table per section maps each key to its
+attribute, its converter (which carries the key's check) and its
+default, and is the section's whole vocabulary.  Parsing is strict: an
+unknown section or key, a missing required key, or a present value its
+converter refuses, applicable or not, raises ``ConfigError`` naming
+the key and section.  Keys left unset inherit a named benchmark's values.
 """
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+import re
 from pathlib import Path
-from typing import Mapping
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,176 +32,236 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the field."""
 
 
-def _get_float(sec: Mapping, name: str, key: str, default=None, positive=False):
-    if key not in sec:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key '{key}' in [{name}]")
-        return default
+class _Refused(ValueError):
+    """A converter's reason for refusing a value; ``_parse`` names the key."""
+
+
+# ----- converters: raw text -> value, or _Refused -------------------------------------
+
+def _number(raw: str) -> float:
     try:
-        val = float(sec[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' in [{name}] is not a number") from None
+        val = float(raw)
+    except ValueError:
+        raise _Refused("is not a number") from None
     if not math.isfinite(val):
-        raise ConfigError(f"key '{key}' in [{name}] is not finite")
-    if positive and val <= 0:
-        raise ConfigError(f"key '{key}' in [{name}] must be > 0")
+        raise _Refused("is not finite")
     return val
 
 
-def _get_int(sec: Mapping, name: str, key: str, default=None, minimum=None):
-    if key not in sec:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key '{key}' in [{name}]")
-        return default
+def _positive(raw: str) -> float:
+    val = _number(raw)
+    if val <= 0:
+        raise _Refused("must be > 0")
+    return val
+
+
+def _int(minimum: int):
+    def convert(raw: str) -> int:
+        try:
+            val = int(raw)
+        except ValueError:
+            raise _Refused("is not an integer") from None
+        if val < minimum:
+            raise _Refused(f"must be >= {minimum}")
+        return val
+    return convert
+
+
+def _choice(*choices: str):
+    def convert(raw: str) -> str:
+        if raw.strip() not in choices:
+            raise _Refused(f"must be {', '.join(choices[:-1])} or {choices[-1]}")
+        return raw.strip()
+    return convert
+
+
+def _bool(raw: str) -> bool:
     try:
-        val = int(sec[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' in [{name}] is not an integer") from None
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"key '{key}' in [{name}] must be >= {minimum}")
-    return val
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise _Refused("is not a boolean") from None
 
 
-def _get_bool(sec: Mapping, name: str, key: str, default=False):
-    if key not in sec:
-        return default
-    raw = str(sec[key]).strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"key '{key}' in [{name}] is not a boolean")
+def _tv_star(raw: str) -> str | float:
+    return "oracle" if raw.strip() == "oracle" else _positive(raw)
 
 
-_REQUIRED = object()  # default marking a key that must be present
+def _numbers(raw: str) -> np.ndarray:
+    try:
+        vals = np.array([float(tok) for tok in raw.replace(",", " ").split()])
+    except ValueError:
+        raise _Refused("is not a number list") from None
+    if not np.all(np.isfinite(vals)):
+        raise _Refused("has a non-finite entry")
+    return vals
 
-# the keys each section reads; [model] per kind, [variant NAME] as [solver]
-_MODEL_KEYS = {
-    "gmm": {"kind", "benchmark", "data", "data_seed", "n", "bandwidth",
-            "mixing_scale", "radius", "trunc_width"},
-    "fourier": {"kind", "dim", "freq_cutoff", "spike_weights", "spike_positions",
-                "noise_coeffs", "noise_positions"},
-    "relu": {"kind", "dim", "n", "data_seed", "teacher_width", "noise", "radius"},
+
+def _points(raw: str) -> np.ndarray:
+    """';'-separated points; their dimension is checked against [model] dim."""
+    try:
+        pts = np.array([[float(tok) for tok in row.replace(",", " ").split()]
+                        for row in raw.split(";") if row.strip()])
+    except ValueError:
+        raise _Refused("is not a point list") from None
+    if not np.all(np.isfinite(pts)):
+        raise _Refused("has a non-finite coordinate")
+    return pts
+
+
+def _benchmark(raw: str) -> benchmarks.BenchmarkProblem:
+    try:
+        return benchmarks.get_benchmark(raw)
+    except KeyError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+# ----- tables: key -> (attribute, converter, default) ---------------------------------
+
+_REQUIRED = object()  # default of a key that must be present
+
+
+def _inherit(field: str, fallback=None):
+    """Default to the [model] benchmark's value, else to ``fallback``."""
+    return lambda problem: getattr(problem, field) if problem else fallback
+
+
+_SOLVER = {  # [solver], and [variant NAME] over it
+    "mode": ("mode", _choice("stochastic", "deterministic"), "stochastic"),
+    "schedule": ("schedule", _choice("manual", "global", "local"), "manual"),
+    "alpha": ("alpha", _positive, None),
+    "eta": ("eta", _positive, None),
+    "tv_star": ("tv_star", _tv_star, "oracle"),
+    "r0": ("schedule_r0", _positive, None),
+    "k": ("iterations", _int(1), _REQUIRED),
+    "batch": ("batch", _int(1), 1),
+    "lambda": ("lam", _positive, _inherit("lam", _REQUIRED)),
+    "seed": ("seed", _int(0), 0),
+    "init": ("init", _choice("grid", "random"), "grid"),
+    "init_step": ("init_step", _positive, _inherit("init_step")),
+    "p": ("particles", _int(1), None),
+    "init_mass": ("init_mass", _positive, _inherit("init_mass", 1.0)),
+    "signs": ("signs", _choice("positive", "mixed"), "positive"),
+    "cesaro": ("cesaro", _bool, False),
+    "trace_cesaro": ("trace_cesaro", _bool, False),
 }
-_SECTION_KEYS = {
-    "solver": {"mode", "schedule", "alpha", "eta", "tv_star", "r0", "k", "batch",
-               "lambda", "seed", "init", "init_step", "p", "init_mass", "signs",
-               "cesaro", "trace_cesaro"},
-    "output": {"dir", "trace_every"},
-    "oracle": {"grid_step", "tol", "max_iter"},
-    "certify": {"grid_step", "tol", "mass_threshold"},
-    "compare": {"threshold_frac"},
+
+_MODELS = {  # [model] per kind
+    "gmm": {
+        "benchmark": ("problem", _benchmark, None),
+        "data": ("data", str, None),
+        "data_seed": ("data_seed", _int(0), _inherit("data_seed")),
+        "n": ("n", _int(1), _inherit("n_samples")),
+        "bandwidth": ("bandwidth", _positive, _inherit("bandwidth", _REQUIRED)),
+        "mixing_scale": ("mixing_scale", _positive,
+                         _inherit("mixing_scale", _REQUIRED)),
+        "radius": ("radius", _positive, _inherit("radius", 1.0)),
+        "trunc_width": ("trunc_width", _positive, None),
+    },
+    "fourier": {
+        "dim": ("dim", _int(1), 1),
+        "freq_cutoff": ("freq_cutoff", _int(0), _REQUIRED),
+        "spike_weights": ("spike_weights", _numbers, None),
+        "spike_positions": ("spike_positions", _points, None),
+        "noise_coeffs": ("noise_coeffs", _numbers, None),
+        "noise_positions": ("noise_positions", _points, None),
+    },
+    "relu": {
+        "dim": ("dim", _int(1), 2),
+        "n": ("n", _int(1), 256),
+        "data_seed": ("data_seed", _int(0), 0),
+        "teacher_width": ("teacher_width", _int(1), 4),
+        "noise": ("noise", _number, 0.05),
+        "radius": ("radius", _positive, 1.0),
+    },
 }
 
+_SECTIONS = {  # the optional sections, flattened onto the config
+    "output": {
+        "dir": ("out_dir", str, "out"),
+        "trace_every": ("trace_every", _int(1), 1),
+    },
+    "oracle": {
+        "grid_step": ("oracle_step", _positive, 1e-3),
+        "tol": ("oracle_tol", _positive, 1e-6),
+        "max_iter": ("oracle_max_iter", _int(1), 20000),
+    },
+    "certify": {
+        "grid_step": ("certify_step", _positive, 1e-3),
+        "tol": ("certify_tol", _positive, 1e-5),
+        "mass_threshold": ("certify_mass_threshold", _positive, 1e-6),
+    },
+    "compare": {
+        "threshold_frac": ("compare_threshold_frac", _positive, 0.05),
+    },
+}
 
-def _check_vocabulary(parser: configparser.ConfigParser, kind: str):
-    """Refuse a section or key that no parser step reads."""
-    if parser.defaults():
-        raise ConfigError("unknown section [DEFAULT]")
-    for name in parser.sections():
-        if name == "model":
-            allowed = _MODEL_KEYS[kind]
-        elif name.startswith("variant "):
-            allowed = _SECTION_KEYS["solver"]
-        elif name in _SECTION_KEYS:
-            allowed = _SECTION_KEYS[name]
-        else:
-            raise ConfigError(f"unknown section [{name}]")
-        unknown = sorted(set(parser[name]) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown key '{unknown[0]}' in [{name}]")
-
-
-@dataclass
-class SolverSpec:
-    """Solver settings from one [solver] or [variant NAME] section."""
-
-    mode: str = "stochastic"
-    schedule: str = "manual"
-    alpha: float | None = None
-    eta: float | None = None
-    tv_star: str | float | None = None
-    schedule_r0: float | None = None
-    iterations: int = 1000
-    batch: int = 1
-    lam: float | None = None
-    seed: int = 0
-    init: str = "grid"
-    init_step: float | None = None
-    init_mass: float | None = None
-    particles: int | None = None
-    signs: str = "positive"
-    cesaro: bool = False
-    trace_cesaro: bool = False
+_LABEL = re.compile(r"[A-Za-z0-9_.-]+")  # a variant label names output files
 
 
-@dataclass
-class ExperimentConfig:
-    model_section: dict
-    solver: SolverSpec
-    variants: dict[str, SolverSpec]
-    out_dir: str = "out"
-    trace_every: int = 1
-    oracle_step: float = 1e-3
-    oracle_tol: float = 1e-6
-    oracle_max_iter: int = 20000
-    certify_step: float = 1e-3
-    certify_tol: float = 1e-5
-    certify_mass_threshold: float = 1e-6
-    compare_threshold_frac: float = 0.05
-    base_dir: Path = field(default_factory=Path)
-
-    @property
-    def benchmark(self) -> benchmarks.BenchmarkProblem | None:
-        name = self.model_section.get("benchmark")
-        return benchmarks.get_benchmark(name) if name else None
+def _convert(name: str, key: str, convert, raw: str):
+    try:
+        return convert(raw)
+    except _Refused as exc:
+        raise ConfigError(f"key '{key}' in [{name}] {exc}") from None
 
 
-def _parse_solver(sec: Mapping, name: str,
-                  problem: benchmarks.BenchmarkProblem | None) -> SolverSpec:
-    spec = SolverSpec()
-    spec.mode = str(sec.get("mode", "stochastic")).strip()
-    if spec.mode not in ("stochastic", "deterministic"):
-        raise ConfigError(f"key 'mode' in [{name}] must be stochastic or deterministic")
-    spec.schedule = str(sec.get("schedule", "manual")).strip()
-    if spec.schedule not in ("manual", "global", "local"):
-        raise ConfigError(f"key 'schedule' in [{name}] must be manual, global or local")
-    if spec.schedule == "manual":
-        spec.alpha = _get_float(sec, name, "alpha", default=_REQUIRED, positive=True)
-        spec.eta = _get_float(sec, name, "eta", default=_REQUIRED, positive=True)
-    if spec.schedule == "global":
-        raw = str(sec.get("tv_star", "oracle")).strip()
-        spec.tv_star = raw if raw == "oracle" else _get_float(sec, name, "tv_star",
-                                                              positive=True)
-        spec.schedule_r0 = _get_float(sec, name, "r0", positive=True)
-    spec.iterations = _get_int(sec, name, "k", default=_REQUIRED, minimum=1)
-    spec.batch = _get_int(sec, name, "batch", default=1, minimum=1)
-    default_lam = problem.lam if problem else _REQUIRED
-    spec.lam = _get_float(sec, name, "lambda", default=default_lam, positive=True)
-    spec.seed = _get_int(sec, name, "seed", default=0, minimum=0)
-    spec.init = str(sec.get("init", "grid")).strip()
-    if spec.init not in ("grid", "random"):
-        raise ConfigError(f"key 'init' in [{name}] must be grid or random")
-    if spec.init == "grid":
-        default_step = problem.init_step if problem else _REQUIRED
-        spec.init_step = _get_float(sec, name, "init_step", default=default_step,
-                                    positive=True)
-    else:
-        spec.particles = _get_int(sec, name, "p", default=_REQUIRED, minimum=1)
-    default_mass = problem.init_mass if problem else 1.0
-    spec.init_mass = _get_float(sec, name, "init_mass", default=default_mass,
-                                positive=True)
-    spec.signs = str(sec.get("signs", "positive")).strip()
-    if spec.signs not in ("positive", "mixed"):
-        raise ConfigError(f"key 'signs' in [{name}] must be positive or mixed")
-    spec.cesaro = _get_bool(sec, name, "cesaro", default=False)
-    spec.trace_cesaro = _get_bool(sec, name, "trace_cesaro", default=False)
+def _parse(sec, name: str, table: dict, problem=None) -> dict:
+    """Attribute -> value for one section: refuse a key outside ``table``,
+    convert every present key, and fill the defaults of the others."""
+    unknown = sorted(set(sec) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}' in [{name}]")
+    values = {attr: _convert(name, key, convert, sec[key])
+              for key, (attr, convert, _) in table.items() if key in sec}
+    problem = values.get("problem", problem)  # a benchmark's own section inherits
+    for key, (attr, _, default) in table.items():
+        if attr not in values:
+            values[attr] = default(problem) if callable(default) else default
+            if values[attr] is _REQUIRED:
+                raise ConfigError(f"missing required key '{key}' in [{name}]")
+    return values
+
+
+def _solver(sec, name: str, problem) -> SimpleNamespace:
+    spec = SimpleNamespace(**_parse(sec, name, _SOLVER, problem))
+    needs = ["alpha", "eta"] if spec.schedule == "manual" else []
+    needs.append("init_step" if spec.init == "grid" else "p")
+    for key in needs:
+        if getattr(spec, _SOLVER[key][0]) is None:
+            raise ConfigError(f"missing required key '{key}' in [{name}]")
     if spec.trace_cesaro and not spec.cesaro:
         raise ConfigError(f"key 'trace_cesaro' in [{name}] requires cesaro = true")
     return spec
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
+def _model(sec) -> SimpleNamespace:
+    kind = _convert("model", "kind", _choice(*_MODELS), sec.get("kind", ""))
+    if "benchmark" in sec and kind != "gmm":
+        raise ConfigError("key 'benchmark' in [model] only applies to gmm")
+    if kind == "gmm" and "benchmark" not in sec and "data" not in sec:
+        raise ConfigError("gmm model needs 'benchmark' or 'data' in [model]")
+    m = _parse({k: v for k, v in sec.items() if k != "kind"}, "model", _MODELS[kind])
+    if kind == "fourier":
+        if m["spike_weights"] is None or m["spike_positions"] is None:
+            raise ConfigError("fourier model needs 'spike_weights' and "
+                              "'spike_positions' in [model]")
+        for coeffs, points in (("spike_weights", "spike_positions"),
+                               ("noise_coeffs", "noise_positions")):
+            pts = m[points]
+            if (m[coeffs] is None) != (pts is None):
+                given, other = (coeffs, points) if pts is None else (points, coeffs)
+                raise ConfigError(f"key '{given}' in [model] needs '{other}'")
+            if pts is not None and (pts.ndim != 2 or pts.shape[1] != m["dim"]):
+                raise ConfigError(f"key '{points}' in [model] needs {m['dim']} "
+                                  f"coordinates per point")
+            if pts is not None and len(m[coeffs]) != len(pts):
+                raise ConfigError(f"{coeffs} and {points} in [model] differ in length")
+    return SimpleNamespace(kind=kind, **m)
+
+
+def parse_config(path: str | Path) -> SimpleNamespace:
+    """The config at ``path``: ``model``, ``solver``, ``variants`` (label ->
+    solver spec), ``base_dir`` and the attributes of the optional sections."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -208,71 +269,33 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
+    for name in parser.sections():
+        if not (name in ("model", "solver", *_SECTIONS) or name.startswith("variant ")):
+            raise ConfigError(f"unknown section [{name}]")
     if "model" not in parser:
         raise ConfigError("missing [model] section")
-    model_section = dict(parser["model"])
-    kind = model_section.get("kind", "").strip()
-    if kind not in ("gmm", "fourier", "relu"):
-        raise ConfigError("key 'kind' in [model] must be gmm, fourier or relu")
-    model_section["kind"] = kind
-
-    problem = None
-    if "benchmark" in model_section:
-        if kind != "gmm":
-            raise ConfigError("key 'benchmark' in [model] only applies to gmm")
-        try:
-            problem = benchmarks.get_benchmark(model_section["benchmark"])
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from None
-    _check_vocabulary(parser, kind)
-
+    model = _model(parser["model"])
     if "solver" not in parser:
         raise ConfigError("missing [solver] section")
-    solver = _parse_solver(parser["solver"], "solver", problem)
-
-    variants = {}
-    for name in parser.sections():
-        if name.startswith("variant "):
-            label = name[len("variant "):].strip()
-            if not label:
-                raise ConfigError("variant section needs a name: [variant NAME]")
-            merged = dict(parser["solver"])
-            merged.update(dict(parser[name]))
-            variants[label] = _parse_solver(merged, name, problem)
-
-    cfg = ExperimentConfig(
-        model_section=model_section,
-        solver=solver,
-        variants=variants,
-        base_dir=path.parent,
-    )
-
-    if "output" in parser:
-        out = parser["output"]
-        cfg.out_dir = out.get("dir", "out")
-        cfg.trace_every = _get_int(out, "output", "trace_every", default=1, minimum=1)
-    if "oracle" in parser:
-        sec = parser["oracle"]
-        cfg.oracle_step = _get_float(sec, "oracle", "grid_step", default=1e-3,
-                                     positive=True)
-        cfg.oracle_tol = _get_float(sec, "oracle", "tol", default=1e-6, positive=True)
-        cfg.oracle_max_iter = _get_int(sec, "oracle", "max_iter", default=20000,
-                                       minimum=1)
-    if "certify" in parser:
-        sec = parser["certify"]
-        cfg.certify_step = _get_float(sec, "certify", "grid_step", default=1e-3,
-                                      positive=True)
-        cfg.certify_tol = _get_float(sec, "certify", "tol", default=1e-5,
-                                     positive=True)
-        cfg.certify_mass_threshold = _get_float(sec, "certify", "mass_threshold",
-                                                default=1e-6, positive=True)
-    if "compare" in parser:
-        sec = parser["compare"]
-        cfg.compare_threshold_frac = _get_float(sec, "compare", "threshold_frac",
-                                                default=0.05, positive=True)
+    problem = getattr(model, "problem", None)
+    cfg = SimpleNamespace(model=model, base_dir=path.parent, variants={},
+                          solver=_solver(parser["solver"], "solver", problem))
+    for name, table in _SECTIONS.items():
+        vars(cfg).update(_parse(parser[name] if name in parser else {}, name, table))
+    for name in [s for s in parser.sections() if s.startswith("variant ")]:
+        label = name[len("variant "):]
+        if not label.strip():
+            raise ConfigError("variant section needs a name: [variant NAME]")
+        if not _LABEL.fullmatch(label):
+            raise ConfigError(f"variant label in [{name}] may only use letters, "
+                              f"digits, '_', '.' and '-'")
+        cfg.variants[label] = _solver({**parser["solver"], **parser[name]}, name, problem)
     return cfg
 
 
@@ -291,113 +314,39 @@ def load_data_file(path: Path) -> np.ndarray:
     return data
 
 
-def _parse_floats(sec, name, key):
-    try:
-        vals = np.array([float(tok)
-                         for tok in str(sec[key]).replace(",", " ").split()])
-    except ValueError:
-        raise ConfigError(f"key '{key}' in [{name}] is not a number list") from None
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"key '{key}' in [{name}] has a non-finite entry")
-    return vals
-
-
-def _parse_points(sec, name, key, dim):
-    rows = [r for r in str(sec[key]).split(";") if r.strip()]
-    try:
-        pts = np.array([[float(tok) for tok in row.replace(",", " ").split()]
-                        for row in rows])
-    except ValueError:
-        raise ConfigError(f"key '{key}' in [{name}] is not a point list") from None
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ConfigError(f"key '{key}' in [{name}] needs {dim} coordinates per point")
-    if not np.all(np.isfinite(pts)):
-        raise ConfigError(f"key '{key}' in [{name}] has a non-finite coordinate")
-    return pts
-
-
-def build_model(cfg: ExperimentConfig) -> FeatureModel:
+def build_model(cfg: SimpleNamespace) -> FeatureModel:
     """Construct the model described by [model]; deterministic given the config."""
-    sec = cfg.model_section
-    kind = sec["kind"]
-
-    if kind == "gmm":
-        problem = cfg.benchmark
-        if problem is None and "data" not in sec:
-            raise ConfigError("gmm model needs 'benchmark' or 'data' in [model]")
-        if "data" in sec:
-            data = load_data_file(cfg.base_dir / sec["data"])
+    m = cfg.model
+    if m.kind == "gmm":
+        if m.data is not None:
+            data = load_data_file(cfg.base_dir / m.data)
         else:
-            seed = _get_int(sec, "model", "data_seed", default=problem.data_seed,
-                            minimum=0)
-            n = _get_int(sec, "model", "n", default=problem.n_samples, minimum=1)
-            data = sample_mixture_data(problem.truth, problem.mixing_scale, n,
-                                       np.random.default_rng(seed))
-        bandwidth = _get_float(sec, "model", "bandwidth",
-                               default=problem.bandwidth if problem else _REQUIRED,
-                               positive=True)
-        mixing = _get_float(sec, "model", "mixing_scale",
-                            default=problem.mixing_scale if problem else _REQUIRED,
-                            positive=True)
-        radius = _get_float(sec, "model", "radius",
-                            default=problem.radius if problem else 1.0,
-                            positive=True)
-        trunc = _get_float(sec, "model", "trunc_width", positive=True)
-        return GaussianMixtureModel(data, bandwidth=bandwidth,
-                                    mixing_scale=mixing, radius=radius,
-                                    trunc_width=trunc)
-
-    if kind == "fourier":
-        dim = _get_int(sec, "model", "dim", default=1, minimum=1)
-        fc = _get_int(sec, "model", "freq_cutoff", default=_REQUIRED, minimum=0)
-        if "spike_weights" not in sec or "spike_positions" not in sec:
-            raise ConfigError("fourier model needs 'spike_weights' and "
-                              "'spike_positions' in [model]")
-        weights = _parse_floats(sec, "model", "spike_weights")
-        positions = _parse_points(sec, "model", "spike_positions", dim)
-        if len(weights) != len(positions):
-            raise ConfigError("spike_weights and spike_positions in [model] "
-                              "differ in length")
-        noise_c = noise_p = None
-        for key, other in (("noise_coeffs", "noise_positions"),
-                           ("noise_positions", "noise_coeffs")):
-            if key in sec and other not in sec:
-                raise ConfigError(f"key '{key}' in [model] needs '{other}'")
-        if "noise_coeffs" in sec:
-            noise_c = _parse_floats(sec, "model", "noise_coeffs")
-            noise_p = _parse_points(sec, "model", "noise_positions", dim)
-            if len(noise_c) != len(noise_p):
-                raise ConfigError("noise_coeffs and noise_positions in [model] "
-                                  "differ in length")
-        truth = GroundTruth(weights, positions, noise_c, noise_p)
-        return FourierDeconvolutionModel(freq_cutoff=fc, dim=dim, truth=truth)
-
-    # relu
-    dim = _get_int(sec, "model", "dim", default=2, minimum=1)
-    n = _get_int(sec, "model", "n", default=256, minimum=1)
-    seed = _get_int(sec, "model", "data_seed", default=0, minimum=0)
-    teacher = _get_int(sec, "model", "teacher_width", default=4, minimum=1)
-    noise = _get_float(sec, "model", "noise", default=0.05)
-    x, y = sample_regression_data(n, dim, np.random.default_rng(seed),
-                                  teacher_width=teacher, noise_scale=noise)
-    radius = _get_float(sec, "model", "radius", default=1.0, positive=True)
-    return ReluFeatureModel(x, y, radius=radius)
+            data = sample_mixture_data(m.problem.truth, m.problem.mixing_scale, m.n,
+                                       np.random.default_rng(m.data_seed))
+        return GaussianMixtureModel(data, bandwidth=m.bandwidth,
+                                    mixing_scale=m.mixing_scale, radius=m.radius,
+                                    trunc_width=m.trunc_width)
+    if m.kind == "fourier":
+        truth = GroundTruth(m.spike_weights, m.spike_positions,
+                            m.noise_coeffs, m.noise_positions)
+        return FourierDeconvolutionModel(freq_cutoff=m.freq_cutoff, dim=m.dim,
+                                         truth=truth)
+    x, y = sample_regression_data(m.n, m.dim, np.random.default_rng(m.data_seed),
+                                  teacher_width=m.teacher_width, noise_scale=m.noise)
+    return ReluFeatureModel(x, y, radius=m.radius)
 
 
-def build_init(spec: SolverSpec, model: FeatureModel) -> ParticleMeasure:
+def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
     """Initial measure per the solver spec: uniform grid or random cloud.
-
     ``signs = mixed`` alternates particle signs, the usual start for
-    network-style problems that need both orientations.
-    """
-    mass = spec.init_mass if spec.init_mass is not None else 1.0
+    network-style problems that need both orientations."""
+    mass = spec.init_mass
     if spec.init == "grid":
         nu = uniform_grid_measure(model.radius, model.dim, spec.init_step, mass)
     else:
         rng = np.random.default_rng(spec.seed + 0xA5A5)
-        pts = rng.uniform(-model.radius, model.radius,
-                          size=(spec.particles, model.dim))
-        pts = model.project(pts)
+        pts = model.project(rng.uniform(-model.radius, model.radius,
+                                        size=(spec.particles, model.dim)))
         nu = ParticleMeasure(np.full(spec.particles, mass / spec.particles), pts)
     if spec.signs == "mixed":
         signs = np.where(np.arange(nu.size) % 2 == 0, 1.0, -1.0)
@@ -405,19 +354,16 @@ def build_init(spec: SolverSpec, model: FeatureModel) -> ParticleMeasure:
     return nu
 
 
-def build_run_config(spec: SolverSpec, model: FeatureModel, trace_every: int,
+def build_run_config(spec: SimpleNamespace, model: FeatureModel, trace_every: int,
                      tv_star_value: float | None = None) -> RunConfig:
-    """RunConfig from a solver spec.
-
-    ``tv_star_value`` supplies the mass estimate when the spec asked for
-    the oracle's value (global schedule) and the caller computed it.
-    """
+    """RunConfig from a solver spec; ``tv_star_value`` supplies the mass
+    estimate when a global schedule asked for the oracle's value."""
     init = build_init(spec, model)
     alpha, eta, batch = spec.alpha, spec.eta, spec.batch
     if spec.schedule in ("global", "local"):
         radii = mass_radii(model, spec.lam, init)
-        if spec.schedule_r0 is not None:
-            r0 = spec.schedule_r0
+        if spec.schedule == "global" and spec.schedule_r0 is not None:
+            r0 = spec.schedule_r0  # r0 is a global-schedule key
         elif radii.hypothesis_ok and math.isfinite(radii.R0):
             r0 = radii.R0
         else:
@@ -432,16 +378,7 @@ def build_run_config(spec: SolverSpec, model: FeatureModel, trace_every: int,
             sch = make_schedule("local", model.dim, 1.0, r0, spec.iterations,
                                 model=model, lam=spec.lam)
         alpha, eta, batch = sch.alpha, sch.eta, sch.batch_schedule
-    return RunConfig(
-        alpha=alpha,
-        eta=eta,
-        iterations=spec.iterations,
-        lam=spec.lam,
-        init=init,
-        seed=spec.seed,
-        batch_schedule=batch,
-        mode=spec.mode,
-        cesaro=spec.cesaro,
-        trace_every=trace_every,
-        trace_cesaro=spec.trace_cesaro,
-    )
+    return RunConfig(alpha=alpha, eta=eta, iterations=spec.iterations, lam=spec.lam,
+                     init=init, seed=spec.seed, batch_schedule=batch, mode=spec.mode,
+                     cesaro=spec.cesaro, trace_every=trace_every,
+                     trace_cesaro=spec.trace_cesaro)

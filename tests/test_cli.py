@@ -96,6 +96,14 @@ class TestRunCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        # used to exit 1 with "Error: [Errno 21] Is a directory"
+        path = tmp_path / "somedir.cfg"
+        path.mkdir()
+        assert main(["run", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "somedir.cfg" in err
+
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # absurd step size overflows the multiplicative update
         text = BASE_GMM.format(k=400, out=tmp_path / "o", trace_every=1)
@@ -166,6 +174,19 @@ class TestCertifyCommand:
         bad = tmp_path / "bad_measure.csv"
         write_measure(bad, uniform_grid_measure(1.0, 1, 0.2, 0.5))
         assert main(["certify", cfg, str(bad)]) == 3
+
+    def test_quiet_oracle_and_certify_print_nothing(self, tmp_path, capsys):
+        # --quiet used to be accepted and ignored by both commands
+        cfg = write_cfg(tmp_path, BASE_GMM.format(k=5, out=tmp_path / "o", trace_every=1)
+                        + "\n[oracle]\ngrid_step = 0.02\n\n[certify]\ngrid_step = 0.02\n")
+        orc = tmp_path / "orc"
+        assert main(["oracle", cfg, "--out-dir", str(orc), "--quiet"]) == 0
+        assert (orc / "oracle_measure.csv").exists()
+        assert main(["certify", cfg, str(orc / "oracle_measure.csv"), "--quiet"]) in (0, 3)
+        bad = tmp_path / "bad_measure.csv"
+        write_measure(bad, ParticleMeasure([0.5, 0.5], [[-0.6], [0.6]]))
+        assert main(["certify", cfg, str(bad), "--quiet"]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_null_measure_certifies_when_lam_dominates(self, tmp_path):
         # over-regularized problem: the empty measure satisfies optimality

@@ -1,9 +1,16 @@
-"""Config files: every shipped config stays valid, and a section or key
-that no parser step reads is refused with a message naming it."""
+"""Config files: every shipped config stays valid; a section or key
+outside its table, a malformed value of any present key and a variant
+label outside ``[A-Za-z0-9_.-]+`` are refused with a message naming them."""
+import configparser
+import re
+import string
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from fastpart import config
 from fastpart.cli import main
 from fastpart.config import ConfigError, build_model, build_run_config, parse_config
 
@@ -136,3 +143,102 @@ def test_oracle_lattice_beyond_memory_is_refused_before_it_is_built(
     err = capsys.readouterr().err
     assert "[oracle] grid_step = 0.001" in err and "3.14e+06 points" in err
     assert not out.exists()
+
+
+def _with_value(source, dest, section, key, value):
+    """Copy the config at ``source`` to ``dest`` with ``key = value`` set."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(source, encoding="utf-8")
+    if section not in parser:
+        parser.add_section(section)
+    parser[section][key] = value
+    with open(dest, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return dest
+
+
+@pytest.mark.parametrize("key,value,attr", [
+    ("alpha", "abc", "alpha"),
+    ("eta", "-5", "eta"),
+    ("p", "zero", "particles"),
+    ("r0", "nan", "schedule_r0"),
+    ("lambda", "abc", "lam"),
+    ("k", "2.5", "iterations"),
+])
+def test_every_present_key_is_validated(tmp_path, capsys, key, value, attr):
+    # schedule = global and init = grid read none of alpha, eta and p, so
+    # each of the first three used to pass unread and the run exited 0
+    out = tmp_path / "out"
+    path = _with_value(CONFIGS[0].parent / "gmm3a_global.cfg", tmp_path / "exp.cfg",
+                       "output", "dir", str(out))
+    _with_value(path, path, "solver", key, value)
+    assert main(["run", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}' in [solver]" in err
+    assert attr == key or f"'{attr}'" not in err  # the config key, not the attribute
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,section", [
+    ("\n[variant a,b]\nk = 5\n", "variant a,b"),  # a comparison.csv field
+    ("\n[variant c ]\nk = 5\n\n[variant c]\nk = 6\n", "variant c "),  # stripped: c twice
+    ("\n[variant ../x]\nk = 5\n", "variant ../x"),  # a path in the trace file name
+], ids=["comma", "trailing_space", "slash"])
+def test_variant_label_outside_its_alphabet_is_refused(tmp_path, extra, section):
+    with pytest.raises(ConfigError, match=re.escape(f"variant label in [{section}]")):
+        parse_config(_config(tmp_path, extra=extra))
+
+
+def test_duplicate_variant_label_is_refused(tmp_path):
+    path = _config(tmp_path, extra="\n[variant c]\nk = 5\n\n[variant c]\nk = 6\n")
+    with pytest.raises(ConfigError, match="section 'variant c' already exists"):
+        parse_config(path)
+
+
+def test_variant_labels_in_the_alphabet_are_kept(tmp_path):
+    path = _config(tmp_path, extra="\n[variant A-1.b_2]\nk = 5\n\n[variant c]\nk = 6\n")
+    assert sorted(parse_config(path).variants) == ["A-1.b_2", "c"]
+
+
+def _numeric(convert):
+    try:
+        value = convert("2")
+    except (ValueError, ConfigError):  # a choice, boolean or benchmark key
+        return False
+    return not isinstance(value, (str, bool))
+
+
+def _numeric_keys():
+    """(kind of the base config, section, key) for every numeric key of every table."""
+    cases = []
+    for kind, table in config._MODELS.items():
+        cases += [(kind, "model", key) for key, (_, convert, _) in table.items()
+                  if _numeric(convert)]
+    for section, table in [("solver", config._SOLVER), ("variant a", config._SOLVER),
+                           *config._SECTIONS.items()]:
+        cases += [("gmm", section, key) for key, (_, convert, _) in table.items()
+                  if _numeric(convert)]
+    return cases
+
+
+NUMERIC_KEYS = _numeric_keys()
+
+
+def test_numeric_keys_cover_every_table():
+    sections = {section for _, section, _ in NUMERIC_KEYS}
+    assert sections == {"model", "solver", "variant a", *config._SECTIONS}
+    assert {key for kind, s, key in NUMERIC_KEYS if s == "model"} >= {
+        "n", "data_seed", "dim", "freq_cutoff", "spike_positions", "noise", "trunc_width"}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(NUMERIC_KEYS),
+       value=st.text(alphabet=string.ascii_letters, min_size=1))
+def test_non_numeric_value_names_its_key_and_section(tmp_path, case, value):
+    kind, section, key = case
+    assume(value != "oracle" or key != "tv_star")
+    path = _with_value(_config(tmp_path, kind), tmp_path / "bad.cfg", section, key, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert f"'{key}' in [{section}]" in str(exc.value)
