@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, diagnostics
-from .config import ConfigError, build_init, build_model, build_run_config, parse_config
+from .config import (
+    ConfigError,
+    build_init,
+    build_model,
+    build_run_config,
+    parse_config,
+)
 from .measures import ParticleMeasure, grid_size_estimate
 from .optimizer import RunResult, run
 

@@ -213,7 +213,6 @@ def _parse(sec, name: str, table: dict, problem=None) -> dict:
         raise ConfigError(f"unknown key '{unknown[0]}' in [{name}]")
     values = {attr: _convert(name, key, convert, sec[key])
               for key, (attr, convert, _) in table.items() if key in sec}
-    problem = values.get("problem", problem)  # a benchmark's own section inherits
     for key, (attr, _, default) in table.items():
         if attr not in values:
             values[attr] = default(problem) if callable(default) else default
@@ -240,7 +239,9 @@ def _model(sec) -> SimpleNamespace:
         raise ConfigError("key 'benchmark' in [model] only applies to gmm")
     if kind == "gmm" and "benchmark" not in sec and "data" not in sec:
         raise ConfigError("gmm model needs 'benchmark' or 'data' in [model]")
-    m = _parse({k: v for k, v in sec.items() if k != "kind"}, "model", _MODELS[kind])
+    problem = _benchmark(sec["benchmark"]) if "benchmark" in sec else None
+    m = _parse({k: v for k, v in sec.items() if k != "kind"}, "model", _MODELS[kind],
+               problem)
     if kind == "fourier":
         if m["spike_weights"] is None or m["spike_positions"] is None:
             raise ConfigError("fourier model needs 'spike_weights' and "
@@ -295,6 +296,8 @@ def parse_config(path: str | Path) -> SimpleNamespace:
         if not _LABEL.fullmatch(label):
             raise ConfigError(f"variant label in [{name}] may only use letters, "
                               f"digits, '_', '.' and '-'")
+        if label.lower() in map(str.lower, cfg.variants):  # one file name per label
+            raise ConfigError(f"variant label in [{name}] is taken, ignoring case")
         cfg.variants[label] = _solver({**parser["solver"], **parser[name]}, name, problem)
     return cfg
 
@@ -317,6 +320,7 @@ def load_data_file(path: Path) -> np.ndarray:
 def build_model(cfg: SimpleNamespace) -> FeatureModel:
     """Construct the model described by [model]; deterministic given the config."""
     m = cfg.model
+
     if m.kind == "gmm":
         if m.data is not None:
             data = load_data_file(cfg.base_dir / m.data)
@@ -326,11 +330,14 @@ def build_model(cfg: SimpleNamespace) -> FeatureModel:
         return GaussianMixtureModel(data, bandwidth=m.bandwidth,
                                     mixing_scale=m.mixing_scale, radius=m.radius,
                                     trunc_width=m.trunc_width)
+
     if m.kind == "fourier":
         truth = GroundTruth(m.spike_weights, m.spike_positions,
                             m.noise_coeffs, m.noise_positions)
         return FourierDeconvolutionModel(freq_cutoff=m.freq_cutoff, dim=m.dim,
                                          truth=truth)
+
+    # relu
     x, y = sample_regression_data(m.n, m.dim, np.random.default_rng(m.data_seed),
                                   teacher_width=m.teacher_width, noise_scale=m.noise)
     return ReluFeatureModel(x, y, radius=m.radius)
@@ -338,15 +345,18 @@ def build_model(cfg: SimpleNamespace) -> FeatureModel:
 
 def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
     """Initial measure per the solver spec: uniform grid or random cloud.
+
     ``signs = mixed`` alternates particle signs, the usual start for
-    network-style problems that need both orientations."""
+    network-style problems that need both orientations.
+    """
     mass = spec.init_mass
     if spec.init == "grid":
         nu = uniform_grid_measure(model.radius, model.dim, spec.init_step, mass)
     else:
         rng = np.random.default_rng(spec.seed + 0xA5A5)
-        pts = model.project(rng.uniform(-model.radius, model.radius,
-                                        size=(spec.particles, model.dim)))
+        pts = rng.uniform(-model.radius, model.radius,
+                          size=(spec.particles, model.dim))
+        pts = model.project(pts)
         nu = ParticleMeasure(np.full(spec.particles, mass / spec.particles), pts)
     if spec.signs == "mixed":
         signs = np.where(np.arange(nu.size) % 2 == 0, 1.0, -1.0)
@@ -356,8 +366,11 @@ def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
 
 def build_run_config(spec: SimpleNamespace, model: FeatureModel, trace_every: int,
                      tv_star_value: float | None = None) -> RunConfig:
-    """RunConfig from a solver spec; ``tv_star_value`` supplies the mass
-    estimate when a global schedule asked for the oracle's value."""
+    """RunConfig from a solver spec.
+
+    ``tv_star_value`` supplies the mass estimate when the spec asked for
+    the oracle's value (global schedule) and the caller computed it.
+    """
     init = build_init(spec, model)
     alpha, eta, batch = spec.alpha, spec.eta, spec.batch
     if spec.schedule in ("global", "local"):
@@ -378,7 +391,16 @@ def build_run_config(spec: SimpleNamespace, model: FeatureModel, trace_every: in
             sch = make_schedule("local", model.dim, 1.0, r0, spec.iterations,
                                 model=model, lam=spec.lam)
         alpha, eta, batch = sch.alpha, sch.eta, sch.batch_schedule
-    return RunConfig(alpha=alpha, eta=eta, iterations=spec.iterations, lam=spec.lam,
-                     init=init, seed=spec.seed, batch_schedule=batch, mode=spec.mode,
-                     cesaro=spec.cesaro, trace_every=trace_every,
-                     trace_cesaro=spec.trace_cesaro)
+    return RunConfig(
+        alpha=alpha,
+        eta=eta,
+        iterations=spec.iterations,
+        lam=spec.lam,
+        init=init,
+        seed=spec.seed,
+        batch_schedule=batch,
+        mode=spec.mode,
+        cesaro=spec.cesaro,
+        trace_every=trace_every,
+        trace_cesaro=spec.trace_cesaro,
+    )
