@@ -10,8 +10,6 @@ grid-restricted problem).  Exit codes: 0 success, 1 runtime failure,
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -26,7 +24,7 @@ from .config import (
     build_run_config,
     parse_config,
 )
-from .measures import ParticleMeasure, grid_size_estimate
+from .measures import ParticleMeasure
 from .optimizer import RunResult, run
 
 EXIT_OK = 0
@@ -96,25 +94,16 @@ def write_data(path: Path, data: np.ndarray, note: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _physical_memory_bytes() -> float:
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):  # no sysconf: no refusal
-        return math.inf
-
-
 def _grid_oracle(cfg, model, lam: float):
-    """``grid_oracle`` on the [oracle] lattice, refused before anything is
-    built when that lattice's n x n gram exceeds physical memory."""
-    n = grid_size_estimate(model.radius, model.dim, cfg.oracle_step)
-    need, have = 8.0 * n * n, _physical_memory_bytes()
-    if need > have:
-        raise ConfigError(
-            f"[oracle] grid_step = {cfg.oracle_step:g} gives a lattice of about "
-            f"{n:.3g} points whose gram needs {need / 1e9:.3g} GB, more than the "
-            f"{have / 1e9:.3g} GB of physical memory; raise grid_step")
-    return diagnostics.grid_oracle(model, lam, cfg.oracle_step,
-                                   cfg.oracle_tol, cfg.oracle_max_iter)
+    """``grid_oracle`` on the [oracle] lattice; a lattice it refuses (one
+    whose gram exceeds physical memory) is a config error."""
+    try:
+        return diagnostics.grid_oracle(model, lam, cfg.oracle_step,
+                                       cfg.oracle_tol, cfg.oracle_max_iter)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[oracle] {exc}") from None
 
 
 def _resolve_tv_star(cfg, spec, model, quiet: bool):
@@ -158,10 +147,12 @@ def cmd_compare(args) -> int:
     if len(cfg.variants) < 2:
         raise ConfigError("compare needs at least two [variant NAME] sections")
     model = build_model(cfg)
+    base_init = build_init(cfg.solver, model)
+    for spec in cfg.variants.values():  # a start refused before the oracle runs
+        build_init(spec, model)
     orc = _grid_oracle(cfg, model, cfg.solver.lam)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base_init = build_init(cfg.solver, model)
     j_init = diagnostics.objective(model, base_init, cfg.solver.lam)
     threshold = orc.objective + cfg.compare_threshold_frac * (j_init - orc.objective)
     if not args.quiet:

@@ -222,7 +222,7 @@ def _parse(sec, name: str, table: dict, problem=None) -> dict:
 
 
 def _solver(sec, name: str, problem) -> SimpleNamespace:
-    spec = SimpleNamespace(**_parse(sec, name, _SOLVER, problem))
+    spec = SimpleNamespace(section=name, **_parse(sec, name, _SOLVER, problem))
     needs = ["alpha", "eta"] if spec.schedule == "manual" else []
     needs.append("init_step" if spec.init == "grid" else "p")
     for key in needs:
@@ -351,7 +351,11 @@ def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
     """
     mass = spec.init_mass
     if spec.init == "grid":
-        nu = uniform_grid_measure(model.radius, model.dim, spec.init_step, mass)
+        try:
+            nu = uniform_grid_measure(model.radius, model.dim, spec.init_step, mass)
+        except ValueError as exc:  # no lattice point inside the domain
+            raise ConfigError(f"key 'init_step' in [{spec.section}] is too coarse: "
+                              f"{exc}") from None
     else:
         rng = np.random.default_rng(spec.seed + 0xA5A5)
         pts = rng.uniform(-model.radius, model.radius,

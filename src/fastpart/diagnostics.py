@@ -8,11 +8,12 @@ solver produces.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import ParticleMeasure, grid_points
+from .measures import ParticleMeasure, grid_points, grid_size_estimate
 from .models.base import FeatureModel
 from .stochastic import exact_fields, marginal_cost
 
@@ -102,14 +103,15 @@ def _power_iteration_norm(gram: np.ndarray, iters: int = 50) -> float:
     rng = np.random.default_rng(12345)
     v = rng.normal(size=gram.shape[0])
     v /= np.linalg.norm(v)
+    gv = gram @ v
     lam = 1.0
     for _ in range(iters):
-        v = gram @ v
-        nrm = np.linalg.norm(v)
+        nrm = np.linalg.norm(gv)
         if nrm == 0.0:
             return 1.0
-        v /= nrm
-        lam = float(v @ (gram @ v))
+        v = gv / nrm
+        gv = gram @ v  # the Rayleigh quotient's product is the next step's
+        lam = float(v @ gv)
     return max(lam, 1e-30)
 
 
@@ -119,36 +121,55 @@ def _kkt_residual(cost: np.ndarray, w: np.ndarray) -> float:
                float(np.max(np.abs(cost[w > 0]), initial=0.0)))
 
 
+def _lawson_hanson(gram, shifted, candidates):
+    """Sorted support of the minimizer of 0.5 w'Gw - s'w over w >= 0
+    vanishing off ``candidates``: the Lawson & Hanson (1974) active set,
+    grown from the empty set by the worst violation."""
+    cand = np.flatnonzero(candidates)
+    on, x = np.zeros(len(cand), dtype=bool), np.zeros(len(cand))
+    for _ in range(3 * len(cand)):
+        viol = np.where(on, -np.inf, shifted[cand] - gram[np.ix_(cand, cand[on])] @ x[on])
+        k = int(np.argmax(viol))
+        if not viol[k] > 0.0:
+            break
+        on[k] = True
+        while True:
+            z, idx = np.zeros(len(cand)), cand[on]
+            z[on] = np.linalg.lstsq(gram[np.ix_(idx, idx)], shifted[idx], rcond=None)[0]
+            if x[k] == 0.0 and z[k] <= 0.0:  # > 0 in exact arithmetic: roundoff
+                on[k] = False
+                return cand[on]
+            neg = np.flatnonzero(on & (z <= 0.0))
+            if len(neg) == 0:
+                break
+            # step from x toward z until the first coordinate reaches zero
+            ratio = x[neg] / (x[neg] - z[neg])
+            x += ratio.min() * (z - x)
+            x[neg[np.argmin(ratio)]] = 0.0
+            on &= x > 0.0
+            x[~on] = 0.0
+        x = z
+    return cand[on]
+
+
 def _active_set_polish(gram, shifted, active, tol, max_rounds=300):
     """Exact solve restricted to a candidate support, grown greedily.
 
-    Solves the unconstrained restriction by least squares, drops the
-    most negative coordinate until feasible, then adds the grid point
-    with the worst cost violation; stops once the residual passes tol
-    or no progress is possible.
+    The Lawson-Hanson active set picks the support among the candidates
+    and the restricted least squares there gives the weights (a negative
+    one, which that support rules out, is dropped); then the grid point
+    with the worst cost violation joins the candidates.  Stops once the
+    residual passes tol or no progress is possible.
     """
     active = active.copy()
     n = len(shifted)
     w = np.zeros(n)
     resid = math.inf
     for _ in range(max_rounds):
-        idx = np.where(active)[0]
-        if len(idx):
-            sub, *_ = np.linalg.lstsq(gram[np.ix_(idx, idx)], shifted[idx],
-                                      rcond=None)
-            while np.any(sub < 0):
-                k = int(np.argmin(sub))
-                active[idx[k]] = False
-                idx = np.delete(idx, k)
-                if len(idx) == 0:
-                    sub = np.empty(0)
-                    break
-                sub, *_ = np.linalg.lstsq(gram[np.ix_(idx, idx)], shifted[idx],
-                                          rcond=None)
-        else:
-            sub = np.empty(0)
+        idx = _lawson_hanson(gram, shifted, active)
+        sub = np.linalg.lstsq(gram[np.ix_(idx, idx)], shifted[idx], rcond=None)[0]
         w = np.zeros(n)
-        w[idx] = sub
+        w[idx] = np.maximum(sub, 0.0)
         cost = gram @ w - shifted
         resid = _kkt_residual(cost, w)
         if resid <= tol:
@@ -175,10 +196,21 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
     largest magnitude on the active set) passes ``tol``; hitting
     ``max_iter`` first returns the best iterate flagged unconverged.
     Runs entirely on exact kernel evaluations and shares nothing with
-    the particle solver.
+    the particle solver.  A lattice whose n x n gram exceeds physical
+    memory is refused with a ``ValueError`` before anything is built.
     """
     if tol <= 0 or grid_step <= 0:
         raise ValueError("tol and grid_step must be positive")
+    try:
+        have = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):  # no sysconf: no refusal
+        have = math.inf
+    approx = grid_size_estimate(model.radius, model.dim, grid_step)
+    if 8.0 * approx**2 > have:
+        raise ValueError(
+            f"grid_step = {grid_step:g} gives a lattice of about {approx:.3g} points "
+            f"whose gram needs {8.0 * approx**2 / 1e9:.3g} GB, more than the "
+            f"{have / 1e9:.3g} GB of physical memory; raise grid_step")
     grid = grid_points(model.radius, model.dim, grid_step)
     gram = model.gram(grid, grid)
     shifted = model.inner_y(grid) - lam

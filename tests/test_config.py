@@ -142,6 +142,25 @@ def test_oracle_lattice_beyond_memory_is_refused_before_it_is_built(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,solver_step,extra,section", [
+    ("run", "2.5", "", "solver"),
+    ("compare", "0.5", "\n[variant a]\n\n[variant b]\ninit_step = 2.5\n"
+                       "\n[oracle]\ngrid_step = 0.1\n", "variant b"),
+], ids=["run", "compare"])
+def test_init_step_with_no_lattice_point_exits_2(tmp_path, capsys, command,
+                                                 solver_step, extra, section):
+    # the step-2.5 lattice anchored at (-1, -1) has no point in the unit
+    # disk; this used to exit 1 with an error naming no key
+    out = tmp_path / "out"
+    path = _config(tmp_path, "relu", extra=extra + f"\n[output]\ndir = {out}\n")
+    path.write_text(path.read_text().replace("init_step = 0.5",
+                                             f"init_step = {solver_step}", 1))
+    assert main([command, str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"key 'init_step' in [{section}] is too coarse" in err
+    assert not out.exists()
+
+
 def _with_value(source, dest, section, key, value):
     """Copy the config at ``source`` to ``dest`` with ``key = value`` set."""
     parser = configparser.ConfigParser(interpolation=None)

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from fastpart import ParticleMeasure, marginal_cost
+from fastpart import benchmarks, diagnostics
 from fastpart.diagnostics import (
+    _kkt_residual,
+    _power_iteration_norm,
     finite_diff_check,
     grid_oracle,
     kkt_certificate,
     objective,
     trace_stats,
 )
-from fastpart.measures import uniform_grid_measure
+from fastpart.measures import grid_points, uniform_grid_measure
 from fastpart.stochastic import exact_fields
+from test_golden import ORACLE_CASES
 
 
 def measure_1d(weights, positions, signs=None):
@@ -195,6 +199,16 @@ class TestGridOracle:
         assert vals[1] <= vals[0] + 1e-12
         assert vals[2] <= vals[1] + 1e-12
 
+    def test_lattice_beyond_memory_is_refused_before_it_is_built(
+            self, relu_model, monkeypatch):
+        # the 2-D unit disk at step 1e-3 holds about 3.1M points: a ~79 TB gram
+        def built(*args):
+            pytest.fail("the lattice was built")
+
+        monkeypatch.setattr(diagnostics, "grid_points", built)
+        with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 3\.14e\+06 points"):
+            grid_oracle(relu_model, 0.01, 1e-3)
+
     def test_unconverged_flag(self, gmm_small):
         # a tolerance below machine precision is unreachable
         orc = grid_oracle(gmm_small, 0.05, grid_step=0.02, tol=1e-17,
@@ -202,6 +216,97 @@ class TestGridOracle:
         assert not orc.converged
         assert orc.kkt_residual > 1e-17
         assert orc.measure.size > 0  # best iterate still returned
+
+
+def _greedy_polish(gram, shifted, active, tol, max_rounds=300):
+    """Reference polish: from the whole candidate support, drop the most
+    negative coordinate of the restricted solve, one solve at a time."""
+    active = active.copy()
+    n = len(shifted)
+    w = np.zeros(n)
+    resid = math.inf
+    for _ in range(max_rounds):
+        idx = np.where(active)[0]
+        if len(idx):
+            sub, *_ = np.linalg.lstsq(gram[np.ix_(idx, idx)], shifted[idx],
+                                      rcond=None)
+            while np.any(sub < 0):
+                k = int(np.argmin(sub))
+                active[idx[k]] = False
+                idx = np.delete(idx, k)
+                if len(idx) == 0:
+                    sub = np.empty(0)
+                    break
+                sub, *_ = np.linalg.lstsq(gram[np.ix_(idx, idx)], shifted[idx],
+                                          rcond=None)
+        else:
+            sub = np.empty(0)
+        w = np.zeros(n)
+        w[idx] = sub
+        cost = gram @ w - shifted
+        resid = _kkt_residual(cost, w)
+        if resid <= tol:
+            return w, resid
+        j = int(np.argmin(cost))
+        if cost[j] >= -tol or active[j]:
+            return w, resid
+        active[j] = True
+    return w, resid
+
+
+def _two_matvec_norm(gram, iters=50):
+    """Reference power iteration: a second product for the Rayleigh quotient."""
+    rng = np.random.default_rng(12345)
+    v = rng.normal(size=gram.shape[0])
+    v /= np.linalg.norm(v)
+    lam = 1.0
+    for _ in range(iters):
+        v = gram @ v
+        nrm = np.linalg.norm(v)
+        if nrm == 0.0:
+            return 1.0
+        v /= nrm
+        lam = float(v @ (gram @ v))
+    return max(lam, 1e-30)
+
+
+class TestOraclePieces:
+    def test_polish_few_solves_same_bits_as_greedy(self, monkeypatch):
+        # gmm3a at step 1e-3: APG leaves 264 candidates for a 6-point
+        # support, which the greedy drop reached in 321 solves
+        problem = benchmarks.get_benchmark("gmm3a")
+        model = benchmarks.build_model(problem)
+        polish, lstsq = diagnostics._active_set_polish, np.linalg.lstsq
+        solves, calls = [0], []
+
+        def counted_lstsq(*args, **kwargs):
+            solves[0] += 1
+            return lstsq(*args, **kwargs)
+
+        def spy(gram, shifted, active, tol):
+            before = solves[0]
+            out = polish(gram, shifted, active, tol)
+            calls.append((gram, shifted, active, tol, out, solves[0] - before))
+            return out
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        monkeypatch.setattr(diagnostics, "_active_set_polish", spy)
+        orc = grid_oracle(model, problem.lam, 1e-3)
+        monkeypatch.undo()
+        assert orc.converged and orc.measure.size == 6
+        (gram, shifted, active, tol, (w, resid), n_solves), = calls
+        assert active.sum() == 264
+        assert n_solves <= 20
+        w_ref, resid_ref = _greedy_polish(gram, shifted, active, tol)
+        assert w.tobytes() == w_ref.tobytes()
+        assert resid.hex() == resid_ref.hex()
+
+    @pytest.mark.parametrize("case", ["gmm3a", "relu"])
+    def test_power_iteration_matches_two_matvec_form(self, case):
+        model, _, step = ORACLE_CASES[case]()
+        lattice = grid_points(model.radius, model.dim, step)
+        gram = model.gram(lattice, lattice)
+        assert _power_iteration_norm(gram).hex() == _two_matvec_norm(gram).hex()
 
 
 class TestFiniteDiff:

@@ -21,9 +21,10 @@ A speed-up
 or a refactor of the solver path must leave every one of them unchanged.
 
 Floating-point results depend on the numerical stack (numpy's SIMD
-kernels for exp and friends differ by CPU family), so the file records
-the numpy version, machine and AVX-512 availability it was made with;
-on another stack the comparison is skipped, not loosened.
+kernels for exp and friends differ by CPU family, and a BLAS matmul's
+bits change with its thread count), so the file records the numpy
+version, machine, AVX-512 availability and BLAS thread count it was
+made with; on another stack the comparison is skipped, not loosened.
 
 Re-record only when a change of output is intended:
 
@@ -31,6 +32,7 @@ Re-record only when a change of output is intended:
 """
 import hashlib
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -66,8 +68,11 @@ def _stack():
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
+    threads = (os.environ.get("OPENBLAS_NUM_THREADS")
+               or os.environ.get("OMP_NUM_THREADS") or os.cpu_count())
     return {"numpy": np.__version__, "machine": platform.machine(),
-            "avx512f": bool(__cpu_features__.get("AVX512F", False))}
+            "avx512f": bool(__cpu_features__.get("AVX512F", False)),
+            "blas_threads": int(threads)}
 
 
 def _trunc_case(seed):
