@@ -109,6 +109,7 @@ def _grid_oracle(cfg, model, lam: float):
 def _resolve_tv_star(cfg, spec, model, quiet: bool):
     """The global schedule may ask for the oracle's mass estimate."""
     if spec.schedule == "global" and isinstance(spec.tv_star, str):
+        build_init(spec, model)  # a start refused before the oracle runs
         if not quiet:
             print(f"computing oracle mass estimate (grid_step={cfg.oracle_step})")
         return _grid_oracle(cfg, model, spec.lam).measure.tv_norm

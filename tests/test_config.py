@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fastpart import config
+from fastpart import config, diagnostics
 from fastpart.cli import main
 from fastpart.config import ConfigError, build_model, build_run_config, parse_config
 
@@ -144,13 +144,18 @@ def test_oracle_lattice_beyond_memory_is_refused_before_it_is_built(
 
 @pytest.mark.parametrize("command,solver_step,extra,section", [
     ("run", "2.5", "", "solver"),
+    ("run", "2.5", "schedule = global\ntv_star = oracle\n\n[oracle]\ngrid_step = 0.1\n",
+     "solver"),
     ("compare", "0.5", "\n[variant a]\n\n[variant b]\ninit_step = 2.5\n"
                        "\n[oracle]\ngrid_step = 0.1\n", "variant b"),
-], ids=["run", "compare"])
-def test_init_step_with_no_lattice_point_exits_2(tmp_path, capsys, command,
+], ids=["run", "run-oracle", "compare"])
+def test_init_step_with_no_lattice_point_exits_2(tmp_path, capsys, monkeypatch, command,
                                                  solver_step, extra, section):
     # the step-2.5 lattice anchored at (-1, -1) has no point in the unit
-    # disk; this used to exit 1 with an error naming no key
+    # disk; this used to exit 1 with an error naming no key, and only
+    # after the oracle had run
+    monkeypatch.setattr(diagnostics, "grid_oracle",
+                        lambda *args: pytest.fail("the oracle ran first"))
     out = tmp_path / "out"
     path = _config(tmp_path, "relu", extra=extra + f"\n[output]\ndir = {out}\n")
     path.write_text(path.read_text().replace("init_step = 0.5",

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fastpart import ParticleMeasure, marginal_cost
-from fastpart import benchmarks, diagnostics
+from fastpart import ParticleMeasure, benchmarks, diagnostics, marginal_cost
 from fastpart.diagnostics import (
     _kkt_residual,
     _power_iteration_norm,
