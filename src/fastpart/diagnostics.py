@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import ParticleMeasure, grid_points, grid_size_estimate
-from .models.base import FeatureModel
+from .measures import ParticleMeasure, _axis_steps, grid_points, grid_size_estimate
+from .models.base import FeatureModel, ShiftInvariantModel
 from .stochastic import exact_fields, marginal_cost
 
 
@@ -99,7 +99,79 @@ class OracleResult:
     iterations: int
 
 
-def _power_iteration_norm(gram: np.ndarray, iters: int = 50) -> float:
+class _DenseGram:
+    """The lattice gram as one n x n array (a kernel with no offset form)."""
+
+    def __init__(self, gram: np.ndarray):
+        self.gram = gram
+        self.shape = gram.shape
+
+    def __matmul__(self, x):
+        return self.gram @ x
+
+    def entries(self, rows, cols):
+        return self.gram[np.ix_(rows, cols)]
+
+
+def _fft_len(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT factors into
+    small radices (a prime length takes its ~10x slower Bluestein path)."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # times the least power of 2 reaching m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+class _ToeplitzGram:
+    """The gram of a shift-invariant kernel on a uniform lattice, never built.
+
+    K(t_i, t_j) = k(t_i - t_j) depends only on the lattice offset of the
+    two points, so a product with the gram is a convolution with k on
+    the offset lattice: the points sit in their bounding cube, zero
+    elsewhere, and each product is one ``rfftn``/``irfftn`` pair over
+    that cube zero-padded to at least 2c - 1 per axis, so the circular
+    convolution does not wrap (Strang 1986; Chan & Ng 1996).  Time
+    O(n log n) and memory O(n) per product instead of O(n^2).  Entries
+    come from the kernel itself and equal the dense gram's bit for bit.
+    """
+
+    def __init__(self, model: ShiftInvariantModel, grid: np.ndarray, step: float):
+        self.model, self.grid = model, grid
+        self.shape = (len(grid), len(grid))
+        idx = np.rint((grid - grid.min(axis=0)) / step).astype(np.intp)
+        cube = [int(c) + 1 for c in idx.max(axis=0)]
+        self._pad = tuple(_fft_len(2 * c - 1) for c in cube)
+        self._axes = tuple(range(grid.shape[1]))
+        self._index = tuple(idx.T)
+        # k at every offset between two cube points, stored at offset mod pad;
+        # k(o) = K(o, 0), so gram's row blocks bound its temporaries
+        spans = [np.arange(1 - c, c) for c in cube]
+        offsets = np.stack(np.meshgrid(*(step * o for o in spans), indexing="ij",
+                                       copy=False), axis=-1).reshape(-1, len(cube))
+        kern = model.gram(offsets, np.zeros((1, len(cube))))
+        del offsets
+        padded = np.zeros(self._pad)
+        padded[np.ix_(*(o % p for o, p in zip(spans, self._pad)))] = (
+            kern.reshape([len(o) for o in spans]))
+        self._spectrum = np.fft.rfftn(padded, axes=self._axes)
+
+    def __matmul__(self, x):
+        padded = np.zeros(self._pad)
+        padded[self._index] = x
+        spec = np.fft.rfftn(padded, axes=self._axes)
+        spec *= self._spectrum
+        return np.fft.irfftn(spec, s=self._pad, axes=self._axes)[self._index]
+
+    def entries(self, rows, cols):
+        return self.model.gram(self.grid[rows], self.grid[cols])
+
+
+def _power_iteration_norm(gram, iters: int = 50) -> float:
     rng = np.random.default_rng(12345)
     v = rng.normal(size=gram.shape[0])
     v /= np.linalg.norm(v)
@@ -122,23 +194,25 @@ def _kkt_residual(cost: np.ndarray, w: np.ndarray) -> float:
 
 
 def _lawson_hanson(gram, shifted, candidates):
-    """Sorted support of the minimizer of 0.5 w'Gw - s'w over w >= 0
-    vanishing off ``candidates``: the Lawson & Hanson (1974) active set,
-    grown from the empty set by the worst violation."""
+    """Minimizer of 0.5 w'Gw - s'w over w >= 0 vanishing off ``candidates``:
+    the Lawson & Hanson (1974) active set, grown from the empty set by the
+    worst violation.  Returns the sorted support and the weights there,
+    the last restricted least squares solved on exactly that support."""
     cand = np.flatnonzero(candidates)
     on, x = np.zeros(len(cand), dtype=bool), np.zeros(len(cand))
     for _ in range(3 * len(cand)):
-        viol = np.where(on, -np.inf, shifted[cand] - gram[np.ix_(cand, cand[on])] @ x[on])
+        viol = np.where(on, -np.inf, shifted[cand] - gram.entries(cand, cand[on]) @ x[on])
         k = int(np.argmax(viol))
         if not viol[k] > 0.0:
             break
         on[k] = True
         while True:
             z, idx = np.zeros(len(cand)), cand[on]
-            z[on] = np.linalg.lstsq(gram[np.ix_(idx, idx)], shifted[idx], rcond=None)[0]
+            z[on] = np.linalg.lstsq(gram.entries(idx, idx), shifted[idx], rcond=None)[0]
             if x[k] == 0.0 and z[k] <= 0.0:  # > 0 in exact arithmetic: roundoff
-                on[k] = False
-                return cand[on]
+                if on[k]:  # k just joined: x is the solve without it
+                    on[k], z = False, x
+                return cand[on], z[on]
             neg = np.flatnonzero(on & (z <= 0.0))
             if len(neg) == 0:
                 break
@@ -149,25 +223,24 @@ def _lawson_hanson(gram, shifted, candidates):
             on &= x > 0.0
             x[~on] = 0.0
         x = z
-    return cand[on]
+    return cand[on], x[on]
 
 
 def _active_set_polish(gram, shifted, active, tol, max_rounds=300):
     """Exact solve restricted to a candidate support, grown greedily.
 
     The Lawson-Hanson active set picks the support among the candidates
-    and the restricted least squares there gives the weights (a negative
-    one, which that support rules out, is dropped); then the grid point
-    with the worst cost violation joins the candidates.  Stops once the
-    residual passes tol or no progress is possible.
+    and gives the weights there (a negative one, which only its roundoff
+    exit can leave, is dropped); then the grid point with the worst cost
+    violation joins the candidates.  Stops once the residual passes tol
+    or no progress is possible.
     """
     active = active.copy()
     n = len(shifted)
     w = np.zeros(n)
     resid = math.inf
     for _ in range(max_rounds):
-        idx = _lawson_hanson(gram, shifted, active)
-        sub = np.linalg.lstsq(gram[np.ix_(idx, idx)], shifted[idx], rcond=None)[0]
+        idx, sub = _lawson_hanson(gram, shifted, active)
         w = np.zeros(n)
         w[idx] = np.maximum(sub, 0.0)
         cost = gram @ w - shifted
@@ -196,8 +269,15 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
     largest magnitude on the active set) passes ``tol``; hitting
     ``max_iter`` first returns the best iterate flagged unconverged.
     Runs entirely on exact kernel evaluations and shares nothing with
-    the particle solver.  A lattice whose n x n gram exceeds physical
-    memory is refused with a ``ValueError`` before anything is built.
+    the particle solver.
+
+    A ``ShiftInvariantModel`` never builds the n x n grid kernel matrix:
+    its products are FFT convolutions over the lattice's zero-padded
+    bounding cube, in O(n) memory, and the polish takes its few entries
+    from the kernel.  Any other model (ReLU) builds the dense matrix.
+    Either way, a lattice whose working set (the padded cube, or the
+    dense matrix) exceeds physical memory is refused with a
+    ``ValueError`` before anything is built.
     """
     if tol <= 0 or grid_step <= 0:
         raise ValueError("tol and grid_step must be positive")
@@ -206,13 +286,24 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
     except (AttributeError, ValueError, OSError):  # no sysconf: no refusal
         have = math.inf
     approx = grid_size_estimate(model.radius, model.dim, grid_step)
-    if 8.0 * approx**2 > have:
+    toeplitz = isinstance(model, ShiftInvariantModel)
+    if toeplitz:
+        # about: a real cube, its half spectrum, the kernel's and one
+        # product's (the offset lattice, d + 1 floats a point, comes first)
+        pad = _fft_len(2 * _axis_steps(model.radius, grid_step) + 1)
+        need = 32.0 * float(pad) ** model.dim
+        what = f"whose FFT products on a padded {pad}^{model.dim} cube need"
+    else:
+        need = 8.0 * approx**2
+        what = "whose gram needs"
+    if need > have:
         raise ValueError(
             f"grid_step = {grid_step:g} gives a lattice of about {approx:.3g} points "
-            f"whose gram needs {8.0 * approx**2 / 1e9:.3g} GB, more than the "
+            f"{what} {need / 1e9:.3g} GB, more than the "
             f"{have / 1e9:.3g} GB of physical memory; raise grid_step")
     grid = grid_points(model.radius, model.dim, grid_step)
-    gram = model.gram(grid, grid)
+    gram = (_ToeplitzGram(model, grid, grid_step) if toeplitz
+            else _DenseGram(model.gram(grid, grid)))
     shifted = model.inner_y(grid) - lam
     lip = _power_iteration_norm(gram) * 1.01
     n = len(grid)

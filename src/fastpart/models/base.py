@@ -85,7 +85,8 @@ class FeatureModel(ABC):
 
     * ``kernel(t, t')`` and ``inner_y(t)``: values only, for the lattice
       scans (grid oracle gram, certificates) that must not allocate a
-      gradient array;
+      gradient array (a ``ShiftInvariantModel`` writes ``kernel``
+      through its ``offset_kernel``);
     * ``kernel_fields(t, t') -> (K, grad K)`` and
       ``data_fit(t) -> (<phi_t, y>, its gradient)``: the exact fields;
     * ``kernel_surrogate(t, t', u) -> (g, grad g)`` and
@@ -111,6 +112,9 @@ class FeatureModel(ABC):
     radius: float
     cost_kernel: int = 1
     cost_inner_y: int = 1
+    # floats one kernel value expands a point pair into (a quadrature or
+    # frequency axis): the row blocks of gram/gram_bundle count them
+    _pair_width: int = 1
 
     # ----- quantity primitives ---------------------------------------------
 
@@ -169,13 +173,13 @@ class FeatureModel(ABC):
         """Kernel matrix between two point sets, shape (n, q)."""
         t, s = _pairwise(t, t_prime)
         return _fill_row_blocks(lambda rows: (self.kernel(t[rows], s),),
-                                len(t), s.shape[1])[0]
+                                len(t), s.shape[1] * self._pair_width)[0]
 
     def gram_bundle(self, t, t_prime):
         """(gram, grad_t K(t_i, s_j) of shape (n, q, d)) in one call."""
         t, s = _pairwise(t, t_prime)
         return _fill_row_blocks(lambda rows: self.kernel_fields(t[rows], s),
-                                len(t), s.shape[1])
+                                len(t), s.shape[1] * self._pair_width)
 
     # ----- geometry ----------------------------------------------------------
 
@@ -204,6 +208,23 @@ class FeatureModel(ABC):
     def smooth_at(self, t, step: float = 0.0) -> bool:
         """Whether the model is differentiable on a `step`-neighborhood of t."""
         return True
+
+
+class ShiftInvariantModel(FeatureModel):
+    """A model whose kernel depends on t - t' only: K(t, t') = k(t - t').
+
+    ``offset_kernel(diff)`` is k, and ``kernel`` is written through it.
+    On a uniform lattice such a kernel's gram is (block-)Toeplitz, so the
+    grid oracle takes its products by FFT instead of building it.
+    """
+
+    @abstractmethod
+    def offset_kernel(self, diff):
+        """k(diff), diff of shape (..., d)."""
+
+    def kernel(self, t, t_prime):
+        return self.offset_kernel(np.asarray(t, dtype=float)
+                                  - np.asarray(t_prime, dtype=float))
 
 
 # Point pairs per row block of a pairwise or data-side evaluation: about

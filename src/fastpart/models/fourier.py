@@ -23,12 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import FeatureModel, GroundTruth, ModelBounds, coordinate_product_grad
+from .base import GroundTruth, ModelBounds, ShiftInvariantModel, coordinate_product_grad
 
 TORUS_RADIUS = np.pi
 
 
-class FourierDeconvolutionModel(FeatureModel):
+class FourierDeconvolutionModel(ShiftInvariantModel):
     """Spike deconvolution against a low-pass kernel on the d-torus.
 
     Parameters
@@ -55,6 +55,7 @@ class FourierDeconvolutionModel(FeatureModel):
 
         self._freqs_1d = np.arange(-self.freq_cutoff, self.freq_cutoff + 1)
         self._n_freq_1d = len(self._freqs_1d)
+        self._pair_width = dim * self._n_freq_1d
 
         atoms = [truth.positions]
         coeffs = [truth.weights]
@@ -82,8 +83,7 @@ class FourierDeconvolutionModel(FeatureModel):
                        * np.sin(np.asarray(x, dtype=float)[..., None]
                                 * self._freqs_1d), axis=-1)
 
-    def kernel(self, t, t_prime):
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
+    def offset_kernel(self, diff):
         return np.prod(self._k_1d(diff), axis=-1)
 
     def kernel_fields(self, t, t_prime):

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .base import (FeatureModel, GroundTruth, ModelBounds, _fill_row_blocks,
+from .base import (GroundTruth, ModelBounds, ShiftInvariantModel, _fill_row_blocks,
                    coordinate_product_grad, positive_finite)
 
 _QUAD_NODES = 64
@@ -183,7 +183,7 @@ def sample_mixture_data(truth: GroundTruth, mixing_scale: float, n: int,
     return pts + sample_mixing_noise(rng, pts.shape, mixing_scale, trunc_width)
 
 
-class GaussianMixtureModel(FeatureModel):
+class GaussianMixtureModel(ShiftInvariantModel):
     """Mixture deconvolution problem over the centered ball.
 
     Parameters
@@ -230,13 +230,13 @@ class GaussianMixtureModel(FeatureModel):
             a = trunc_width * mixing_scale
             self._ktilde = _TruncatedConvProfile(m2, mixing_scale, a)
             self._kern = _QuadConvProfile(self._ktilde, mixing_scale, a)
+            self._pair_width = _QUAD_NODES
             self._u_window = _truncation_window(trunc_width)
 
     # ----- exact quantities -------------------------------------------------
 
-    def kernel(self, t, t_prime):
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return _prod_profile(self._kern, diff)
+    def offset_kernel(self, diff):
+        return _prod_profile(self._kern, np.asarray(diff, dtype=float))
 
     def kernel_fields(self, t, t_prime):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)

@@ -140,6 +140,15 @@ def test_lattice_gram_peaks_near_its_output(oracle_lattice):
     assert peak < 1.25 * n * n * 8
 
 
+def test_quadrature_gram_counts_its_nodes_in_the_block():
+    # each truncated-mixture kernel value sums 64 quadrature nodes; a block
+    # of 2^16 pairs without them counted held 64x more (170 MB here)
+    model, lattice = _case("trunc_gmm")
+    n = len(lattice)
+    peak = _peak_bytes(lambda: model.gram(lattice, lattice))
+    assert peak < n * n * 8 + 4e6
+
+
 def test_y_norm_sq_peaks_near_its_matrix():
     model = _gmm3a()
     peak = _peak_bytes(lambda: model.y_norm_sq)

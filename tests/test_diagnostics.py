@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fastpart import ParticleMeasure, benchmarks, diagnostics, marginal_cost
+from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel, GroundTruth,
+                      ParticleMeasure, benchmarks, diagnostics, marginal_cost,
+                      sample_mixture_data)
 from fastpart.diagnostics import (
     _kkt_residual,
     _power_iteration_norm,
@@ -15,7 +17,8 @@ from fastpart.diagnostics import (
 )
 from fastpart.measures import grid_points, uniform_grid_measure
 from fastpart.stochastic import exact_fields
-from test_golden import ORACLE_CASES
+from test_blocks import _peak_bytes
+from test_golden import ORACLE_CASES, _gmm3a
 
 
 def measure_1d(weights, positions, signs=None):
@@ -272,7 +275,8 @@ def _two_matvec_norm(gram, iters=50):
 class TestOraclePieces:
     def test_polish_few_solves_same_bits_as_greedy(self, monkeypatch):
         # gmm3a at step 1e-3: APG leaves 264 candidates for a 6-point
-        # support, which the greedy drop reached in 321 solves
+        # support, which the greedy drop reached in 321 solves; the active
+        # set's own last solve gives the weights, so none is repeated
         problem = benchmarks.get_benchmark("gmm3a")
         model = benchmarks.build_model(problem)
         polish, lstsq = diagnostics._active_set_polish, np.linalg.lstsq
@@ -293,10 +297,12 @@ class TestOraclePieces:
         orc = grid_oracle(model, problem.lam, 1e-3)
         monkeypatch.undo()
         assert orc.converged and orc.measure.size == 6
-        (gram, shifted, active, tol, (w, resid), n_solves), = calls
+        (_, shifted, active, tol, (w, resid), n_solves), = calls
         assert active.sum() == 264
-        assert n_solves <= 20
-        w_ref, resid_ref = _greedy_polish(gram, shifted, active, tol)
+        assert n_solves <= 18
+        lattice = grid_points(model.radius, model.dim, 1e-3)
+        w_ref, resid_ref = _greedy_polish(model.gram(lattice, lattice), shifted,
+                                          active, tol)
         assert w.tobytes() == w_ref.tobytes()
         assert resid.hex() == resid_ref.hex()
 
@@ -306,6 +312,91 @@ class TestOraclePieces:
         lattice = grid_points(model.radius, model.dim, step)
         gram = model.gram(lattice, lattice)
         assert _power_iteration_norm(gram).hex() == _two_matvec_norm(gram).hex()
+
+
+def _shift_invariant(kind, dim):
+    """A plain or truncated mixture on the unit ball, or a Fourier model on
+    the torus, in ``dim`` dimensions."""
+    rng = np.random.default_rng(dim)
+    pos = rng.uniform(-0.6, 0.6, size=(2, dim))
+    if kind == "fourier":
+        return FourierDeconvolutionModel(3, dim, GroundTruth([0.8, 0.6], pos))
+    trunc = 3.0 if kind == "trunc_gmm" else None
+    data = sample_mixture_data(GroundTruth([0.5, 0.5], pos), 0.1, 50, rng,
+                               trunc_width=trunc)
+    return GaussianMixtureModel(data, bandwidth=0.15, mixing_scale=0.1,
+                                trunc_width=trunc)
+
+
+def _dense_reference(monkeypatch):
+    """Make ``grid_oracle`` build the dense n x n gram for every model."""
+    monkeypatch.setattr(diagnostics, "_ToeplitzGram", lambda model, grid, step:
+                        diagnostics._DenseGram(model.gram(grid, grid)))
+
+
+class TestToeplitzGram:
+    # lattice steps per dimension, (with, without) the +R endpoint: 2R/step
+    # integral or not, in units of the radius (1 on the ball, pi on the torus)
+    STEPS = {1: (0.04, 0.045), 2: (0.1, 0.11)}
+
+    @pytest.mark.parametrize("endpoint", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["gmm", "trunc_gmm", "fourier"])
+    def test_fft_product_matches_dense_gram(self, kind, dim, endpoint):
+        model = _shift_invariant(kind, dim)
+        step = model.radius * self.STEPS[dim][0 if endpoint else 1]
+        grid = grid_points(model.radius, model.dim, step)
+        assert np.isclose(grid.max(), model.radius) == endpoint
+        gram = model.gram(grid, grid)
+        op = diagnostics._ToeplitzGram(model, grid, step)
+        rng = np.random.default_rng(0)
+        for x in (rng.random(len(grid)), rng.normal(size=len(grid))):
+            scale = np.max(np.abs(gram) @ np.abs(x))
+            assert np.max(np.abs(op @ x - gram @ x)) <= 1e-13 * scale
+        rows, cols = rng.choice(len(grid), 7), np.sort(rng.choice(len(grid), 5))
+        assert np.array_equal(op.entries(rows, cols), gram[np.ix_(rows, cols)])
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["blocks"])
+    def test_oracle_agrees_with_dense_reference(self, case, monkeypatch):
+        # every golden oracle case, and the multi-block one of test_golden
+        model, lam, step = (ORACLE_CASES[case]() if case != "blocks"
+                            else (_gmm3a()[0], 0.05, 0.002))
+        fast = grid_oracle(model, lam, step)
+        _dense_reference(monkeypatch)
+        dense = grid_oracle(model, lam, step)
+        assert np.array_equal(fast.measure.positions, dense.measure.positions)
+        assert fast.objective == pytest.approx(dense.objective, rel=1e-12)
+        for orc in (fast, dense):
+            assert orc.converged
+            assert kkt_certificate(model, orc.measure, lam, step).certified(1e-6)
+
+    def test_oracle_builds_no_lattice_gram(self):
+        # gmm3a_compare.cfg's oracle: its 2001 x 2001 gram alone is 32 MB
+        model, lam = _gmm3a()
+        model.y_norm_sq  # the (N, N) data matrix is not the oracle's
+        assert _peak_bytes(lambda: grid_oracle(model, lam, 1e-3)) < 8e6
+
+    def test_two_dimensional_oracle_beyond_a_dense_gram(self):
+        # 7845 disk points at step 0.02: the dense gram would be 492 MB
+        model = _shift_invariant("gmm", 2)
+        assert 8.0 * len(grid_points(1.0, 2, 0.02)) ** 2 > 400e6
+        model.y_norm_sq
+        orcs = []
+        peak = _peak_bytes(lambda: orcs.append(grid_oracle(model, 0.05, 0.02)))
+        assert peak < 50e6
+        (orc,) = orcs
+        assert orc.converged and orc.measure.size > 0
+        assert kkt_certificate(model, orc.measure, 0.05, 0.02).certified(1e-6)
+
+    def test_padded_cube_beyond_memory_is_refused_before_it_is_built(
+            self, monkeypatch):
+        # the 3-D ball at step 1e-3 pads to a 4050^3 cube: ~2 TB of FFT buffers
+        def built(*args):
+            pytest.fail("the lattice was built")
+
+        monkeypatch.setattr(diagnostics, "grid_points", built)
+        with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 4050\^3 cube"):
+            grid_oracle(_shift_invariant("gmm", 3), 0.01, 1e-3)
 
 
 class TestFiniteDiff:

@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fastpart.diagnostics import _active_set_polish, _kkt_residual  # noqa: E402
+from fastpart.diagnostics import _DenseGram, _active_set_polish, _kkt_residual  # noqa: E402
 from test_diagnostics import _greedy_polish  # noqa: E402
 
 TOL = 1e-6
@@ -28,7 +28,7 @@ def test_polish_is_feasible_and_certifies_where_greedy_does(n, width, lam, share
     centres = rng.uniform(-1.0, 1.0, 3)
     shifted = np.exp(-0.5 * ((t[:, None] - centres) / width) ** 2) @ rng.random(3) - lam
     active = rng.random(n) < share
-    w, resid = _active_set_polish(gram, shifted, active, TOL)
+    w, resid = _active_set_polish(_DenseGram(gram), shifted, active, TOL)
     assert np.all(w >= 0.0)
     assert resid == _kkt_residual(gram @ w - shifted, w)
     w_ref, resid_ref = _greedy_polish(gram, shifted, active, TOL)
