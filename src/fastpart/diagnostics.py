@@ -291,8 +291,9 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
         # about: a real cube, its half spectrum, the kernel's and one
         # product's (the offset lattice, d + 1 floats a point, comes first)
         pad = _fft_len(2 * _axis_steps(model.radius, grid_step) + 1)
-        need = 32.0 * float(pad) ** model.dim
-        what = f"whose FFT products on a padded {pad}^{model.dim} cube need"
+        cube = float(pad) ** model.dim
+        need = 32.0 * cube
+        what = f"whose FFT products on a {cube:.3g}-point padded cube need"
     else:
         need = 8.0 * approx**2
         what = "whose gram needs"

@@ -328,12 +328,6 @@ def _shift_invariant(kind, dim):
                                 trunc_width=trunc)
 
 
-def _dense_reference(monkeypatch):
-    """Make ``grid_oracle`` build the dense n x n gram for every model."""
-    monkeypatch.setattr(diagnostics, "_ToeplitzGram", lambda model, grid, step:
-                        diagnostics._DenseGram(model.gram(grid, grid)))
-
-
 class TestToeplitzGram:
     # lattice steps per dimension, (with, without) the +R endpoint: 2R/step
     # integral or not, in units of the radius (1 on the ball, pi on the torus)
@@ -362,7 +356,9 @@ class TestToeplitzGram:
         model, lam, step = (ORACLE_CASES[case]() if case != "blocks"
                             else (_gmm3a()[0], 0.05, 0.002))
         fast = grid_oracle(model, lam, step)
-        _dense_reference(monkeypatch)
+        # the dense reference: the n x n gram, built for every model
+        monkeypatch.setattr(diagnostics, "_ToeplitzGram", lambda model, grid, step:
+                            diagnostics._DenseGram(model.gram(grid, grid)))
         dense = grid_oracle(model, lam, step)
         assert np.array_equal(fast.measure.positions, dense.measure.positions)
         assert fast.objective == pytest.approx(dense.objective, rel=1e-12)
@@ -395,7 +391,8 @@ class TestToeplitzGram:
             pytest.fail("the lattice was built")
 
         monkeypatch.setattr(diagnostics, "grid_points", built)
-        with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 4050\^3 cube"):
+        with pytest.raises(ValueError,
+                           match=r"grid_step = 0\.001 .* 6\.64e\+10-point padded"):
             grid_oracle(_shift_invariant("gmm", 3), 0.01, 1e-3)
 
 
