@@ -291,11 +291,11 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
         # about: a real cube, its half spectrum, the kernel's and one
         # product's (the offset lattice, d + 1 floats a point, comes first)
         pad = _fft_len(2 * _axis_steps(model.radius, grid_step) + 1)
-        cube = float(pad) ** model.dim
+        cube = math.prod([float(pad)] * model.dim)  # inf past the float range
         need = 32.0 * cube
         what = f"whose FFT products on a {cube:.3g}-point padded cube need"
     else:
-        need = 8.0 * approx**2
+        need = 8.0 * approx * approx
         what = "whose gram needs"
     if need > have:
         raise ValueError(
@@ -309,26 +309,30 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
     lip = _power_iteration_norm(gram) * 1.01
     n = len(grid)
 
-    w = np.zeros(n)
-    inertial = w.copy()
+    # one product a sweep: G @ inertial is the same momentum step on G @ w
+    w, gw = np.zeros(n), np.zeros(n)
+    inertial, g_inertial = w.copy(), gw.copy()
     momentum = 1.0
     f_prev = math.inf
     best_resid, best_w = math.inf, w
     done = 0
     for it in range(1, max_iter + 1):
-        grad = gram @ inertial - shifted
+        grad = g_inertial - shifted
         w_next = np.maximum(inertial - grad / lip, 0.0)
+        gw_next = gram @ w_next
         m_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
-        inertial = w_next + (momentum - 1.0) / m_next * (w_next - w)
-        f = 0.5 * w_next @ (gram @ w_next) - shifted @ w_next
+        beta = (momentum - 1.0) / m_next
+        inertial = w_next + beta * (w_next - w)
+        g_inertial = gw_next + beta * (gw_next - gw)
+        f = 0.5 * w_next @ gw_next - shifted @ w_next
         if f > f_prev:
-            inertial = w_next.copy()
+            inertial, g_inertial = w_next.copy(), gw_next
             m_next = 1.0
         f_prev = f
-        w, momentum = w_next, m_next
+        w, gw, momentum = w_next, gw_next, m_next
         done = it
         if it % polish_every == 0 or it == max_iter:
-            resid = _kkt_residual(gram @ w - shifted, w)
+            resid = _kkt_residual(gw - shifted, w)
             if resid < best_resid:
                 best_resid, best_w = resid, w.copy()
             if resid <= tol:
@@ -341,8 +345,7 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
 
     active = best_w > 0
     sol = ParticleMeasure(best_w[active], grid[active])
-    # the objective may be the first to build the model's (N, N) y_norm_sq
-    # matrix; the lattice gram must not be alive beside it
+    # ReLU's n x n lattice gram must not be alive beside the objective's work
     del gram
     return OracleResult(
         objective=objective(model, sol, lam),

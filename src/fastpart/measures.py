@@ -138,7 +138,8 @@ def grid_size_estimate(radius: float, dim: int, step: float) -> float:
     by the ball's share of its bounding cube (exact in 1-D).
     """
     ball_share = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) / 2.0**dim
-    return float(_axis_steps(radius, step) + 1) ** dim * ball_share
+    # a product, not **, so a count past the float range is inf, not an error
+    return math.prod([float(_axis_steps(radius, step) + 1)] * dim) * ball_share
 
 
 def grid_points(radius: float, dim: int, step: float) -> np.ndarray:

@@ -22,13 +22,14 @@ zero on the domain, at the price of error-function closed forms for
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .base import (GroundTruth, ModelBounds, ShiftInvariantModel, _fill_row_blocks,
-                   coordinate_product_grad, positive_finite)
+from .base import (_BLOCK_PAIRS, GroundTruth, ModelBounds, ShiftInvariantModel,
+                   _fill_row_blocks, coordinate_product_grad, positive_finite)
 
 _QUAD_NODES = 64
 
@@ -66,6 +67,28 @@ class _GaussianProfile:
     def value_and_deriv(self, x):
         val = _gauss_pdf(x, self.var, self._norm)
         return val, self._neg_inv_var * x * val
+
+    def pair_weights(self, pts, data):
+        """exp(-|t - y|^2 / (2 var)) for each row point t and sample y."""
+        q = np.subtract.outer(pts[:, 0], data[:, 0])
+        q *= q
+        for k in range(1, pts.shape[1]):
+            diff = np.subtract.outer(pts[:, k], data[:, k])
+            q += np.square(diff, out=diff)
+        q *= 0.5 * self._neg_inv_var
+        return np.exp(q, out=q)
+
+    def sample_mean(self, pts, data, grad):
+        """Sample mean of the d-fold product at t - y for each row point t,
+        and its gradient: scale S0 and -(scale / var) (t S0 - S1) from the
+        weights' per-row sums S0 and S1 (no BLAS: rows keep their bits)."""
+        e = self.pair_weights(pts, data)
+        scale = 1.0 / (len(data) * float(self._norm) ** pts.shape[1])
+        s0 = np.add.reduce(e, axis=1)
+        if not grad:
+            return (s0 * scale,)
+        s1 = np.stack([np.einsum("ij,j->i", e, y) for y in data.T], axis=1)
+        return s0 * scale, (scale * self._neg_inv_var) * (pts * s0[:, None] - s1)
 
 
 class _TruncatedConvProfile:
@@ -108,6 +131,14 @@ class _TruncatedConvProfile:
         base = _gauss_pdf(x, self.vsum, self._norm)
         val = base * box * self._inv_z
         return val, self._neg_inv_vsum * x * val + base * d_box
+
+    def sample_mean(self, pts, data, grad):
+        """Sample mean of the product at t - y, and its gradient, by pairs."""
+        diff = pts[:, None, :] - data
+        if not grad:
+            return (np.mean(_prod_profile(self, diff), axis=-1),)
+        vals, grads = _prod_profile_both(self, diff)
+        return np.mean(vals, axis=-1), np.mean(grads, axis=-2)
 
 
 class _QuadConvProfile:
@@ -243,47 +274,37 @@ class GaussianMixtureModel(ShiftInvariantModel):
         return _prod_profile_both(self._kern, diff)
 
     # the data-side quantities take row blocks of the points against all
-    # N samples; leading point dims are flattened, then restored
-    def inner_y(self, t):
+    # N samples through the profile's sample mean; leading point dims are
+    # flattened, then restored
+    def _sample_mean(self, t, grad):
         t = np.asarray(t, dtype=float)
         pts = t.reshape(-1, t.shape[-1])
+        vals, *grads = _fill_row_blocks(
+            lambda rows: self._ktilde.sample_mean(pts[rows], self.data, grad),
+            len(pts), self.n_data)
+        return (vals.reshape(t.shape[:-1])[()], *(g.reshape(t.shape) for g in grads))
 
-        def block(rows):
-            diff = pts[rows, None, :] - self.data
-            return (np.mean(_prod_profile(self._ktilde, diff), axis=-1),)
-
-        (vals,) = _fill_row_blocks(block, len(pts), self.n_data)
-        return vals.reshape(t.shape[:-1])[()]
+    def inner_y(self, t):
+        return self._sample_mean(t, grad=False)[0]
 
     def data_fit(self, t):
-        t = np.asarray(t, dtype=float)
-        pts = t.reshape(-1, t.shape[-1])
-
-        def block(rows):
-            diff = pts[rows, None, :] - self.data
-            vals, grads = _prod_profile_both(self._ktilde, diff)
-            return np.mean(vals, axis=-1), np.mean(grads, axis=-2)
-
-        vals, grads = _fill_row_blocks(block, len(pts), self.n_data)
-        return vals.reshape(t.shape[:-1])[()], grads.reshape(t.shape)
+        return self._sample_mean(t, grad=True)
 
     @cached_property
     def y_norm_sq(self) -> float:
-        # reproducing kernel of the embedding space is the Gaussian of
-        # scale ``bandwidth``, so <y, y> is a double mean over the sample;
-        # the (N, N) matrix is filled by row blocks and averaged at once
-        data = self.data
-        sq = np.sum(data**2, axis=1)
-        var = self.bandwidth**2
-        norm = (2.0 * np.pi * var) ** (self.dim / 2.0)
+        # <y, y> is the double sample mean of the embedding's kernel, the
+        # Gaussian of scale ``bandwidth``: N ones on the diagonal and each
+        # unordered pair twice, summed a row block at a time, never (N, N)
+        data, n = self.data, self.n_data
+        gauss = _GaussianProfile(self.bandwidth**2)
 
-        def block(rows):
-            d2 = sq[rows, None] + sq[None, :] - 2.0 * data[rows] @ data.T
-            np.maximum(d2, 0.0, out=d2)
-            return (np.exp(-0.5 * d2 / var) / norm,)
+        def pairs(a, b):  # i < j with a <= i < b: later samples, then in-block
+            return (gauss.pair_weights(data[a:b], data[b:]).sum()
+                    + np.triu(gauss.pair_weights(data[a:b], data[a:b]), 1).sum())
 
-        (vals,) = _fill_row_blocks(block, self.n_data, self.n_data)
-        return float(np.mean(vals))
+        step = max(1, _BLOCK_PAIRS // n)
+        upper = math.fsum(pairs(a, min(a + step, n)) for a in range(0, n, step))
+        return (2.0 * upper + n) / (n * n * float(gauss._norm) ** self.dim)
 
     # ----- stochastic surrogates --------------------------------------------
 

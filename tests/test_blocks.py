@@ -1,13 +1,15 @@
 """Row-blocked exact evaluation: the same bits as one row at a time, and a
 peak memory bounded by the output plus one block.
 
-``gram``, ``gram_bundle``, the mixture model's ``inner_y``/``data_fit``
-and its ``y_norm_sq`` evaluate fixed-size blocks of points and write
-each block into a preallocated output.  Only the point axis is split,
-so every output element must equal its one-row evaluation exactly.
+``gram``, ``gram_bundle`` and the mixture model's ``inner_y``/``data_fit``
+evaluate fixed-size blocks of points and write each block into a
+preallocated output.  Only the point axis is split, so every output
+element must equal its one-row evaluation exactly.  ``y_norm_sq`` sums
+its sample pairs a row block at a time and keeps no (N, N) matrix.
 Peak memory is read with ``tracemalloc``, which sees numpy's buffers.
 """
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -85,14 +87,41 @@ def test_data_side_rows_match_single_row_evaluation(name):
         assert np.array_equal(grad[i], one_grad)
 
 
+def _reference_data_fit(model, pts):
+    """The per-pair formula the fused Gaussian data side replaced: the
+    coordinate product of the 1-D density at every (point, sample)
+    difference and its leave-one-out gradient, averaged over the sample."""
+    var = model.bandwidth**2 + model.mixing_scale**2
+    diff = pts[:, None, :] - model.data
+    vals = np.exp(-0.5 * diff * diff / var) / np.sqrt(2.0 * np.pi * var)
+    ders = -diff / var * vals
+    grads = np.empty_like(vals)
+    for k in range(model.dim):
+        grads[..., k] = ders[..., k] * np.prod(np.delete(vals, k, axis=-1), axis=-1)
+    return np.mean(np.prod(vals, axis=-1), axis=-1), np.mean(grads, axis=-2)
+
+
+@pytest.mark.parametrize("name", ["gmm3a", "plain_gmm_2d"])
+def test_plain_data_side_matches_per_pair_reference(name):
+    model, lattice = _case(name)
+    assert len(lattice) > 3 * (1 << 16) // model.n_data  # several row blocks
+    ref_val, ref_grad = _reference_data_fit(model, lattice)
+    val, grad = model.data_fit(lattice)
+    assert np.max(np.abs(val - ref_val)) <= 1e-13 * np.max(np.abs(ref_val))
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
+    assert np.max(np.abs(model.inner_y(lattice) - ref_val)) <= (
+        1e-13 * np.max(np.abs(ref_val)))
+
+
 @pytest.mark.parametrize("name", MIXTURES)
 def test_y_norm_sq_matches_whole_matrix_mean(name):
+    # the exactly rounded sum of the whole direct-difference matrix
     model, _ = _case(name)
     x, var = model.data, model.bandwidth**2
-    sq = np.sum(x**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * x @ x.T, 0.0)
-    vals = np.exp(-0.5 * d2 / var) / (2.0 * np.pi * var) ** (model.dim / 2.0)
-    assert model.y_norm_sq == float(np.mean(vals))
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    total = math.fsum(np.exp(-0.5 * d2 / var).ravel())
+    want = total / (model.n_data**2 * (2.0 * np.pi * var) ** (model.dim / 2.0))
+    assert model.y_norm_sq == pytest.approx(want, rel=1e-14)
 
 
 def test_shapes_across_leading_dims_and_empty_input():
@@ -153,3 +182,9 @@ def test_y_norm_sq_peaks_near_its_matrix():
     model = _gmm3a()
     peak = _peak_bytes(lambda: model.y_norm_sq)
     assert peak < 1.25 * model.n_data**2 * 8
+
+
+def test_y_norm_sq_builds_no_sample_matrix():
+    # gmm3a's 2000 x 2000 sample matrix alone is 32 MB
+    model = _gmm3a()
+    assert _peak_bytes(lambda: model.y_norm_sq) < 2e6

@@ -404,6 +404,34 @@ trace_every = 10
         back = read_measure(tmp_path / "f2" / "final_measure.csv")
         assert back.dim == 2
 
+    def test_overflowing_oracle_lattice_exits_2(self, tmp_path, capsys):
+        # (2/1e-300)^2 lattice points overflow a float: the size estimate
+        # used to raise OverflowError, exit 1 naming no key
+        cfg = write_cfg(tmp_path, """
+[model]
+kind = fourier
+freq_cutoff = 1
+dim = 2
+spike_weights = 0.7
+spike_positions = -1.0 0.6
+
+[solver]
+mode = stochastic
+schedule = manual
+alpha = 0.1
+eta = 0.01
+k = 50
+lambda = 0.2
+init = random
+p = 4
+
+[oracle]
+grid_step = 1e-300
+""")
+        assert main(["oracle", cfg, "--out-dir", str(tmp_path / "orc"), "--quiet"]) == 2
+        assert "grid_step" in capsys.readouterr().err
+        assert not (tmp_path / "orc").exists()
+
     def test_dimension_mismatch_in_points_exits_2(self, tmp_path, capsys):
         text = """
 [model]

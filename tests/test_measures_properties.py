@@ -1,0 +1,97 @@
+"""Property tests of the measure and domain invariants: ``ParticleMeasure``
+accepts exactly the finite clouds with nonnegative weights, the ball and
+torus projections are idempotent and land in their domain, and one
+``step`` on a small random mixture problem keeps the weights nonnegative
+and finite and the positions in the domain.  Needs hypothesis (the
+``test`` extra); skipped without it."""
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel,  # noqa: E402
+                      GroundTruth, ParticleMeasure, RunConfig, project_to_ball,
+                      sample_mixture_data, step)
+from fastpart.models.fourier import wrap_torus  # noqa: E402
+from fastpart.optimizer import IterateState  # noqa: E402
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, width=64)
+COORD = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+
+
+@st.composite
+def clouds(draw, elements):
+    """(weights, positions) of a common particle count, d in 1..3."""
+    p, d = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    return (draw(arrays(float, p, elements=elements)),
+            draw(arrays(float, (p, d), elements=elements)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cloud=clouds(ANY_FLOAT))
+def test_particle_measure_accepts_exactly_finite_nonnegative_clouds(cloud):
+    weights, positions = cloud
+    valid = (np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+             and np.all(np.isfinite(positions)))
+    if not valid:
+        with pytest.raises(ValueError, match="weights|positions"):
+            ParticleMeasure(weights, positions)
+        return
+    nu = ParticleMeasure(weights, positions)
+    assert np.array_equal(nu.weights, weights)
+    assert np.array_equal(nu.positions, positions)
+
+
+def _within_2_ulp(a, b):
+    return np.all(np.abs(a - b) <= 2.0 * np.spacing(np.abs(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                     elements=COORD),
+       radius=st.floats(1e-3, 1e3))
+def test_ball_projection_is_idempotent_and_inside(points, radius):
+    once = project_to_ball(points, radius)
+    assert _within_2_ulp(project_to_ball(once, radius), once)
+    model = GaussianMixtureModel(np.zeros((1, points.shape[1])), bandwidth=1.0,
+                                 mixing_scale=1.0, radius=radius)
+    assert model.contains(once)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                     elements=COORD))
+def test_torus_wrap_is_idempotent_and_inside(points):
+    once = wrap_torus(points)
+    # on the torus -pi and +pi are one point: a coordinate within rounding
+    # of -pi may wrap to +pi and then back, so compare by torus offset
+    offset = wrap_torus(wrap_torus(once) - once)
+    assert np.all(np.abs(offset) <= 2.0 * np.spacing(np.abs(once)))
+    model = FourierDeconvolutionModel(0, points.shape[1], GroundTruth(
+        [1.0], np.zeros((1, points.shape[1]))))
+    assert model.contains(once)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 2),
+       trunc=st.sampled_from([None, 3.0]), n=st.integers(1, 30),
+       p=st.integers(1, 8), alpha=st.floats(0.01, 1.0), eta=st.floats(1e-4, 1.0),
+       lam=st.floats(0.0, 0.5), mode=st.sampled_from(["stochastic", "deterministic"]))
+def test_one_step_keeps_weights_nonnegative_and_positions_inside(
+        seed, dim, trunc, n, p, alpha, eta, lam, mode):
+    rng = np.random.default_rng(seed)
+    truth = GroundTruth(rng.random(2) + 0.1, rng.uniform(-0.8, 0.8, (2, dim)))
+    data = sample_mixture_data(truth, 0.2, n, rng, trunc_width=trunc)
+    model = GaussianMixtureModel(data, bandwidth=0.3, mixing_scale=0.2,
+                                 trunc_width=trunc)
+    init = ParticleMeasure(rng.random(p), project_to_ball(
+        rng.uniform(-1.0, 1.0, (p, dim)), 1.0))
+    cfg = RunConfig(alpha=alpha, eta=eta, iterations=1, lam=lam, init=init,
+                    batch_schedule=3, mode=mode)
+    state = step(IterateState(k=0, measure=init, rng=rng), model, cfg)
+    nu = state.measure
+    assert np.all(np.isfinite(nu.weights)) and np.all(nu.weights >= 0.0)
+    assert model.contains(nu.positions)
