@@ -94,16 +94,21 @@ def write_data(path: Path, data: np.ndarray, note: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _grid_oracle(cfg, model, lam: float):
-    """``grid_oracle`` on the [oracle] lattice; a lattice it refuses (one
-    whose gram exceeds physical memory) is a config error."""
+def _on_lattice(section: str, scan, *args):
+    """``scan(*args)`` on the [section] lattice; a lattice it refuses (one
+    beyond physical memory) is a config error."""
     try:
-        return diagnostics.grid_oracle(model, lam, cfg.oracle_step,
-                                       cfg.oracle_tol, cfg.oracle_max_iter)
+        return scan(*args)
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"[oracle] {exc}") from None
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
+def _grid_oracle(cfg, model, lam: float):
+    """``grid_oracle`` on the [oracle] lattice."""
+    return _on_lattice("oracle", diagnostics.grid_oracle, model, lam, cfg.oracle_step,
+                       cfg.oracle_tol, cfg.oracle_max_iter)
 
 
 def _resolve_tv_star(cfg, spec, model, quiet: bool):
@@ -194,9 +199,8 @@ def cmd_certify(args) -> int:
         raise ConfigError(
             f"measure dimension {measure.dim} does not match model dimension {model.dim}"
         )
-    report = diagnostics.kkt_certificate(model, measure, cfg.solver.lam,
-                                         cfg.certify_step,
-                                         cfg.certify_mass_threshold)
+    report = _on_lattice("certify", diagnostics.kkt_certificate, model, measure,
+                         cfg.solver.lam, cfg.certify_step, cfg.certify_mass_threshold)
     ok = report.certified(cfg.certify_tol)
     if not args.quiet:
         print(f"grid_min={report.grid_min:.8g}")

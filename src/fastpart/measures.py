@@ -126,39 +126,46 @@ def sample_particle_index(measure: ParticleMeasure, rng: np.random.Generator,
     return np.minimum(idx, len(cdf) - 1)
 
 
-def _axis_steps(radius: float, step: float) -> int:
-    # small slack so 2R/step that is integral up to roundoff keeps +R
+def _axis_steps(radius: float, step: float, torus: bool = False) -> int:
+    # small slack so 2R/step that is integral up to roundoff keeps +R on
+    # the ball, and leaves it out on the torus, where it is -R
+    if torus:
+        return int(np.ceil(2.0 * radius / step - 1e-9)) - 1
     return int(np.floor(2.0 * radius / step + 1e-9))
 
 
-def grid_size_estimate(radius: float, dim: int, step: float) -> float:
+def grid_size_estimate(radius: float, dim: int, step: float,
+                       torus: bool = False) -> float:
     """About how many points ``grid_points`` returns, without building it.
 
-    The cube count (floor(2R/step) + 1)^d bounds the lattice; it is scaled
-    by the ball's share of its bounding cube (exact in 1-D).
+    The cube count (floor(2R/step) + 1)^d bounds the lattice; on the ball
+    it is scaled by the ball's share of its bounding cube (exact in 1-D).
     """
-    ball_share = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) / 2.0**dim
+    share = 1.0 if torus else (
+        math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) / 2.0**dim)
     # a product, not **, so a count past the float range is inf, not an error
-    return math.prod([float(_axis_steps(radius, step) + 1)] * dim) * ball_share
+    return math.prod([float(_axis_steps(radius, step, torus) + 1)] * dim) * share
 
 
-def grid_points(radius: float, dim: int, step: float) -> np.ndarray:
-    """Uniform lattice of the given step covering the centered ball.
+def grid_points(radius: float, dim: int, step: float, torus: bool = False) -> np.ndarray:
+    """Uniform lattice of the given step covering the centered ball, or
+    the torus [-radius, radius)^d.
 
-    The lattice is anchored at ``-radius`` on every axis, includes the
-    ``+radius`` endpoint whenever ``2*radius/step`` is integral, and is
-    filtered to points with Euclidean norm <= radius.  Returns an (n, d)
-    array.
+    The lattice is anchored at ``-radius`` on every axis.  On the ball it
+    includes the ``+radius`` endpoint whenever ``2*radius/step`` is
+    integral and is filtered to points with Euclidean norm <= radius; on
+    the torus it is the whole cube but for that endpoint, which is
+    ``-radius`` there.  Returns an (n, d) array.
     """
     if step <= 0:
         raise ValueError("grid step must be positive")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    axis = -radius + step * np.arange(_axis_steps(radius, step) + 1)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    inside = np.sqrt(np.sum(pts**2, axis=1)) <= radius * (1.0 + 1e-12)
-    pts = pts[inside]
+    axis = -radius + step * np.arange(_axis_steps(radius, step, torus) + 1)
+    pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij", copy=False),
+                   axis=-1).reshape(-1, dim)
+    if not torus:
+        pts = pts[np.sqrt(np.sum(pts**2, axis=1)) <= radius * (1.0 + 1e-12)]
     if len(pts) == 0:
         raise ValueError(
             f"step {step} yields no lattice point inside the ball of radius {radius}"

@@ -84,9 +84,8 @@ class FeatureModel(ABC):
     gradients (in ``t``) add a trailing ``d`` axis.
 
     * ``kernel(t, t')`` and ``inner_y(t)``: values only, for the lattice
-      scans (grid oracle gram, certificates) that must not allocate a
-      gradient array (a ``ShiftInvariantModel`` writes ``kernel``
-      through its ``offset_kernel``);
+      scans (grid oracle columns, certificates) that must not allocate a
+      gradient array;
     * ``kernel_fields(t, t') -> (K, grad K)`` and
       ``data_fit(t) -> (<phi_t, y>, its gradient)``: the exact fields;
     * ``kernel_surrogate(t, t', u) -> (g, grad g)`` and
@@ -115,6 +114,9 @@ class FeatureModel(ABC):
     # floats one kernel value expands a point pair into (a quadrature or
     # frequency axis): the row blocks of gram/gram_bundle count them
     _pair_width: int = 1
+    # the domain is the ball of ``radius``, or with ``torus`` the cube
+    # [-radius, radius)^d with opposite faces identified
+    torus: bool = False
 
     # ----- quantity primitives ---------------------------------------------
 
@@ -210,23 +212,6 @@ class FeatureModel(ABC):
         return True
 
 
-class ShiftInvariantModel(FeatureModel):
-    """A model whose kernel depends on t - t' only: K(t, t') = k(t - t').
-
-    ``offset_kernel(diff)`` is k, and ``kernel`` is written through it.
-    On a uniform lattice such a kernel's gram is (block-)Toeplitz, so the
-    grid oracle takes its products by FFT instead of building it.
-    """
-
-    @abstractmethod
-    def offset_kernel(self, diff):
-        """k(diff), diff of shape (..., d)."""
-
-    def kernel(self, t, t_prime):
-        return self.offset_kernel(np.asarray(t, dtype=float)
-                                  - np.asarray(t_prime, dtype=float))
-
-
 # Point pairs per row block of a pairwise or data-side evaluation: about
 # 512 KB per float64 temporary, whatever the number of points.
 _BLOCK_PAIRS = 1 << 16
@@ -254,6 +239,15 @@ def _fill_row_blocks(evaluate, n_rows: int, row_width: int):
         for out, part in zip(outs, parts):
             out[rows] = part
     return outs
+
+
+def _fill_point_blocks(evaluate, t, row_width: int):
+    """``_fill_row_blocks`` over the points of t, shape (..., d): the
+    leading dims are flattened into rows, then restored on each output."""
+    t = np.asarray(t, dtype=float)
+    pts = t.reshape(-1, t.shape[-1])
+    outs = _fill_row_blocks(lambda rows: evaluate(pts[rows]), len(pts), row_width)
+    return tuple(out.reshape(t.shape[:-1] + out.shape[1:])[()] for out in outs)
 
 
 def _pairwise(t, t_prime):

@@ -23,12 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import GroundTruth, ModelBounds, ShiftInvariantModel, coordinate_product_grad
+from .base import FeatureModel, GroundTruth, ModelBounds, coordinate_product_grad
 
 TORUS_RADIUS = np.pi
 
 
-class FourierDeconvolutionModel(ShiftInvariantModel):
+class FourierDeconvolutionModel(FeatureModel):
     """Spike deconvolution against a low-pass kernel on the d-torus.
 
     Parameters
@@ -42,6 +42,8 @@ class FourierDeconvolutionModel(ShiftInvariantModel):
         Spikes (weights, positions) plus optional noise atoms
         (noise_coeffs, noise_positions) entering the observation.
     """
+
+    torus = True
 
     def __init__(self, freq_cutoff: int, dim: int, truth: GroundTruth):
         if freq_cutoff < 0:
@@ -83,7 +85,8 @@ class FourierDeconvolutionModel(ShiftInvariantModel):
                        * np.sin(np.asarray(x, dtype=float)[..., None]
                                 * self._freqs_1d), axis=-1)
 
-    def offset_kernel(self, diff):
+    def kernel(self, t, t_prime):
+        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
         return np.prod(self._k_1d(diff), axis=-1)
 
     def kernel_fields(self, t, t_prime):
@@ -152,4 +155,6 @@ class FourierDeconvolutionModel(ShiftInvariantModel):
 
 def wrap_torus(points: np.ndarray) -> np.ndarray:
     """Reduce coordinates to the fundamental domain [-pi, pi)."""
-    return np.mod(np.asarray(points, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    wrapped = np.mod(np.asarray(points, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    # a coordinate just below -pi rounds to 2 pi in the mod, so to +pi
+    return np.where(wrapped < np.pi, wrapped, -np.pi)

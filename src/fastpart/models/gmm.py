@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .base import (_BLOCK_PAIRS, GroundTruth, ModelBounds, ShiftInvariantModel,
-                   _fill_row_blocks, coordinate_product_grad, positive_finite)
+from .base import (_BLOCK_PAIRS, FeatureModel, GroundTruth, ModelBounds,
+                   _fill_point_blocks, coordinate_product_grad, positive_finite)
 
 _QUAD_NODES = 64
 
@@ -214,7 +214,7 @@ def sample_mixture_data(truth: GroundTruth, mixing_scale: float, n: int,
     return pts + sample_mixing_noise(rng, pts.shape, mixing_scale, trunc_width)
 
 
-class GaussianMixtureModel(ShiftInvariantModel):
+class GaussianMixtureModel(FeatureModel):
     """Mixture deconvolution problem over the centered ball.
 
     Parameters
@@ -266,29 +266,23 @@ class GaussianMixtureModel(ShiftInvariantModel):
 
     # ----- exact quantities -------------------------------------------------
 
-    def offset_kernel(self, diff):
-        return _prod_profile(self._kern, np.asarray(diff, dtype=float))
+    def kernel(self, t, t_prime):
+        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
+        return _prod_profile(self._kern, diff)
 
     def kernel_fields(self, t, t_prime):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
         return _prod_profile_both(self._kern, diff)
 
     # the data-side quantities take row blocks of the points against all
-    # N samples through the profile's sample mean; leading point dims are
-    # flattened, then restored
-    def _sample_mean(self, t, grad):
-        t = np.asarray(t, dtype=float)
-        pts = t.reshape(-1, t.shape[-1])
-        vals, *grads = _fill_row_blocks(
-            lambda rows: self._ktilde.sample_mean(pts[rows], self.data, grad),
-            len(pts), self.n_data)
-        return (vals.reshape(t.shape[:-1])[()], *(g.reshape(t.shape) for g in grads))
-
+    # N samples through the profile's sample mean
     def inner_y(self, t):
-        return self._sample_mean(t, grad=False)[0]
+        return _fill_point_blocks(
+            lambda pts: self._ktilde.sample_mean(pts, self.data, False), t, self.n_data)[0]
 
     def data_fit(self, t):
-        return self._sample_mean(t, grad=True)
+        return _fill_point_blocks(
+            lambda pts: self._ktilde.sample_mean(pts, self.data, True), t, self.n_data)
 
     @cached_property
     def y_norm_sq(self) -> float:

@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import FeatureModel, ModelBounds, positive_finite
+from .base import (FeatureModel, ModelBounds, _fill_point_blocks, _fill_row_blocks,
+                   positive_finite)
 
 
 def sample_regression_data(n: int, dim: int, rng: np.random.Generator,
@@ -87,9 +88,11 @@ class ReluFeatureModel(FeatureModel):
         return (np.mean(np.maximum(zt, 0.0) * fs, axis=-1),
                 ((zt > 0.0) * fs) @ self.x / self.n_data)
 
+    # the lattice scans take row blocks of the points against all N samples
     def inner_y(self, t):
-        ft = np.maximum(np.asarray(t, dtype=float) @ self.x.T, 0.0)
-        return np.mean(ft * self.y, axis=-1)
+        return _fill_point_blocks(
+            lambda pts: (np.mean(np.maximum(pts @ self.x.T, 0.0) * self.y, axis=-1),),
+            t, self.n_data)[0]
 
     def data_fit(self, t):
         zt = np.asarray(t, dtype=float) @ self.x.T
@@ -97,12 +100,15 @@ class ReluFeatureModel(FeatureModel):
                 ((zt > 0.0) * self.y) @ self.x / self.n_data)
 
     # speed overrides of the derived pairwise forms: one matmul over the
-    # sample instead of an (n, q, N) broadcast.  They differ from the
-    # pointwise mean in the last bits; the golden ReLU cases pin them.
+    # sample (a row block of t at a time) instead of an (n, q, N)
+    # broadcast.  They differ from the pointwise mean in the last bits; the
+    # golden ReLU cases pin them.
     def gram(self, t, t_prime):
-        ft = np.maximum(np.atleast_2d(np.asarray(t, dtype=float)) @ self.x.T, 0.0)
+        t = np.atleast_2d(np.asarray(t, dtype=float))
         fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
-        return ft @ fs.T / self.n_data
+        return _fill_row_blocks(
+            lambda rows: (np.maximum(t[rows] @ self.x.T, 0.0) @ fs.T / self.n_data,),
+            len(t), self.n_data)[0]
 
     def gram_bundle(self, t, t_prime):
         t = np.atleast_2d(np.asarray(t, dtype=float))

@@ -133,13 +133,27 @@ ORACLE_TOO_FINE = "\n[oracle]\ngrid_step = 0.001\n"
 ])
 def test_oracle_lattice_beyond_memory_is_refused_before_it_is_built(
         tmp_path, capsys, command, extra):
-    # the 2-D unit disk at step 1e-3 holds about 3.1M points: a ~79 TB gram
+    # the 3-D unit ball at step 1e-3 holds about 4.2e9 points
     out = tmp_path / "out"
     path = _config(tmp_path, "relu", extra=extra + f"\n[output]\ndir = {out}\n")
+    path.write_text(path.read_text().replace("dim = 2", "dim = 3", 1))
     assert main([command, str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "[oracle] grid_step = 0.001" in err and "3.14e+06 points" in err
+    assert "[oracle] grid_step = 0.001" in err and "4.2e+09 points" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["1e-300", "1e-11"])
+def test_certify_lattice_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, step):
+    # these used to exit 1 with numpy's "Maximum allowed size exceeded" and
+    # "Unable to allocate 4.57 TiB", which name no key
+    monkeypatch.setattr(diagnostics, "grid_points",
+                        lambda *args: pytest.fail("the lattice was built"))
+    measure = tmp_path / "measure.csv"
+    measure.write_text("weight,x0\n0.5,0.1\n", encoding="utf-8")
+    path = _config(tmp_path, extra=f"\n[certify]\ngrid_step = {step}\n")
+    assert main(["certify", str(path), str(measure), "--quiet"]) == 2
+    assert f"[certify] grid_step = {step} gives a lattice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,solver_step,extra,section", [

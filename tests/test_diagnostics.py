@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel, GroundTruth,
-                      ParticleMeasure, benchmarks, diagnostics, marginal_cost,
-                      sample_mixture_data)
+                      ParticleMeasure, ReluFeatureModel, diagnostics, marginal_cost,
+                      sample_mixture_data, sample_regression_data)
 from fastpart.diagnostics import (
     _kkt_residual,
-    _power_iteration_norm,
     finite_diff_check,
     grid_oracle,
     kkt_certificate,
@@ -201,15 +200,23 @@ class TestGridOracle:
         assert vals[1] <= vals[0] + 1e-12
         assert vals[2] <= vals[1] + 1e-12
 
-    def test_lattice_beyond_memory_is_refused_before_it_is_built(
-            self, relu_model, monkeypatch):
-        # the 2-D unit disk at step 1e-3 holds about 3.1M points: a ~79 TB gram
+    def test_lattice_beyond_memory_is_refused_before_it_is_built(self, monkeypatch):
+        # the 3-D unit ball at step 1e-3 holds about 4.2e9 points
+        x, y = sample_regression_data(64, 3, np.random.default_rng(3))
+
         def built(*args):
             pytest.fail("the lattice was built")
 
         monkeypatch.setattr(diagnostics, "grid_points", built)
-        with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 3\.14e\+06 points"):
-            grid_oracle(relu_model, 0.01, 1e-3)
+        with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 4\.2e\+09 points"):
+            grid_oracle(ReluFeatureModel(x, y), 0.01, 1e-3)
+
+    def test_certificate_lattice_beyond_memory_is_refused_before_it_is_built(
+            self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "grid_points",
+                            lambda *args: pytest.fail("the lattice was built"))
+        with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 4\.2e\+09 points"):
+            kkt_certificate(_small_model("gmm", 3), EMPTY, 0.01, 1e-3)
 
     def test_unconverged_flag(self, gmm_small):
         # a tolerance below machine precision is unreachable
@@ -219,10 +226,80 @@ class TestGridOracle:
         assert orc.kkt_residual > 1e-17
         assert orc.measure.size > 0  # best iterate still returned
 
+    def test_max_iter_counts_points_joined(self, gmm_small):
+        full = grid_oracle(gmm_small, 0.05, grid_step=0.02)
+        assert full.converged and full.iterations >= full.measure.size > 1
+        cut = grid_oracle(gmm_small, 0.05, grid_step=0.02, max_iter=1)
+        assert cut.iterations == 1 and cut.measure.size == 1
+        assert not cut.converged and cut.objective > full.objective
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["blocks"])
+    def test_oracle_agrees_with_dense_reference(self, case):
+        # every golden oracle case, and the multi-block one of test_golden,
+        # against the greedy drop on the n x n gram over the whole lattice
+        model, lam, step = (ORACLE_CASES[case]() if case != "blocks"
+                            else (_gmm3a()[0], 0.05, 0.002))
+        orc = grid_oracle(model, lam, step)
+        lattice = grid_points(model.radius, model.dim, step)
+        ref = ParticleMeasure(*_greedy_weights(model, lattice, lam))
+        assert np.array_equal(orc.measure.positions, ref.positions)
+        assert orc.objective == pytest.approx(objective(model, ref, lam), rel=1e-12)
+        assert orc.converged
+        for nu in (orc.measure, ref):
+            assert kkt_certificate(model, nu, lam, step).certified(1e-6)
+
+    def test_gmm3a_takes_at_most_18_solves(self, monkeypatch):
+        # gmm3a_compare.cfg's oracle: a 6-point support out of 2001 points
+        model, lam = _gmm3a()
+        lstsq, solves = np.linalg.lstsq, [0]
+
+        def counted_lstsq(*args, **kwargs):
+            solves[0] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        orc = grid_oracle(model, lam, 1e-3)
+        assert orc.converged and orc.measure.size == 6
+        assert solves[0] <= 18
+
+    def test_oracle_builds_no_lattice_gram(self):
+        # gmm3a_compare.cfg's oracle: its 2001 x 2001 gram alone is 32 MB
+        model, lam = _gmm3a()
+        model.y_norm_sq  # the (N, N) data matrix is not the oracle's
+        assert _peak_bytes(lambda: grid_oracle(model, lam, 1e-3)) < 8e6
+
+    def test_two_dimensional_oracle_beyond_a_dense_gram(self):
+        # 7845 disk points at step 0.02: the dense gram would be 492 MB
+        model = _small_model("gmm", 2)
+        assert 8.0 * len(grid_points(1.0, 2, 0.02)) ** 2 > 400e6
+        model.y_norm_sq
+        orcs = []
+        peak = _peak_bytes(lambda: orcs.append(grid_oracle(model, 0.05, 0.02)))
+        assert peak < 50e6
+        (orc,) = orcs
+        assert orc.converged and orc.measure.size > 0
+        assert kkt_certificate(model, orc.measure, 0.05, 0.02).certified(1e-6)
+
+    def test_fourier_oracle_covers_the_whole_torus(self):
+        # one spike near the corner (pi, pi): the ball of radius pi misses
+        # it, and the oracle certified J* = 0.477 on 12 atoms there
+        model = FourierDeconvolutionModel(3, 2, GroundTruth([1.0], [[2.8, 2.8]]))
+        orc = grid_oracle(model, 0.05, 0.2)
+        assert orc.converged and orc.objective < 0.051
+        assert np.all(orc.measure.positions > 2.5)
+        assert kkt_certificate(model, orc.measure, 0.05, 0.2).certified(1e-6)
+        # the optimum on the ball's lattice, which the oracle used to
+        # certify, fails the certificate on the whole torus
+        lattice = grid_points(np.pi, 2, 0.2)
+        ball = ParticleMeasure(*_greedy_weights(model, lattice, 0.05))
+        assert objective(model, ball, 0.05) > 0.47
+        assert not kkt_certificate(model, ball, 0.05, 0.2).certified(1e-6)
+
 
 def _greedy_polish(gram, shifted, active, tol, max_rounds=300):
-    """Reference polish: from the whole candidate support, drop the most
-    negative coordinate of the restricted solve, one solve at a time."""
+    """Reference solve on the dense gram: from the candidate support, drop
+    the most negative coordinate of the restricted solve, one solve at a
+    time; then the grid point with the worst cost violation joins."""
     active = active.copy()
     n = len(shifted)
     w = np.zeros(n)
@@ -256,69 +333,15 @@ def _greedy_polish(gram, shifted, active, tol, max_rounds=300):
     return w, resid
 
 
-def _two_matvec_norm(gram, iters=50):
-    """Reference power iteration: a second product for the Rayleigh quotient."""
-    rng = np.random.default_rng(12345)
-    v = rng.normal(size=gram.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(iters):
-        v = gram @ v
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return 1.0
-        v /= nrm
-        lam = float(v @ (gram @ v))
-    return max(lam, 1e-30)
+def _greedy_weights(model, lattice, lam):
+    """(weights, positions) of ``_greedy_polish`` over a whole lattice,
+    from the empty support."""
+    w, _ = _greedy_polish(model.gram(lattice, lattice), model.inner_y(lattice) - lam,
+                          np.zeros(len(lattice), dtype=bool), 1e-6)
+    return w[w > 0], lattice[w > 0]
 
 
-class TestOraclePieces:
-    def test_polish_few_solves_same_bits_as_greedy(self, monkeypatch):
-        # gmm3a at step 1e-3: APG leaves 264 candidates for a 6-point
-        # support, which the greedy drop reached in 321 solves; the active
-        # set's own last solve gives the weights, so none is repeated
-        problem = benchmarks.get_benchmark("gmm3a")
-        model = benchmarks.build_model(problem)
-        polish, lstsq = diagnostics._active_set_polish, np.linalg.lstsq
-        solves, calls = [0], []
-
-        def counted_lstsq(*args, **kwargs):
-            solves[0] += 1
-            return lstsq(*args, **kwargs)
-
-        def spy(gram, shifted, active, tol):
-            before = solves[0]
-            out = polish(gram, shifted, active, tol)
-            calls.append((gram, shifted, active, tol, out, solves[0] - before))
-            return out
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        monkeypatch.setattr(diagnostics, "_active_set_polish", spy)
-        orc = grid_oracle(model, problem.lam, 1e-3)
-        monkeypatch.undo()
-        assert orc.converged and orc.measure.size == 6
-        (_, shifted, active, tol, (w, resid), n_solves), = calls
-        assert active.sum() == 264
-        assert n_solves <= 18
-        lattice = grid_points(model.radius, model.dim, 1e-3)
-        w_ref, resid_ref = _greedy_polish(model.gram(lattice, lattice), shifted,
-                                          active, tol)
-        assert w.tobytes() == w_ref.tobytes()
-        # the polish's residual comes from the oracle's FFT product, the
-        # reference's from the dense one: equal up to the products' roundoff
-        op = diagnostics._ToeplitzGram(model, lattice, 1e-3)
-        assert resid.hex() == _kkt_residual(op @ w - shifted, w).hex()
-        assert abs(resid - resid_ref) <= 1e-13
-
-    @pytest.mark.parametrize("case", ["gmm3a", "relu"])
-    def test_power_iteration_matches_two_matvec_form(self, case):
-        model, _, step = ORACLE_CASES[case]()
-        lattice = grid_points(model.radius, model.dim, step)
-        gram = model.gram(lattice, lattice)
-        assert _power_iteration_norm(gram).hex() == _two_matvec_norm(gram).hex()
-
-
-def _shift_invariant(kind, dim):
+def _small_model(kind, dim):
     """A plain or truncated mixture on the unit ball, or a Fourier model on
     the torus, in ``dim`` dimensions."""
     rng = np.random.default_rng(dim)
@@ -330,74 +353,6 @@ def _shift_invariant(kind, dim):
                                trunc_width=trunc)
     return GaussianMixtureModel(data, bandwidth=0.15, mixing_scale=0.1,
                                 trunc_width=trunc)
-
-
-class TestToeplitzGram:
-    # lattice steps per dimension, (with, without) the +R endpoint: 2R/step
-    # integral or not, in units of the radius (1 on the ball, pi on the torus)
-    STEPS = {1: (0.04, 0.045), 2: (0.1, 0.11)}
-
-    @pytest.mark.parametrize("endpoint", [True, False])
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("kind", ["gmm", "trunc_gmm", "fourier"])
-    def test_fft_product_matches_dense_gram(self, kind, dim, endpoint):
-        model = _shift_invariant(kind, dim)
-        step = model.radius * self.STEPS[dim][0 if endpoint else 1]
-        grid = grid_points(model.radius, model.dim, step)
-        assert np.isclose(grid.max(), model.radius) == endpoint
-        gram = model.gram(grid, grid)
-        op = diagnostics._ToeplitzGram(model, grid, step)
-        rng = np.random.default_rng(0)
-        for x in (rng.random(len(grid)), rng.normal(size=len(grid))):
-            scale = np.max(np.abs(gram) @ np.abs(x))
-            assert np.max(np.abs(op @ x - gram @ x)) <= 1e-13 * scale
-        rows, cols = rng.choice(len(grid), 7), np.sort(rng.choice(len(grid), 5))
-        assert np.array_equal(op.entries(rows, cols), gram[np.ix_(rows, cols)])
-
-    @pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["blocks"])
-    def test_oracle_agrees_with_dense_reference(self, case, monkeypatch):
-        # every golden oracle case, and the multi-block one of test_golden
-        model, lam, step = (ORACLE_CASES[case]() if case != "blocks"
-                            else (_gmm3a()[0], 0.05, 0.002))
-        fast = grid_oracle(model, lam, step)
-        # the dense reference: the n x n gram, built for every model
-        monkeypatch.setattr(diagnostics, "_ToeplitzGram", lambda model, grid, step:
-                            diagnostics._DenseGram(model.gram(grid, grid)))
-        dense = grid_oracle(model, lam, step)
-        assert np.array_equal(fast.measure.positions, dense.measure.positions)
-        assert fast.objective == pytest.approx(dense.objective, rel=1e-12)
-        for orc in (fast, dense):
-            assert orc.converged
-            assert kkt_certificate(model, orc.measure, lam, step).certified(1e-6)
-
-    def test_oracle_builds_no_lattice_gram(self):
-        # gmm3a_compare.cfg's oracle: its 2001 x 2001 gram alone is 32 MB
-        model, lam = _gmm3a()
-        model.y_norm_sq  # the (N, N) data matrix is not the oracle's
-        assert _peak_bytes(lambda: grid_oracle(model, lam, 1e-3)) < 8e6
-
-    def test_two_dimensional_oracle_beyond_a_dense_gram(self):
-        # 7845 disk points at step 0.02: the dense gram would be 492 MB
-        model = _shift_invariant("gmm", 2)
-        assert 8.0 * len(grid_points(1.0, 2, 0.02)) ** 2 > 400e6
-        model.y_norm_sq
-        orcs = []
-        peak = _peak_bytes(lambda: orcs.append(grid_oracle(model, 0.05, 0.02)))
-        assert peak < 50e6
-        (orc,) = orcs
-        assert orc.converged and orc.measure.size > 0
-        assert kkt_certificate(model, orc.measure, 0.05, 0.02).certified(1e-6)
-
-    def test_padded_cube_beyond_memory_is_refused_before_it_is_built(
-            self, monkeypatch):
-        # the 3-D ball at step 1e-3 pads to a 4050^3 cube: ~2 TB of FFT buffers
-        def built(*args):
-            pytest.fail("the lattice was built")
-
-        monkeypatch.setattr(diagnostics, "grid_points", built)
-        with pytest.raises(ValueError,
-                           match=r"grid_step = 0\.001 .* 6\.64e\+10-point padded"):
-            grid_oracle(_shift_invariant("gmm", 3), 0.01, 1e-3)
 
 
 class TestFiniteDiff:

@@ -1,9 +1,9 @@
-"""Property test of the grid oracle's polish on small random
-Gaussian-kernel lattices, against the greedy drop it replaced: the
+"""Property test of the grid oracle's active set on small random
+Gaussian-kernel lattices, against the greedy drop on the dense gram: the
 weights are nonnegative, the residual is the one they give, and the
-polish certifies wherever the greedy drop does, with the same weights
-up to the certificate's tolerance.  Needs hypothesis (the ``test``
-extra); skipped without it."""
+active set certifies wherever the greedy drop does, with the same
+weights up to the certificate's tolerance.  Needs hypothesis (the
+``test`` extra); skipped without it."""
 import numpy as np
 import pytest
 
@@ -11,27 +11,42 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fastpart.diagnostics import _DenseGram, _active_set_polish, _kkt_residual  # noqa: E402
+from fastpart.diagnostics import _kkt_residual, _lawson_hanson  # noqa: E402
 from test_diagnostics import _greedy_polish  # noqa: E402
 
 TOL = 1e-6
 
 
+class _GaussianLattice:
+    """The Gaussian kernel of the given width on 1-D points."""
+
+    def __init__(self, width):
+        self.width = width
+
+    def gram(self, t, s):
+        return np.exp(-0.5 * ((t[:, None, 0] - s[None, :, 0]) / self.width) ** 2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 40), width=st.floats(0.03, 1.0), lam=st.floats(0.0, 0.5),
        share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_polish_is_feasible_and_certifies_where_greedy_does(n, width, lam, share,
-                                                            seed):
+def test_active_set_is_feasible_and_certifies_where_greedy_does(n, width, lam, share,
+                                                                seed):
     rng = np.random.default_rng(seed)
     t = np.linspace(-1.0, 1.0, n)
-    gram = np.exp(-0.5 * ((t[:, None] - t[None, :]) / width) ** 2)
+    model = _GaussianLattice(width)
+    gram = model.gram(t[:, None], t[:, None])
     centres = rng.uniform(-1.0, 1.0, 3)
     shifted = np.exp(-0.5 * ((t[:, None] - centres) / width) ** 2) @ rng.random(3) - lam
-    active = rng.random(n) < share
-    w, resid = _active_set_polish(_DenseGram(gram), shifted, active, TOL)
+    w, cost, joined = _lawson_hanson(model, t[:, None], shifted, 20_000)
+    resid = _kkt_residual(cost, w)
     assert np.all(w >= 0.0)
-    assert resid == _kkt_residual(gram @ w - shifted, w)
-    w_ref, resid_ref = _greedy_polish(gram, shifted, active, TOL)
+    assert joined >= np.count_nonzero(w)
+    # the last scan's cost is the gram's product with the weights
+    scale = np.abs(gram) @ np.abs(w) + np.abs(shifted)
+    assert np.all(np.abs(cost - (gram @ w - shifted)) <= 1e-12 * scale)
+    # the greedy drop, from a random candidate support over the lattice
+    w_ref, resid_ref = _greedy_polish(gram, shifted, rng.random(n) < share, TOL)
     if resid_ref <= TOL:
         assert resid <= TOL
         # Two solutions certified at TOL differ by at most delta per point

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -64,10 +64,13 @@ def test_ball_projection_is_idempotent_and_inside(points, radius):
 @settings(max_examples=300, deadline=None)
 @given(points=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 3)),
                      elements=COORD))
+# just below -pi, the mod rounds to 2 pi: this used to wrap to +pi
+@example(points=np.array([[np.nextafter(-np.pi, -4.0)]]))
 def test_torus_wrap_is_idempotent_and_inside(points):
     once = wrap_torus(points)
-    # on the torus -pi and +pi are one point: a coordinate within rounding
-    # of -pi may wrap to +pi and then back, so compare by torus offset
+    assert np.all((-np.pi <= once) & (once < np.pi))
+    # wrapping again may move a coordinate by the rounding of (x + pi) - pi,
+    # so compare by torus offset
     offset = wrap_torus(wrap_torus(once) - once)
     assert np.all(np.abs(offset) <= 2.0 * np.spacing(np.abs(once)))
     model = FourierDeconvolutionModel(0, points.shape[1], GroundTruth(
