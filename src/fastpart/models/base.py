@@ -78,26 +78,27 @@ def _as_points(points) -> np.ndarray:
 class FeatureModel(ABC):
     """Capability interface shared by all problem models.
 
-    A model implements six quantity primitives.  Point arguments
+    A model implements four quantity primitives.  Point arguments
     broadcast: ``t`` and ``t_prime`` may be single ``(d,)`` vectors or
     stacked ``(..., d)`` arrays; values follow the broadcast shape and
     gradients (in ``t``) add a trailing ``d`` axis.
 
-    * ``kernel(t, t')`` and ``inner_y(t)``: values only, for the lattice
-      scans (grid oracle columns, certificates) that must not allocate a
-      gradient array;
-    * ``kernel_fields(t, t') -> (K, grad K)`` and
-      ``data_fit(t) -> (<phi_t, y>, its gradient)``: the exact fields;
+    * ``kernel_fields(t, t', grad) -> (K, grad K)`` and
+      ``data_fit(t, grad) -> (<phi_t, y>, its gradient)``: the exact
+      fields; with ``grad=False`` each returns the 1-tuple ``(value,)``,
+      for the lattice scans (grid oracle columns, certificates) that must
+      not allocate a gradient array;
     * ``kernel_surrogate(t, t', u) -> (g, grad g)`` and
       ``data_surrogate(t, v) -> (h, grad h)``: the stochastic fields.
 
-    A value primitive must equal the first output of its fused twin bit
-    for bit.  The joint ``surrogate_fields`` and the pairwise
-    ``gram``/``gram_bundle`` are derived here from the primitives; a
-    single quantity is the matching primitive's ``[0]`` or ``[1]``.
+    The joint ``surrogate_fields`` and the pairwise ``gram_bundle`` (with
+    the same ``grad`` flag) are derived here from the primitives; a single
+    quantity is the matching primitive's ``[0]`` or ``[1]``, and the
+    values ``kernel``, ``inner_y`` and ``gram`` are the ``[0]`` of the
+    ``grad=False`` call, so a value equals its fused form bit for bit.
     Models override a derived method only for speed, each with its
     reason: the mixture model's ``surrogate_fields`` (same bits) and the
-    ReLU model's matmul ``gram``/``gram_bundle``.
+    ReLU model's matmul ``gram_bundle``.
 
     Each model also caches its almost-sure surrogate bounds as a
     ``_bounds`` property; ``bounds()`` returns them.
@@ -121,20 +122,12 @@ class FeatureModel(ABC):
     # ----- quantity primitives ---------------------------------------------
 
     @abstractmethod
-    def kernel(self, t, t_prime):
-        """K(t, t')."""
+    def kernel_fields(self, t, t_prime, grad=True):
+        """(K(t, t'), its gradient in t); (K(t, t'),) without ``grad``."""
 
     @abstractmethod
-    def inner_y(self, t):
-        """<phi_t, y>."""
-
-    @abstractmethod
-    def kernel_fields(self, t, t_prime):
-        """(K(t, t'), its gradient in t)."""
-
-    @abstractmethod
-    def data_fit(self, t):
-        """(<phi_t, y>, its gradient in t)."""
+    def data_fit(self, t, grad=True):
+        """(<phi_t, y>, its gradient in t); (<phi_t, y>,) without ``grad``."""
 
     @abstractmethod
     def kernel_surrogate(self, t, t_prime, u):
@@ -171,16 +164,22 @@ class FeatureModel(ABC):
         """(g, grad g, h, grad h) in one call; the solver's hot path."""
         return (*self.kernel_surrogate(t, t_prime, u), *self.data_surrogate(t, v))
 
+    def kernel(self, t, t_prime):
+        """K(t, t')."""
+        return self.kernel_fields(t, t_prime, False)[0]
+
+    def inner_y(self, t):
+        """<phi_t, y>."""
+        return self.data_fit(t, False)[0]
+
     def gram(self, t, t_prime):
         """Kernel matrix between two point sets, shape (n, q)."""
-        t, s = _pairwise(t, t_prime)
-        return _fill_row_blocks(lambda rows: (self.kernel(t[rows], s),),
-                                len(t), s.shape[1] * self._pair_width)[0]
+        return self.gram_bundle(t, t_prime, False)[0]
 
-    def gram_bundle(self, t, t_prime):
-        """(gram, grad_t K(t_i, s_j) of shape (n, q, d)) in one call."""
+    def gram_bundle(self, t, t_prime, grad=True):
+        """(gram, grad_t K(t_i, s_j) of shape (n, q, d)); (gram,) without ``grad``."""
         t, s = _pairwise(t, t_prime)
-        return _fill_row_blocks(lambda rows: self.kernel_fields(t[rows], s),
+        return _fill_row_blocks(lambda rows: self.kernel_fields(t[rows], s, grad),
                                 len(t), s.shape[1] * self._pair_width)
 
     # ----- geometry ----------------------------------------------------------

@@ -75,36 +75,23 @@ class FourierDeconvolutionModel(FeatureModel):
 
     # ----- kernel -------------------------------------------------------------
 
-    def _k_1d(self, x):
-        # mean of cos(n x) over n in [-fc, fc]; even in x
-        return np.mean(np.cos(np.asarray(x, dtype=float)[..., None]
-                              * self._freqs_1d), axis=-1)
-
-    def _k_1d_deriv(self, x):
-        return np.mean(-self._freqs_1d
-                       * np.sin(np.asarray(x, dtype=float)[..., None]
-                                * self._freqs_1d), axis=-1)
-
-    def kernel(self, t, t_prime):
+    def kernel_fields(self, t, t_prime, grad=True):
+        # per axis, the mean of cos(n x) over n in [-fc, fc] (even in x)
+        # and of its derivative
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return np.prod(self._k_1d(diff), axis=-1)
-
-    def kernel_fields(self, t, t_prime):
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        vals = self._k_1d(diff)
-        return (np.prod(vals, axis=-1),
-                coordinate_product_grad(vals, self._k_1d_deriv(diff)))
+        phase = diff[..., None] * self._freqs_1d
+        vals = np.mean(np.cos(phase), axis=-1)
+        if not grad:
+            return (np.prod(vals, axis=-1),)
+        ders = np.mean(-self._freqs_1d * np.sin(phase), axis=-1)
+        return np.prod(vals, axis=-1), coordinate_product_grad(vals, ders)
 
     # y is a finite combination of kernel translates
-    def inner_y(self, t):
+    def data_fit(self, t, grad=True):
         t = np.asarray(t, dtype=float)[..., None, :]
-        return self.kernel(t, self._atom_positions) @ self._atom_coeffs
-
-    def data_fit(self, t):
-        t = np.asarray(t, dtype=float)[..., None, :]
-        vals, grads = self.kernel_fields(t, self._atom_positions)
+        vals, *grads = self.kernel_fields(t, self._atom_positions, grad)
         return (vals @ self._atom_coeffs,
-                np.einsum("...ad,a->...d", grads, self._atom_coeffs))
+                *(np.einsum("...ad,a->...d", g, self._atom_coeffs) for g in grads))
 
     @cached_property
     def y_norm_sq(self) -> float:

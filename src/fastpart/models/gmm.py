@@ -54,19 +54,17 @@ def _gauss_pdf(x, var, norm=None):
 
 
 class _GaussianProfile:
-    """1-D Gaussian density of the given variance and its derivative."""
+    """1-D Gaussian density of the given variance: like every profile,
+    ``profile(x, grad)`` gives (value, derivative) at x, or (value,)."""
 
     def __init__(self, var: float):
         self.var = _const(var)
         self._norm = _const(np.sqrt(2.0 * np.pi * var))
         self._neg_inv_var = _const(-1.0 / var)
 
-    def value(self, x):
-        return _gauss_pdf(x, self.var, self._norm)
-
-    def value_and_deriv(self, x):
+    def __call__(self, x, grad=True):
         val = _gauss_pdf(x, self.var, self._norm)
-        return val, self._neg_inv_var * x * val
+        return (val, self._neg_inv_var * x * val) if grad else (val,)
 
     def pair_weights(self, pts, data):
         """exp(-|t - y|^2 / (2 var)) for each row point t and sample y."""
@@ -115,30 +113,22 @@ class _TruncatedConvProfile:
         self._inv_z = _const(1.0 / self.z)
         self._norm = _const(np.sqrt(2.0 * np.pi * vsum))
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        mu_c = x * self._mu_c_slope
-        box = ndtr(self._a_c - mu_c) - ndtr(self._neg_a_c - mu_c)
-        return _gauss_pdf(x, self.vsum, self._norm) * box * self._inv_z
-
-    def value_and_deriv(self, x):
+    def __call__(self, x, grad=True):
         x = np.asarray(x, dtype=float)
         mu_c = x * self._mu_c_slope
         lo = self._neg_a_c - mu_c
         hi = self._a_c - mu_c
-        box = ndtr(hi) - ndtr(lo)
-        d_box = self._dbox_coef * (_std_pdf(lo) - _std_pdf(hi))
         base = _gauss_pdf(x, self.vsum, self._norm)
-        val = base * box * self._inv_z
+        val = base * (ndtr(hi) - ndtr(lo)) * self._inv_z
+        if not grad:
+            return (val,)
+        d_box = self._dbox_coef * (_std_pdf(lo) - _std_pdf(hi))
         return val, self._neg_inv_vsum * x * val + base * d_box
 
     def sample_mean(self, pts, data, grad):
         """Sample mean of the product at t - y, and its gradient, by pairs."""
-        diff = pts[:, None, :] - data
-        if not grad:
-            return (np.mean(_prod_profile(self, diff), axis=-1),)
-        vals, grads = _prod_profile_both(self, diff)
-        return np.mean(vals, axis=-1), np.mean(grads, axis=-2)
+        vals, *grads = _prod_profile(self, pts[:, None, :] - data, grad)
+        return np.mean(vals, axis=-1), *(np.mean(g, axis=-2) for g in grads)
 
 
 class _QuadConvProfile:
@@ -152,28 +142,22 @@ class _QuadConvProfile:
         self.w = a * wts * _gauss_pdf(self.u, s * s) / z
         self.inner = inner
 
-    def value(self, x):
+    def __call__(self, x, grad=True):
         x = np.asarray(x, dtype=float)
-        return self.inner.value(x[..., None] - self.u) @ self.w
-
-    def value_and_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        val, der = self.inner.value_and_deriv(x[..., None] - self.u)
-        return val @ self.w, der @ self.w
+        return tuple(f @ self.w for f in self.inner(x[..., None] - self.u, grad))
 
 
 def _std_pdf(z):
     return np.exp(_NEG_HALF * z * z) / _SQRT_2PI
 
 
-def _prod_profile(profile, x):
-    """Coordinate-wise product of a 1-D profile, x of shape (..., d)."""
-    return np.prod(profile.value(x), axis=-1)
-
-
-def _prod_profile_both(profile, x):
-    """(product, gradient of product) sharing one profile evaluation."""
-    vals, ders = profile.value_and_deriv(x)
+def _prod_profile(profile, x, grad=True):
+    """(coordinate-wise product of a 1-D profile, its gradient) at x of
+    shape (..., d), sharing one profile evaluation; (product,) without
+    ``grad``."""
+    if not grad:
+        return (np.prod(profile(x, False)[0], axis=-1),)
+    vals, ders = profile(x)
     if x.shape[-1] == 1:
         return vals[..., 0], ders
     return np.prod(vals, axis=-1), coordinate_product_grad(vals, ders)
@@ -266,23 +250,15 @@ class GaussianMixtureModel(FeatureModel):
 
     # ----- exact quantities -------------------------------------------------
 
-    def kernel(self, t, t_prime):
+    def kernel_fields(self, t, t_prime, grad=True):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return _prod_profile(self._kern, diff)
+        return _prod_profile(self._kern, diff, grad)
 
-    def kernel_fields(self, t, t_prime):
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return _prod_profile_both(self._kern, diff)
-
-    # the data-side quantities take row blocks of the points against all
-    # N samples through the profile's sample mean
-    def inner_y(self, t):
+    # the data side takes row blocks of the points against all N samples
+    # through the profile's sample mean
+    def data_fit(self, t, grad=True):
         return _fill_point_blocks(
-            lambda pts: self._ktilde.sample_mean(pts, self.data, False), t, self.n_data)[0]
-
-    def data_fit(self, t):
-        return _fill_point_blocks(
-            lambda pts: self._ktilde.sample_mean(pts, self.data, True), t, self.n_data)
+            lambda pts: self._ktilde.sample_mean(pts, self.data, grad), t, self.n_data)
 
     @cached_property
     def y_norm_sq(self) -> float:
@@ -314,11 +290,11 @@ class GaussianMixtureModel(FeatureModel):
     def kernel_surrogate(self, t, t_prime, u):
         arg = (np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
                - np.asarray(u, dtype=float))
-        return _prod_profile_both(self._ktilde, arg)
+        return _prod_profile(self._ktilde, arg)
 
     def data_surrogate(self, t, v):
         arg = np.asarray(t, dtype=float) - np.asarray(v, dtype=float)
-        return _prod_profile_both(self._ktilde, arg)
+        return _prod_profile(self._ktilde, arg)
 
     def surrogate_fields(self, t, t_prime, u, v):
         # speed override, same bits as the derived method: both argument
@@ -331,16 +307,16 @@ class GaussianMixtureModel(FeatureModel):
         np.subtract(t, t_prime, out=arg_g)
         np.subtract(arg_g, u, out=arg_g)
         np.subtract(t, v, out=stacked[n:])
-        vals, grads = _prod_profile_both(self._ktilde, stacked)
+        vals, grads = _prod_profile(self._ktilde, stacked)
         return vals[:n], grads[:n], vals[n:], grads[n:]
 
     # ----- bounds -------------------------------------------------------------
 
     @cached_property
     def _bounds(self) -> ModelBounds:
-        sup = float(self._ktilde.value(np.array(0.0)))**self.dim
+        sup = float(self._ktilde(np.array(0.0), False)[0])**self.dim
         g_inf = 0.0
         if self.trunc_width is not None:
             reach = 2.0 * self.radius + self.trunc_width * self.mixing_scale
-            g_inf = float(self._ktilde.value(np.array(reach))) ** self.dim
+            g_inf = float(self._ktilde(np.array(reach), False)[0]) ** self.dim
         return ModelBounds(g_inf=g_inf, g_sup=sup, h_sup=sup)

@@ -77,45 +77,34 @@ class ReluFeatureModel(FeatureModel):
 
     # ----- exact quantities ----------------------------------------------------
 
-    def kernel(self, t, t_prime):
-        ft = np.maximum(np.asarray(t, dtype=float) @ self.x.T, 0.0)
-        fs = np.maximum(np.asarray(t_prime, dtype=float) @ self.x.T, 0.0)
-        return np.mean(ft * fs, axis=-1)
-
-    def kernel_fields(self, t, t_prime):
+    def kernel_fields(self, t, t_prime, grad=True):
         zt = np.asarray(t, dtype=float) @ self.x.T
         fs = np.maximum(np.asarray(t_prime, dtype=float) @ self.x.T, 0.0)
-        return (np.mean(np.maximum(zt, 0.0) * fs, axis=-1),
-                ((zt > 0.0) * fs) @ self.x / self.n_data)
+        val = np.mean(np.maximum(zt, 0.0) * fs, axis=-1)
+        return (val, ((zt > 0.0) * fs) @ self.x / self.n_data) if grad else (val,)
 
-    # the lattice scans take row blocks of the points against all N samples
-    def inner_y(self, t):
-        return _fill_point_blocks(
-            lambda pts: (np.mean(np.maximum(pts @ self.x.T, 0.0) * self.y, axis=-1),),
-            t, self.n_data)[0]
+    # the data side takes row blocks of the points against all N samples
+    def data_fit(self, t, grad=True):
+        def fields(pts):
+            zt = pts @ self.x.T
+            val = np.mean(np.maximum(zt, 0.0) * self.y, axis=-1)
+            return (val, ((zt > 0.0) * self.y) @ self.x / self.n_data) if grad else (val,)
+        return _fill_point_blocks(fields, t, self.n_data)
 
-    def data_fit(self, t):
-        zt = np.asarray(t, dtype=float) @ self.x.T
-        return (np.mean(np.maximum(zt, 0.0) * self.y, axis=-1),
-                ((zt > 0.0) * self.y) @ self.x / self.n_data)
-
-    # speed overrides of the derived pairwise forms: one matmul over the
+    # speed override of the derived pairwise form: one matmul over the
     # sample (a row block of t at a time) instead of an (n, q, N)
-    # broadcast.  They differ from the pointwise mean in the last bits; the
-    # golden ReLU cases pin them.
-    def gram(self, t, t_prime):
+    # broadcast.  It differs from the pointwise mean in the last bits; the
+    # golden ReLU cases pin it.
+    def gram_bundle(self, t, t_prime, grad=True):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
-        return _fill_row_blocks(
+        gram = _fill_row_blocks(
             lambda rows: (np.maximum(t[rows] @ self.x.T, 0.0) @ fs.T / self.n_data,),
             len(t), self.n_data)[0]
-
-    def gram_bundle(self, t, t_prime):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
+        if not grad:
+            return (gram,)
         mask = (t @ self.x.T > 0.0).astype(float)
-        fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
-        grad = np.einsum("in,jn,nd->ijd", mask, fs, self.x) / self.n_data
-        return self.gram(t, t_prime), grad
+        return gram, np.einsum("in,jn,nd->ijd", mask, fs, self.x) / self.n_data
 
     @cached_property
     def y_norm_sq(self) -> float:

@@ -14,8 +14,9 @@ divides the variance by the batch size.
 
 One routine per job: ``sample_fields`` (per-draw estimates),
 ``minibatch_fields`` (their batch mean, the solver's hot path),
-``exact_fields`` (the exact cost and gradient) and ``marginal_cost``
-(exact value only, for lattice scans).
+``exact_fields`` (the exact cost and gradient, or with ``grad=False`` the
+cost alone, for lattice scans) and ``marginal_cost`` (its value-only
+wrapper, a float at a single point).
 """
 from __future__ import annotations
 
@@ -62,16 +63,11 @@ def draw_batch(model: FeatureModel, measure: ParticleMeasure, size: int,
 
 def marginal_cost(model: FeatureModel, measure: ParticleMeasure, points,
                   lam: float):
-    """Exact marginal cost at the given point(s), value only: the lattice
-    scans call it on many points and need no gradient."""
+    """Exact marginal cost at the given point(s), value only: a float for
+    one point, else ``exact_fields(..., grad=False)[0]``."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    fit = -model.inner_y(pts)
-    if measure.size:
-        fit = fit + model.gram(pts, measure.positions) @ measure.signed_weights
-    out = fit + lam
-    return float(out[0]) if single else out
+    out = exact_fields(model, measure, np.atleast_2d(pts), lam, grad=False)[0]
+    return float(out[0]) if pts.ndim == 1 else out
 
 
 def sample_fields(model: FeatureModel, measure: ParticleMeasure, points,
@@ -115,14 +111,14 @@ def minibatch_fields(model: FeatureModel, measure: ParticleMeasure, points,
 
 
 def exact_fields(model: FeatureModel, measure: ParticleMeasure, points,
-                 lam: float):
-    """Fused exact (cost, gradient) at many points."""
+                 lam: float, grad: bool = True):
+    """Fused exact (cost, gradient) at many points; without ``grad`` the
+    1-tuple (cost,), for the lattice scans that need no gradient."""
     pts = np.asarray(points, dtype=float)
-    iy, giy = model.data_fit(pts)
+    iy, *giy = model.data_fit(pts, grad)
     if measure.size == 0:
-        return lam - iy, -giy
-    gram, ggrad = model.gram_bundle(pts, measure.positions)
+        return lam - iy, *(-g for g in giy)
+    gram, *ggrad = model.gram_bundle(pts, measure.positions, grad)
     sw = measure.signed_weights
     cost = gram @ sw - iy + lam
-    grad = np.einsum("ijd,j->id", ggrad, sw) - giy
-    return cost, grad
+    return cost, *(np.einsum("ijd,j->id", gg, sw) - g for gg, g in zip(ggrad, giy))

@@ -87,19 +87,15 @@ class StubModel(FeatureModel):
         self._stub_bounds = stub_bounds or ModelBounds(
             g_inf=k0, g_sup=k0, h_sup=abs(iy))
 
-    def kernel(self, t, t_prime):
-        return self.kernel_fields(t, t_prime)[0]
-
-    def kernel_fields(self, t, t_prime):
+    def kernel_fields(self, t, t_prime, grad=True):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        return np.full(diff.shape[:-1], self.k0), np.zeros(diff.shape)
+        fields = np.full(diff.shape[:-1], self.k0), np.zeros(diff.shape)
+        return fields if grad else fields[:1]
 
-    def inner_y(self, t):
-        return self.data_fit(t)[0]
-
-    def data_fit(self, t):
+    def data_fit(self, t, grad=True):
         t = np.asarray(t, dtype=float)
-        return np.full(t.shape[:-1], self.iy), np.full(t.shape, self.giy)
+        fields = np.full(t.shape[:-1], self.iy), np.full(t.shape, self.giy)
+        return fields if grad else fields[:1]
 
     @property
     def y_norm_sq(self):

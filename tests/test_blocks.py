@@ -1,8 +1,8 @@
 """Row-blocked exact evaluation: the same bits as one row at a time, and a
 peak memory bounded by the output plus one block.
 
-``gram``, ``gram_bundle`` and the mixture model's ``inner_y``/``data_fit``
-evaluate fixed-size blocks of points and write each block into a
+``gram``, ``gram_bundle`` and the mixture and ReLU models'
+``inner_y``/``data_fit`` evaluate fixed-size blocks of points and write each block into a
 preallocated output.  Only the point axis is split, so every output
 element must equal its one-row evaluation exactly.  ``y_norm_sq`` sums
 its sample pairs a row block at a time and keeps no (N, N) matrix.
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel, GroundTruth,
-                      benchmarks, sample_mixture_data)
+                      ReluFeatureModel, benchmarks, sample_mixture_data,
+                      sample_regression_data)
 from fastpart.measures import grid_points
 
 
@@ -160,6 +161,15 @@ def oracle_lattice():
 def test_inner_y_on_oracle_lattice_peaks_below_8_mb(oracle_lattice):
     model = _gmm3a()
     assert _peak_bytes(lambda: model.inner_y(oracle_lattice)) < 8e6
+
+
+def test_relu_data_fit_on_2d_lattice_peaks_below_8_mb():
+    # 3483 lattice points against N = 500 samples: one (n, N) temporary
+    # alone is 14 MB, and a whole-array evaluation peaks near 42 MB
+    x, y = sample_regression_data(500, 2, np.random.default_rng(3), teacher_width=3)
+    model = ReluFeatureModel(x, y, radius=1.0)
+    lattice = grid_points(1.0, 2, 0.03)
+    assert _peak_bytes(lambda: model.data_fit(lattice)) < 8e6
 
 
 def test_lattice_gram_peaks_near_its_output(oracle_lattice):

@@ -6,10 +6,12 @@ from fastpart import (
     FourierDeconvolutionModel,
     GaussianMixtureModel,
     GroundTruth,
+    ParticleMeasure,
     ReluFeatureModel,
     project_to_ball,
     sample_regression_data,
 )
+from fastpart.stochastic import exact_fields, marginal_cost
 
 
 def pt(*coords):
@@ -135,8 +137,9 @@ def _any_model(kind, dim):
 
 
 class TestValueContract:
-    """The value-only primitives equal the first output of their fused
-    twins bit for bit; the grid routines rely on it."""
+    """The value-only forms (``kernel``, ``inner_y``, ``gram``,
+    ``marginal_cost``) equal the first output of their fused primitives
+    bit for bit; the grid routines rely on it."""
 
     @pytest.mark.parametrize("kind", ["gmm_plain", "gmm_trunc", "fourier", "relu"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -152,6 +155,9 @@ class TestValueContract:
         assert np.array_equal(model.inner_y(t), model.data_fit(t)[0])
         assert np.array_equal(model.inner_y(t[0]), model.data_fit(t[0])[0])
         assert np.array_equal(model.gram(t, s), model.gram_bundle(t, s)[0])
+        nu = ParticleMeasure(np.linspace(0.2, 1.0, len(s)), s)
+        assert np.array_equal(marginal_cost(model, nu, t, 0.1),
+                              exact_fields(model, nu, t, 0.1)[0])
 
 
 class TestConstructorValidation:
@@ -290,7 +296,7 @@ class TestBounds:
         reach = 2 * gmm_trunc.radius + 3.0 * gmm_trunc.mixing_scale
         assert b.g_inf > 0
         assert b.g_inf == pytest.approx(
-            float(gmm_trunc._ktilde.value(np.array(reach))), rel=1e-12)
+            float(gmm_trunc._ktilde(np.array(reach), False)[0]), rel=1e-12)
 
     def test_fourier_bounds(self, fourier_fc1, fourier_flat):
         b = fourier_fc1.bounds()
