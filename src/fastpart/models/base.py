@@ -285,11 +285,25 @@ def project_to_ball(points: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the centered closed ball.
 
     Points inside pass through unchanged; outside points are rescaled to
-    norm ``radius``.  Works on a single vector or a stack of them.
+    norm ``radius``, and the computed norm of every output is at most
+    ``radius``, so projecting again changes nothing.  Works on a single
+    vector or a stack of them.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     pts = np.asarray(points, dtype=float)
-    norms = np.sqrt(np.add.reduce(pts * pts, axis=-1, keepdims=True))
+    norms = _norms(pts)
+    # a step rarely moves a point out: then skip the rescale and its check
+    if np.maximum.reduce(norms, axis=None, initial=0.0) <= radius:
+        return pts.copy()
     # max(norm, radius) leaves interior points untouched and guards norm 0
-    return pts * (radius / np.maximum(norms, radius))
+    out = pts * (radius / np.maximum(norms, radius))
+    # the rounded rescale can leave a computed norm an ulp or two above
+    # radius: step those points toward 0 an ulp at a time until inside
+    while (over := _norms(out) > radius).any():
+        out = np.where(over, np.nextafter(out, 0.0), out)
+    return out
+
+
+def _norms(pts: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(pts * pts, axis=-1, keepdims=True))
