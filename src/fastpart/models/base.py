@@ -10,9 +10,9 @@ kernel side and a data draw ``v`` for the observation side, with
     E_u[g(t, t', u)] = K(t, t')      E_v[h(t, v)] = <phi_t, y>
 
 and the same identities for the gradients in ``t``.  Each quantity is
-implemented once, as a fused value-and-gradient primitive; see
-``FeatureModel``.  Models are immutable once built and never hold random
-state; callers pass RNG streams in.
+implemented once, as a fused value-and-gradient primitive whose ``grad``
+flag drops the gradient; see ``FeatureModel``.  Models are immutable once
+built and never hold random state; callers pass RNG streams in.
 """
 from __future__ import annotations
 

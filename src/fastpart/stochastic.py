@@ -121,4 +121,6 @@ def exact_fields(model: FeatureModel, measure: ParticleMeasure, points,
     gram, *ggrad = model.gram_bundle(pts, measure.positions, grad)
     sw = measure.signed_weights
     cost = gram @ sw - iy + lam
-    return cost, *(np.einsum("ijd,j->id", gg, sw) - g for gg, g in zip(ggrad, giy))
+    if not grad:
+        return (cost,)
+    return cost, np.einsum("ijd,j->id", ggrad[0], sw) - giy[0]
