@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from .config import (
     build_model,
     build_run_config,
     parse_config,
+    read_rows,
 )
 from .measures import ParticleMeasure
 from .optimizer import RunResult, run
@@ -33,29 +33,21 @@ EXIT_CONFIG = 2
 EXIT_NOT_CERTIFIED = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_FMT = "%.17g"  # every float a CSV writes: enough digits to read back its bits
 
 
 def write_trace(path: Path, result: RunResult, header_note: str) -> None:
-    lines = ["k,J,tv,local_j2,local_g2,evals,wall_ns",
-             f"# fastpart trace {header_note}"]
-    for r in result.trace:
-        lines.append(",".join([str(r.k), _fmt(r.objective), _fmt(r.tv),
-                               _fmt(r.local_j2), _fmt(r.local_g2),
-                               str(r.evals), str(r.wall_ns)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(r.k, r.objective, r.tv, r.local_j2, r.local_g2, r.evals, r.wall_ns)
+            for r in result.trace]
+    np.savetxt(path, rows, fmt=_FMT, delimiter=",", comments="", encoding="utf-8",
+               header="k,J,tv,local_j2,local_g2,evals,wall_ns\n"
+                      f"# fastpart trace {header_note}")
 
 
 def write_measure(path: Path, measure: ParticleMeasure) -> None:
-    dim = measure.dim
-    header = "weight," + ",".join(f"x{i}" for i in range(dim))
-    lines = [header]
-    signed = measure.signed_weights
-    for j in range(measure.size):
-        row = [_fmt(signed[j])] + [_fmt(c) for c in measure.positions[j]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = "weight," + ",".join(f"x{i}" for i in range(measure.dim))
+    np.savetxt(path, np.column_stack([measure.signed_weights, measure.positions]),
+               fmt=_FMT, delimiter=",", header=header, comments="", encoding="utf-8")
 
 
 def read_measure(path: Path) -> ParticleMeasure:
@@ -66,32 +58,20 @@ def read_measure(path: Path) -> ParticleMeasure:
     n_cols = len(header.split(","))
     if n_cols < 2 or not header.startswith("weight"):
         raise ConfigError(f"measure file {path} needs a weight,x0,... header")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # zero-row files are legal
-            raw = np.loadtxt(path, delimiter=",", comments="#", skiprows=1,
-                             ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot parse measure file {path}: {exc}") from exc
+    raw = read_rows(path, "measure file", "atom", skiprows=1)
     if raw.size == 0:
         # a null measure is a legal certification target
         return ParticleMeasure(np.empty(0), np.empty((0, n_cols - 1)))
     if raw.shape[1] != n_cols:
         raise ConfigError(f"measure file {path} rows do not match its header")
-    bad = ~np.isfinite(raw).all(axis=1)
-    if bad.any():
-        raise ConfigError(f"measure file {path}: atom {int(bad.argmax()) + 1} "
-                          f"has a non-finite weight or position")
     signed = raw[:, 0]
     signs = np.where(signed < 0, -1.0, 1.0)
     return ParticleMeasure(np.abs(signed), raw[:, 1:], signs)
 
 
 def write_data(path: Path, data: np.ndarray, note: str) -> None:
-    lines = [f"# fastpart data {note}"]
-    for row in np.atleast_2d(data):
-        lines.append(",".join(_fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    np.savetxt(path, np.atleast_2d(data), fmt=_FMT, delimiter=",",
+               header=f"fastpart data {note}", encoding="utf-8")
 
 
 def _on_lattice(section: str, scan, *args):
@@ -183,10 +163,10 @@ def cmd_compare(args) -> int:
                   f"final_J={result.trace[-1].objective:.6g}")
 
     lines = ["variant,evals_to_threshold,final_J",
-             f"# fastpart compare threshold={_fmt(threshold)} "
-             f"oracle_J={_fmt(orc.objective)}"]
+             f"# fastpart compare threshold={_FMT % threshold} "
+             f"oracle_J={_FMT % orc.objective}"]
     for name, evals_hit, final_j in rows:
-        lines.append(f"{name},{evals_hit},{_fmt(final_j)}")
+        lines.append(f"{name},{evals_hit},{_FMT % final_j}")
     (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 

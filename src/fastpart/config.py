@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -160,8 +161,8 @@ _MODELS = {  # [model] per kind
     "fourier": {
         "dim": ("dim", _int(1), 1),
         "freq_cutoff": ("freq_cutoff", _int(0), _REQUIRED),
-        "spike_weights": ("spike_weights", _numbers, None),
-        "spike_positions": ("spike_positions", _points, None),
+        "spike_weights": ("spike_weights", _numbers, _REQUIRED),
+        "spike_positions": ("spike_positions", _points, _REQUIRED),
         "noise_coeffs": ("noise_coeffs", _numbers, None),
         "noise_positions": ("noise_positions", _points, None),
     },
@@ -243,9 +244,6 @@ def _model(sec) -> SimpleNamespace:
     m = _parse({k: v for k, v in sec.items() if k != "kind"}, "model", _MODELS[kind],
                problem)
     if kind == "fourier":
-        if m["spike_weights"] is None or m["spike_positions"] is None:
-            raise ConfigError("fourier model needs 'spike_weights' and "
-                              "'spike_positions' in [model]")
         for coeffs, points in (("spike_weights", "spike_positions"),
                                ("noise_coeffs", "noise_positions")):
             pts = m[points]
@@ -302,18 +300,22 @@ def parse_config(path: str | Path) -> SimpleNamespace:
     return cfg
 
 
-def load_data_file(path: Path) -> np.ndarray:
-    """Delimited text samples: one point per line, '#' comments allowed."""
+def read_rows(path: Path, what: str, row: str, skiprows: int = 0) -> np.ndarray:
+    """The comma-separated numbers of the ``what`` file at ``path``, one
+    ``row`` a line, '#' comments allowed, as a 2-D array; a non-finite
+    row is refused by its 1-based index."""
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the caller decides on zero rows
+            data = np.loadtxt(path, delimiter=",", comments="#", skiprows=skiprows,
+                              ndmin=2)
     except OSError as exc:
-        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"cannot parse data file {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
     bad = ~np.isfinite(data).all(axis=1)
     if bad.any():
-        raise ConfigError(f"data file {path}: sample {int(bad.argmax()) + 1} "
-                          f"is not finite")
+        raise ConfigError(f"{what} {path}: {row} {int(bad.argmax()) + 1} is not finite")
     return data
 
 
@@ -323,7 +325,7 @@ def build_model(cfg: SimpleNamespace) -> FeatureModel:
 
     if m.kind == "gmm":
         if m.data is not None:
-            data = load_data_file(cfg.base_dir / m.data)
+            data = read_rows(cfg.base_dir / m.data, "data file", "sample")
         else:
             data = sample_mixture_data(m.problem.truth, m.problem.mixing_scale, m.n,
                                        np.random.default_rng(m.data_seed))

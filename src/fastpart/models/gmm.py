@@ -94,9 +94,6 @@ class _TruncatedConvProfile:
     Gaussian of scale ``s`` cut at ``+-a`` and renormalized."""
 
     def __init__(self, vg: float, s: float, a: float):
-        self.vg = vg
-        self.s = s
-        self.a = a
         vsum = vg + s * s
         self.vsum = _const(vsum)
         self.z = ndtr(a / s) - ndtr(-a / s)

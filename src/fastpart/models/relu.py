@@ -139,13 +139,10 @@ class ReluFeatureModel(FeatureModel):
 
     def finalize_positions(self, weights, raw_positions):
         norms = np.sqrt(np.sum(raw_positions**2, axis=-1))
-        outside = norms > self.radius
-        if not np.any(outside):
+        if not np.any(norms > self.radius):
             return weights, raw_positions
-        scale = np.where(outside, self.radius / np.where(norms > 0, norms, 1.0), 1.0)
-        new_pos = raw_positions * scale[:, None]
-        new_w = weights * np.where(outside, norms / self.radius, 1.0)
-        return new_w, new_pos
+        # the weight absorbs the norm the ball projection takes off
+        return weights * np.maximum(norms / self.radius, 1.0), self.project(raw_positions)
 
     def smooth_at(self, t, step: float = 0.0) -> bool:
         t = np.asarray(t, dtype=float)

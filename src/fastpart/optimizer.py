@@ -172,8 +172,6 @@ def step(state: IterateState, model: FeatureModel, cfg: RunConfig) -> IterateSta
             state.status = "mass extinct"
             return state
         m = cfg.batch_schedule
-        if m < 1:
-            raise ValueError("batch schedule produced a size < 1")
         batch = draw_batch(model, nu, m, state.rng)
         cost_vals, grad_vals = minibatch_fields(model, nu, positions,
                                                 cfg.lam, batch)

@@ -1,6 +1,7 @@
 """Property tests of the measure and domain invariants: ``ParticleMeasure``
 accepts exactly the finite clouds with nonnegative weights, the ball and
-torus projections are idempotent and land in their domain, and one
+torus projections are idempotent and land in their domain, so does the
+ReLU model's rescale, which keeps each weight times norm, and one
 ``step`` on a small random mixture problem keeps the weights nonnegative
 and finite and the positions in the domain.  Needs hypothesis (the
 ``test`` extra); skipped without it."""
@@ -13,8 +14,8 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel,  # noqa: E402
-                      GroundTruth, ParticleMeasure, RunConfig, project_to_ball,
-                      sample_mixture_data, step)
+                      GroundTruth, ParticleMeasure, ReluFeatureModel, RunConfig,
+                      project_to_ball, sample_mixture_data, step)
 from fastpart.models.fourier import wrap_torus  # noqa: E402
 from fastpart.optimizer import IterateState  # noqa: E402
 
@@ -61,6 +62,32 @@ def test_ball_projection_is_idempotent_and_inside(points, radius):
     model = GaussianMixtureModel(np.zeros((1, points.shape[1])), bandwidth=1.0,
                                  mixing_scale=1.0, radius=radius)
     assert model.contains(once)
+
+
+def _norm(points):
+    return np.sqrt(np.sum(points**2, axis=-1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                     elements=COORD),
+       weights=arrays(float, 5, elements=st.floats(1e-6, 1e6)),
+       radius=st.floats(1e-3, 1e3))
+# rescaled by 1 / norm to a computed norm 1 ulp above the radius
+@example(points=np.array([[-0.8352933979040376, 1.8697183611869608]]),
+         weights=np.ones(5), radius=1.0)
+def test_relu_rescale_is_idempotent_inside_and_keeps_weight_times_norm(
+        points, weights, radius):
+    model = ReluFeatureModel(np.ones((1, points.shape[1])), [1.0], radius=radius)
+    weights = weights[:len(points)]
+    new_w, new_pos = model.finalize_positions(weights, points)
+    assert np.all(_norm(new_pos) <= radius)
+    again_w, again_pos = model.finalize_positions(new_w, new_pos)
+    assert np.array_equal(again_w, new_w) and np.array_equal(again_pos, new_pos)
+    # one-homogeneous: weight times norm, so the network, does not change
+    outside = _norm(points) > radius
+    assert np.allclose((new_w * _norm(new_pos))[outside],
+                       (weights * _norm(points))[outside], rtol=1e-14, atol=0.0)
 
 
 @settings(max_examples=300, deadline=None)
