@@ -326,6 +326,8 @@ def build_model(cfg: SimpleNamespace) -> FeatureModel:
     if m.kind == "gmm":
         if m.data is not None:
             data = read_rows(cfg.base_dir / m.data, "data file", "sample")
+            if data.size == 0:
+                raise ConfigError(f"data file {cfg.base_dir / m.data} has no samples")
         else:
             data = sample_mixture_data(m.problem.truth, m.problem.mixing_scale, m.n,
                                        np.random.default_rng(m.data_seed))

@@ -228,6 +228,9 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
     """
     if cfg.iterations < 1:
         raise ValueError("iteration budget must be >= 1")
+    for name in ("alpha", "eta", "lam"):  # a NaN passes the comparisons below
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(cfg, name)}")
     if cfg.alpha < 0 or cfg.eta < 0 or cfg.lam <= 0:
         raise ValueError("alpha and eta must be >= 0 and lam > 0")
     if cfg.trace_every < 1:

@@ -310,6 +310,18 @@ class TestGenData:
         assert "d.csv" in err and "sample 3" in err
         assert not (tmp_path / "o").exists()
 
+    def test_empty_data_file_exits_2(self, tmp_path, capsys):
+        # used to exit 1: "data must be a nonempty (N, d) array"
+        (tmp_path / "empty.csv").write_text("# fastpart data\n")
+        text = BASE_GMM.format(k=5, out=tmp_path / "o", trace_every=1)
+        cfg = write_cfg(tmp_path, text.replace("benchmark = gmm3a\nn = 300",
+                                               "benchmark = gmm3a\ndata = empty.csv"))
+        assert main(["run", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "empty.csv" in err and "no samples" in err
+        assert not (tmp_path / "o").exists()
+
+
 
 class TestCompareCommand:
     def test_requires_two_variants(self, tmp_path):

@@ -138,6 +138,16 @@ class TestRun:
         with pytest.raises(ValueError):
             run(run_cfg(measure_1d([1.0], [0.0]), iterations=0), gmm_small)
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", math.nan), ("alpha", math.inf), ("eta", math.nan), ("lam", math.nan),
+    ])
+    def test_nonfinite_rate_or_lam_rejected(self, gmm_small, field, value):
+        # a NaN passes every "< 0" test: the run used to fail later with
+        # "weight update overflowed" or "projected position left the domain"
+        cfg = run_cfg(measure_1d([0.5, 0.5], [-0.3, 0.3]), **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            run(cfg, gmm_small)
+
     def test_single_zero_step_returns_init(self, gmm_small):
         nu = measure_1d([0.4, 0.6], [-0.2, 0.2])
         res = run(run_cfg(nu, alpha=0.0, eta=0.0, iterations=1), gmm_small)
