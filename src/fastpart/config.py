@@ -20,8 +20,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import benchmarks
-from .measures import ParticleMeasure, uniform_grid_measure
+from . import benchmarks, diagnostics
+from .measures import ParticleMeasure
 from .models.base import FeatureModel, GroundTruth
 from .models.fourier import FourierDeconvolutionModel
 from .models.gmm import GaussianMixtureModel, sample_mixture_data
@@ -348,15 +348,17 @@ def build_model(cfg: SimpleNamespace) -> FeatureModel:
 
 
 def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
-    """Initial measure per the solver spec: uniform grid or random cloud.
+    """Initial measure per the solver spec: equal weights on the lattice of
+    the model's domain (the oracle's, torus or ball) or on a random cloud.
 
     ``signs = mixed`` alternates particle signs, the usual start for
     network-style problems that need both orientations.
     """
-    mass = spec.init_mass
     if spec.init == "grid":
         try:
-            nu = uniform_grid_measure(model.radius, model.dim, spec.init_step, mass)
+            pts = diagnostics.model_lattice(model, spec.init_step, "init_step")
+        except diagnostics.LatticeTooLarge as exc:
+            raise ConfigError(f"[{spec.section}] {exc}") from None
         except ValueError as exc:  # no lattice point inside the domain
             raise ConfigError(f"key 'init_step' in [{spec.section}] is too coarse: "
                               f"{exc}") from None
@@ -365,7 +367,7 @@ def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
         pts = rng.uniform(-model.radius, model.radius,
                           size=(spec.particles, model.dim))
         pts = model.project(pts)
-        nu = ParticleMeasure(np.full(spec.particles, mass / spec.particles), pts)
+    nu = ParticleMeasure(np.full(len(pts), spec.init_mass / len(pts)), pts)
     if spec.signs == "mixed":
         signs = np.where(np.arange(nu.size) % 2 == 0, 1.0, -1.0)
         nu = ParticleMeasure(nu.weights, nu.positions, signs)

@@ -76,7 +76,7 @@ def kkt_certificate(model: FeatureModel, measure: ParticleMeasure, lam: float,
                     grid_step: float, mass_threshold: float = 1e-6) -> KktReport:
     """Evaluate the first-order conditions on the model's lattice; a lattice
     beyond physical memory is refused as in ``grid_oracle``."""
-    grid = _lattice(model, grid_step)
+    grid = model_lattice(model, grid_step)
     grid_vals = marginal_cost(model, measure, grid, lam)
     grid_min = float(np.min(grid_vals))
     support_max = 0.0
@@ -100,28 +100,33 @@ class OracleResult:
     iterations: int
 
 
-def _lattice(model: FeatureModel, grid_step: float) -> np.ndarray:
-    """``grid_points`` over the model's domain, refused with a ValueError
-    naming ``grid_step`` and the point count, before anything is built,
-    when its working set exceeds physical memory: about two d-vectors a
-    point of the bounding cube (``grid_points``' peak), then a few floats
-    a lattice point for the scans (and one a point per support column)."""
-    if not grid_step > 0:
-        raise ValueError("grid_step must be positive")
+class LatticeTooLarge(ValueError):
+    """A lattice refused before it is built: its working set exceeds memory."""
+
+
+def model_lattice(model: FeatureModel, step: float, key: str = "grid_step") -> np.ndarray:
+    """``grid_points`` over the model's domain, refused with a
+    ``LatticeTooLarge`` naming ``key`` and the point count, before anything
+    is built, when its working set exceeds physical memory: about two
+    d-vectors a point of the bounding cube (``grid_points``' peak), then a
+    few floats a lattice point for the scans (and one a point per support
+    column)."""
+    if not step > 0:
+        raise ValueError(f"{key} must be positive")
     try:
         have = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):  # no sysconf: no refusal
         have = math.inf
-    points = grid_size_estimate(model.radius, model.dim, grid_step, model.torus)
+    points = grid_size_estimate(model.radius, model.dim, step, model.torus)
     # the bounding cube is the torus lattice, up to its +radius face
-    cube = grid_size_estimate(model.radius, model.dim, grid_step, torus=True)
+    cube = grid_size_estimate(model.radius, model.dim, step, torus=True)
     need = 8.0 * ((2 * model.dim + 2) * cube + (model.dim + 4) * points)
     if need > have:
-        raise ValueError(
-            f"grid_step = {grid_step:g} gives a lattice of about {points:.3g} points "
+        raise LatticeTooLarge(
+            f"{key} = {step:g} gives a lattice of about {points:.3g} points "
             f"whose scans need {need / 1e9:.3g} GB, more than the "
-            f"{have / 1e9:.3g} GB of physical memory; raise grid_step")
-    return grid_points(model.radius, model.dim, grid_step, model.torus)
+            f"{have / 1e9:.3g} GB of physical memory; raise {key}")
+    return grid_points(model.radius, model.dim, step, model.torus)
 
 
 def _kkt_residual(cost: np.ndarray, w: np.ndarray) -> float:
@@ -193,7 +198,7 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    grid = _lattice(model, grid_step)
+    grid = model_lattice(model, grid_step)
     shifted = model.inner_y(grid) - lam
     w, cost, joined = _lawson_hanson(model, grid, shifted, max_iter)
     resid = _kkt_residual(cost, w)

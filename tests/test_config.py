@@ -2,6 +2,7 @@
 outside its table, a malformed value of any present key and a variant
 label outside ``[A-Za-z0-9_.-]+`` are refused with a message naming them."""
 import configparser
+import math
 import re
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 
 from fastpart import config, diagnostics
 from fastpart.cli import main
-from fastpart.config import ConfigError, build_model, build_run_config, parse_config
+from fastpart.config import (ConfigError, build_init, build_model, build_run_config,
+                             parse_config)
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
@@ -178,6 +180,38 @@ def test_init_step_with_no_lattice_point_exits_2(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert f"key 'init_step' in [{section}] is too coarse" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dim,size", [(1, 10), (2, 100)])
+def test_fourier_grid_start_is_the_torus_lattice(tmp_path, dim, size):
+    # it used to be the ball's lattice: both -pi and +pi, the same torus
+    # point, in 1-D, and 81 points on the disk, none in the corners, in 2-D
+    path = _config(tmp_path, "fourier", extra_model=f"dim = {dim}\n")
+    path.write_text(path.read_text().replace("spike_positions = 0.5",
+                                             "spike_positions = " + "0.5 " * dim)
+                    .replace("init_step = 0.5", f"init_step = {math.pi / 5!r}"))
+    cfg = parse_config(path)
+    nu = build_init(cfg.solver, build_model(cfg))
+    assert nu.size == size
+    assert nu.positions.min() == -math.pi and nu.positions.max() < math.pi
+    assert nu.tv_norm == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("model,step", [("relu", "1e-7"), ("fourier", "1e-300")])
+def test_init_step_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, model, step):
+    # 1e-7 in 2-D used to exit 1 with "Unable to allocate 5.68 PiB", and
+    # 1e-300 to exit 2 calling the step too coarse
+    monkeypatch.setattr(diagnostics, "grid_points",
+                        lambda *args: pytest.fail("the lattice was built"))
+    extra_model = "dim = 2\n" if model == "fourier" else ""
+    path = _config(tmp_path, model, extra_model=extra_model)
+    path.write_text(path.read_text().replace("spike_positions = 0.5",
+                                             "spike_positions = 0.5 0.5")
+                    .replace("init_step = 0.5", f"init_step = {step}"))
+    assert main(["run", str(path), "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"[solver] init_step = {float(step):g}" in err and "too coarse" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def _with_value(source, dest, section, key, value):
