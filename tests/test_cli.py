@@ -46,6 +46,71 @@ def read_trace(path):
     return rows
 
 
+RELU_CFG = """
+[model]
+kind = relu
+dim = 2
+n = 16
+
+[solver]
+alpha = 0.1
+eta = 0.01
+k = 5
+lambda = 0.1
+init_step = 0.5
+"""
+RELU_MODEL = "kind = relu\ndim = 2\nn = 16\n"
+FOURIER_CFG = RELU_CFG.replace(RELU_MODEL, "kind = fourier\nfreq_cutoff = 2\n"
+                               "spike_weights = 1.0\nspike_positions = 0.5\n")
+GMM_DATA_CFG = RELU_CFG.replace(RELU_MODEL, "kind = gmm\ndata = d.csv\n"
+                                "bandwidth = 0.1\nmixing_scale = 0.1\n")
+RUN = ["run", "{cfg}", "--quiet"]
+CERTIFY = ["certify", "{cfg}", "{tmp}/m.csv", "--quiet"]
+
+# case -> (argv, config text, {file name: text}, what stderr must name)
+REFUSALS = {
+    "missing-k": (RUN, RELU_CFG.replace("k = 5\n", ""), {}, "'k' in [solver]"),
+    "missing-spike-weights": (RUN, FOURIER_CFG.replace("spike_weights = 1.0\n", ""),
+                              {}, "'spike_weights' in [model]"),
+    "missing-alpha": (RUN, RELU_CFG.replace("alpha = 0.1\n", ""), {},
+                      "'alpha' in [solver]"),
+    "missing-eta": (RUN, RELU_CFG.replace("eta = 0.01\n", ""), {}, "'eta' in [solver]"),
+    "missing-init-step": (RUN, RELU_CFG.replace("init_step = 0.5\n", ""), {},
+                          "'init_step' in [solver]"),
+    "missing-p": (RUN, RELU_CFG.replace("init_step = 0.5", "init = random"), {},
+                  "'p' in [solver]"),
+    "trace-cesaro-alone": (RUN, RELU_CFG + "trace_cesaro = true\n", {},
+                           "'trace_cesaro' in [solver]"),
+    "benchmark-on-relu": (RUN, RELU_CFG.replace("n = 16\n",
+                                                "n = 16\nbenchmark = gmm3a\n"),
+                          {}, "'benchmark' in [model]"),
+    "gmm-without-data": (RUN, GMM_DATA_CFG.replace("data = d.csv\n", ""), {},
+                         "'benchmark' or 'data' in [model]"),
+    "length-mismatch": (RUN, FOURIER_CFG.replace("1.0", "1.0, 0.5"), {},
+                        "spike_weights and spike_positions in [model]"),
+    "no-model": (RUN, RELU_CFG[RELU_CFG.index("[solver]"):], {}, "[model]"),
+    "no-solver": (RUN, RELU_CFG[:RELU_CFG.index("[solver]")], {}, "[solver]"),
+    "empty-variant-name": (RUN, RELU_CFG + "\n[variant ]\nk = 3\n", {}, "[variant NAME]"),
+    "missing-data-file": (RUN, GMM_DATA_CFG, {}, "d.csv"),
+    "unparseable-data-file": (RUN, GMM_DATA_CFG, {"d.csv": "0.1\nabc\n"}, "d.csv"),
+    "empty-measure-file": (CERTIFY, RELU_CFG, {"m.csv": ""}, "m.csv"),
+    "measure-header": (CERTIFY, RELU_CFG, {"m.csv": "w,x0,x1\n1,0,0\n"}, "m.csv"),
+    "measure-row-width": (CERTIFY, RELU_CFG, {"m.csv": "weight,x0,x1\n1,0\n"}, "m.csv"),
+    "gen-data-missing-dir": (["gen-data", "gmm3a", "1", "{tmp}/nodir/d.csv"], "", {},
+                             "nodir"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_exits_2_naming_its_field(tmp_path, capsys, case):
+    argv, text, files, named = REFUSALS[case]
+    cfg = write_cfg(tmp_path, text)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    assert main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+
 class TestRunCommand:
     def test_minimal_run_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_GMM.format(k=20, out=tmp_path / "out",
