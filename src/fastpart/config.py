@@ -306,7 +306,8 @@ def read_rows(path: Path, what: str, row: str, skiprows: int = 0) -> np.ndarray:
     row is refused by its 1-based index."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the caller decides on zero rows
+            # the caller decides whether zero rows are legal
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             data = np.loadtxt(path, delimiter=",", comments="#", skiprows=skiprows,
                               ndmin=2)
     except OSError as exc:
