@@ -53,7 +53,7 @@ def write_measure(path: Path, measure: ParticleMeasure) -> None:
 def read_measure(path: Path) -> ParticleMeasure:
     try:
         header = path.read_text(encoding="utf-8").splitlines()[0]
-    except (OSError, IndexError) as exc:
+    except (OSError, IndexError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read measure file {path}: {exc}") from exc
     n_cols = len(header.split(","))
     if n_cols < 2 or not header.startswith("weight"):

@@ -96,6 +96,7 @@ REFUSALS = {
     "empty-measure-file": (CERTIFY, RELU_CFG, {"m.csv": ""}, "m.csv"),
     "measure-header": (CERTIFY, RELU_CFG, {"m.csv": "w,x0,x1\n1,0,0\n"}, "m.csv"),
     "measure-row-width": (CERTIFY, RELU_CFG, {"m.csv": "weight,x0,x1\n1,0\n"}, "m.csv"),
+    "measure-not-utf8": (CERTIFY, RELU_CFG, {"m.csv": "\xffweight,x0,x1\n"}, "m.csv"),
     "gen-data-missing-dir": (["gen-data", "gmm3a", "1", "{tmp}/nodir/d.csv"], "", {},
                              "nodir"),
 }
@@ -106,7 +107,7 @@ def test_refusal_exits_2_naming_its_field(tmp_path, capsys, case):
     argv, text, files, named = REFUSALS[case]
     cfg = write_cfg(tmp_path, text)
     for name, content in files.items():
-        (tmp_path / name).write_text(content, encoding="utf-8")
+        (tmp_path / name).write_bytes(content.encode("latin-1"))  # \xff: not UTF-8
     assert main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
