@@ -29,7 +29,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
 from .base import (_BLOCK_PAIRS, FeatureModel, GroundTruth, ModelBounds,
-                   _fill_point_blocks, coordinate_product_grad, positive_finite)
+                   _fill_point_blocks, _fill_row_blocks, coordinate_product_grad,
+                   positive_finite)
 
 _QUAD_NODES = 64
 
@@ -160,6 +161,105 @@ def _prod_profile(profile, x, grad=True):
     return np.prod(vals, axis=-1), coordinate_product_grad(vals, ders)
 
 
+_EPS = float(np.finfo(float).eps)
+_SERIES_START = 32  # nodes of the first try: the chop needs at least 17
+_SERIES_CAP = 512  # nodes of the last try; a function still unresolved keeps the sum
+
+
+class _ChebyshevSeries:
+    """Chebyshev series on [-radius, radius] of a 1-D function and its
+    derivative, interpolated at the Chebyshev points of the first kind
+    (Trefethen, Approximation Theory and Approximation Practice, 2013).
+
+    ``fit(sample)`` doubles the node count from ``_SERIES_START`` until
+    both coefficient rows reach their noise plateau, then chops them to
+    one common length (Aurentz & Trefethen, "Chopping a Chebyshev series",
+    2017); it returns None when ``_SERIES_CAP`` nodes do not resolve them.
+    ``sample(pts)`` gives (values, (n, 1) derivatives) at (n, 1) points.
+    """
+
+    def __init__(self, coeffs: np.ndarray, radius: float):
+        self.coeffs = coeffs  # (2, length): the value row, the derivative row
+        self.length = coeffs.shape[1]
+        self.radius = _const(radius)
+        self._k = np.arange(self.length, dtype=float)
+
+    @classmethod
+    def fit(cls, sample, radius: float) -> _ChebyshevSeries | None:
+        n = _SERIES_START
+        while n <= _SERIES_CAP:
+            nodes = radius * np.cos((np.arange(n) + 0.5) * (np.pi / n))
+            val, der = sample(nodes[:, None])
+            coeffs = _cosine_coefficients(np.stack([val, der[:, 0]]))
+            length = max(_chop_length(row) for row in coeffs)
+            if length < n:
+                return cls(coeffs[:, :length].copy(), radius)
+            n *= 2
+        return None
+
+    def __call__(self, x, grad):
+        """(value,) or (value, (n, 1) derivative) at points x of [-radius,
+        radius]: each row reduces its own cos(k arccos(x / radius)) table
+        row against the coefficients, so its bits are its own."""
+        table = np.cos(np.multiply.outer(np.arccos(x / self.radius), self._k))
+        val = np.add.reduce(table * self.coeffs[0], axis=1)
+        if not grad:
+            return (val,)
+        return val, np.add.reduce(table * self.coeffs[1], axis=1)[:, None]
+
+
+def _cosine_coefficients(samples: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients c_k = (2/n) sum_j f_j cos(k theta_j), c_0
+    halved, of each row of samples f at the n first-kind angles
+    theta_j = (2j + 1) pi / (2n): the cosine table a row block of k at a
+    time, each row reduced, no BLAS.  k theta_j is reduced exactly, as the
+    integer k (2j + 1) mod 4n, so each entry is cos of an angle in
+    [0, 2 pi) and the high coefficients keep their accuracy."""
+    n = samples.shape[1]
+    cosines = np.cos(np.arange(4 * n) * (np.pi / (2 * n)))
+    odd = 2 * np.arange(n) + 1
+
+    def rows(ks):
+        table = cosines[np.multiply.outer(np.arange(n)[ks], odd) % (4 * n)]
+        return tuple(np.add.reduce(table * f, axis=1) for f in samples)
+
+    coeffs = np.stack(_fill_row_blocks(rows, n, n)) * (2.0 / n)
+    coeffs[:, 0] *= 0.5
+    return coeffs
+
+
+def _chop_length(coeffs: np.ndarray) -> int:
+    """Terms to keep of a Chebyshev series: Aurentz and Trefethen's
+    standard chop at machine precision.  It finds the plateau where the normalized, monotone
+    envelope of |coeffs| stops decaying, then cuts where that envelope
+    plus a slight linear bias toward fewer terms is least.  Returns
+    ``len(coeffs)`` when the envelope has no plateau yet (unresolved)."""
+    n = len(coeffs)
+    if n < 17:
+        return n
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    for j in range(2, n + 1):  # 1-based positions, as in the paper
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return n
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(_EPS)):
+            plateau = j - 1
+            break
+    if env[plateau - 1] == 0.0:
+        return plateau
+    floor = _EPS ** (7.0 / 6.0)
+    j3 = int(np.count_nonzero(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    biased = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(_EPS) / 3.0, j2)
+    return max(int(np.argmin(biased)), 1)
+
+
 def _truncation_window(trunc_width: float):
     """Standard normal CDF at ``-trunc_width`` and the CDF mass up to
     ``+trunc_width``: the quantile window of the truncated draw."""
@@ -251,11 +351,36 @@ class GaussianMixtureModel(FeatureModel):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
         return _prod_profile(self._kern, diff, grad)
 
-    # the data side takes row blocks of the points against all N samples
-    # through the profile's sample mean
+    # in 1-D the data side is a fixed smooth function of t, tabulated once
+    # as a Chebyshev series; d >= 2, a series the cap left unresolved and
+    # points outside [-radius, radius] take the sample sum
     def data_fit(self, t, grad=True):
+        series = self._data_series if self.dim == 1 else None
+        if series is None:
+            return self._sample_fit(t, grad)
+
+        def rows(pts):
+            outside = np.abs(pts[:, 0]) > series.radius
+            if not outside.any():
+                return series(pts[:, 0], grad)
+            outs = series(np.where(outside, 0.0, pts[:, 0]), grad)
+            for out, exact in zip(outs, self._sample_fit(pts[outside], grad)):
+                out[outside] = exact
+            return outs
+
+        return _fill_point_blocks(rows, t, series.length)
+
+    def _sample_fit(self, t, grad=True):
+        """The data side as the sample sum: row blocks of the points
+        against all N samples through the profile's sample mean."""
         return _fill_point_blocks(
             lambda pts: self._ktilde.sample_mean(pts, self.data, grad), t, self.n_data)
+
+    @cached_property
+    def _data_series(self) -> _ChebyshevSeries | None:
+        # built on the first data_fit call, not with the model: runs that
+        # never evaluate the exact data side do not pay for it
+        return _ChebyshevSeries.fit(self._sample_fit, self.radius)
 
     @cached_property
     def y_norm_sq(self) -> float:

@@ -54,7 +54,9 @@ def _relu():
 
 
 # name -> (model factory, lattice step): every lattice spans several blocks
-# of gram(lattice, lattice), and of inner_y for the mixture and ReLU models
+# of gram(lattice, lattice), and of inner_y for the 2-D mixture and ReLU
+# models; the 1-D mixtures' data side is a Chebyshev series, whose rows
+# test_data_series.py checks across blocks
 MODELS = {
     "gmm3a": (_gmm3a, 0.004),
     "trunc_gmm": (_trunc, 0.0045),

@@ -1,0 +1,30 @@
+"""Property test of the 1-D mixture data side's Chebyshev series on
+random mixtures, plain or truncated, with bandwidth, mixing scale, sample
+size and radius drawn: within 1e-13 of the largest value of the sample
+sum, for value and gradient, or, when the node cap leaves the function
+unresolved, the sum's own bits.  Needs hypothesis (the ``test`` extra);
+skipped without it."""
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from test_data_series import CAPPED, assert_within_bound, random_mixture  # noqa: E402
+
+
+@settings(max_examples=60, deadline=None)
+@given(radius=st.floats(0.5, 3.0), bandwidth=st.floats(-4.0, 0.4).map(np.exp),
+       scale=st.floats(-4.0, 0.0).map(np.exp), n=st.integers(1, 300),
+       trunc_width=st.none() | st.floats(1.0, 4.0), seed=st.integers(0, 2**32 - 1))
+@example(**CAPPED)
+@example(radius=3.0, bandwidth=0.045, scale=0.045, n=300, trunc_width=None, seed=1)
+def test_series_of_a_random_mixture_is_within_bound_or_the_sum(**drawn):
+    model = random_mixture(**drawn)
+    lattice = np.linspace(-model.radius, model.radius, 2001)[:, None]
+    if model._data_series is None:  # the cap was hit: the sum itself
+        for got, want in zip(model.data_fit(lattice), model._sample_fit(lattice)):
+            assert np.array_equal(got, want)
+    else:
+        assert_within_bound(model, lattice)
