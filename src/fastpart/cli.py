@@ -92,9 +92,9 @@ def _grid_oracle(cfg, model, lam: float):
 
 
 def _resolve_tv_star(cfg, spec, model, quiet: bool):
-    """The global schedule may ask for the oracle's mass estimate."""
+    """The global schedule may ask for the oracle's mass estimate; callers
+    build the start first, so a start is refused before the oracle runs."""
     if spec.schedule == "global" and isinstance(spec.tv_star, str):
-        build_init(spec, model)  # a start refused before the oracle runs
         if not quiet:
             print(f"computing oracle mass estimate (grid_step={cfg.oracle_step})")
         return _grid_oracle(cfg, model, spec.lam).measure.tv_norm
@@ -108,8 +108,9 @@ def cmd_run(args) -> int:
     if args.trace_every is not None:
         cfg.trace_every = args.trace_every
     model = build_model(cfg)
+    init = build_init(cfg.solver, model)
     tv_star = _resolve_tv_star(cfg, cfg.solver, model, args.quiet)
-    rc = build_run_config(cfg.solver, model, cfg.trace_every, tv_star)
+    rc = build_run_config(cfg.solver, model, init, cfg.trace_every, tv_star)
     result = run(rc, model)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,8 +135,8 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two [variant NAME] sections")
     model = build_model(cfg)
     base_init = build_init(cfg.solver, model)
-    for spec in cfg.variants.values():  # a start refused before the oracle runs
-        build_init(spec, model)
+    # every start is built once, and refused before the oracle runs
+    inits = {name: build_init(spec, model) for name, spec in cfg.variants.items()}
     orc = _grid_oracle(cfg, model, cfg.solver.lam)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -148,7 +149,7 @@ def cmd_compare(args) -> int:
     for name in sorted(cfg.variants):
         spec = cfg.variants[name]
         tv_star = _resolve_tv_star(cfg, spec, model, args.quiet)
-        rc = build_run_config(spec, model, cfg.trace_every, tv_star)
+        rc = build_run_config(spec, model, inits[name], cfg.trace_every, tv_star)
         result = run(rc, model)
         write_trace(out / f"{name}_trace.csv", result,
                     f"variant={name} seed={rc.seed} mode={rc.mode}")

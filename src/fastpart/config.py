@@ -375,14 +375,13 @@ def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
     return nu
 
 
-def build_run_config(spec: SimpleNamespace, model: FeatureModel, trace_every: int,
-                     tv_star_value: float | None = None) -> RunConfig:
-    """RunConfig from a solver spec.
+def build_run_config(spec: SimpleNamespace, model: FeatureModel, init: ParticleMeasure,
+                     trace_every: int, tv_star_value: float | None = None) -> RunConfig:
+    """RunConfig from a solver spec and the start ``build_init`` made of it.
 
     ``tv_star_value`` supplies the mass estimate when the spec asked for
     the oracle's value (global schedule) and the caller computed it.
     """
-    init = build_init(spec, model)
     alpha, eta, batch = spec.alpha, spec.eta, spec.batch
     if spec.schedule in ("global", "local"):
         radii = mass_radii(model, spec.lam, init)

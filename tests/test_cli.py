@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fastpart import diagnostics
 from fastpart.cli import main, read_measure, write_measure
 from fastpart.measures import ParticleMeasure
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 BASE_GMM = """
@@ -450,6 +455,34 @@ tol = 1e-6
             return np.var(np.diff(tail))
 
         assert late_variance("avg") < late_variance("raw")
+
+
+class TestShippedCompare:
+    """``compare`` on configs/gmm3a_compare.cfg at its seed 0, run once."""
+
+    @pytest.fixture(scope="class")
+    def shipped(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("shipped") / "out"
+        lattices = []
+        with pytest.MonkeyPatch.context() as mp:
+            lattice = diagnostics.model_lattice
+            mp.setattr(diagnostics, "model_lattice",
+                       lambda *args: lattices.append(args[1:]) or lattice(*args))
+            assert main(["compare", str(CONFIGS / "gmm3a_compare.cfg"),
+                         "--out-dir", str(out), "--quiet"]) == 0
+        rows = (out / "comparison.csv").read_text().splitlines()[2:]
+        return lattices, {r.split(",")[0]: r.split(",")[1] for r in rows}
+
+    def test_each_start_is_built_once(self, shipped):
+        # the [solver] start, one per variant, then the oracle's lattice;
+        # each variant's start used to be built twice (6 lattices)
+        lattices, _ = shipped
+        assert [step for step, *_ in lattices] == [0.040816326530612242] * 3 + [0.001]
+
+    def test_evaluations_to_threshold_are_unchanged(self, shipped):
+        # the exact data side's Chebyshev series moves J only at rounding
+        _, evals = shipped
+        assert evals == {"exact": "6150000", "stochastic": "240000"}
 
 
 class TestFourier2dConfig:

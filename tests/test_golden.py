@@ -436,8 +436,8 @@ def _config_outputs(name, tmp_dir):
                                         for v in sorted(cfg.variants)]
     for section, spec in specs:
         tv_star = 1.0 if spec.tv_star == "oracle" else None
-        rc = build_run_config(spec, model, cfg.trace_every, tv_star_value=tv_star)
         init = build_init(spec, model)
+        rc = build_run_config(spec, model, init, cfg.trace_every, tv_star_value=tv_star)
         out[section] = {
             "alpha": float(rc.alpha).hex(), "eta": float(rc.eta).hex(),
             "lam": float(rc.lam).hex(), "iterations": rc.iterations,
