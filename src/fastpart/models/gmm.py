@@ -162,7 +162,7 @@ def _prod_profile(profile, x, grad=True):
 
 
 _EPS = float(np.finfo(float).eps)
-_SERIES_START = 32  # nodes of the first try: the chop needs at least 17
+_SERIES_START = 32  # nodes of the first try: the chop reads at least 17
 _SERIES_CAP = 512  # nodes of the last try; a function still unresolved keeps the sum
 
 
@@ -230,13 +230,12 @@ def _cosine_coefficients(samples: np.ndarray) -> np.ndarray:
 
 def _chop_length(coeffs: np.ndarray) -> int:
     """Terms to keep of a Chebyshev series: Aurentz and Trefethen's
-    standard chop at machine precision.  It finds the plateau where the normalized, monotone
-    envelope of |coeffs| stops decaying, then cuts where that envelope
-    plus a slight linear bias toward fewer terms is least.  Returns
-    ``len(coeffs)`` when the envelope has no plateau yet (unresolved)."""
+    standard chop at machine precision.  It finds the plateau where the
+    normalized, monotone envelope of |coeffs| stops decaying, then cuts
+    where that envelope plus a slight linear bias toward fewer terms is
+    least.  Returns ``len(coeffs)`` when the envelope has no plateau yet
+    (unresolved)."""
     n = len(coeffs)
-    if n < 17:
-        return n
     env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
     if env[0] == 0.0:
         return 1
