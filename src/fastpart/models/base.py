@@ -203,7 +203,7 @@ class FeatureModel(ABC):
     def contains(self, points: np.ndarray, tol: float = 1e-12) -> bool:
         """Whether every point lies in the domain up to tol."""
         pts = np.asarray(points)
-        sq = np.add.reduce(pts * pts, axis=-1)
+        sq = np.vecdot(pts, pts)  # one call; an ulp is far inside tol
         return bool(np.maximum.reduce(sq, axis=None) <= (self.radius + tol) ** 2)
 
     def smooth_at(self, t, step: float = 0.0) -> bool:
@@ -254,6 +254,16 @@ def _pairwise(t, t_prime):
     t = np.atleast_2d(np.asarray(t, dtype=float))
     s = np.atleast_2d(np.asarray(t_prime, dtype=float))
     return t[:, None, :], s[None, :, :]
+
+
+def draw_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``size`` uniform indices below n as an int array: the same draws,
+    bit for bit, as ``rng.integers(n, size=size)``.  One index takes
+    numpy's scalar path, which skips the size handling (an ``np.prod``
+    call) that costs more than the draw itself."""
+    if size == 1:
+        return np.array([rng.integers(n)])
+    return rng.integers(n, size=size)
 
 
 def positive_finite(name: str, value) -> float:

@@ -30,7 +30,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from .base import (_BLOCK_PAIRS, FeatureModel, GroundTruth, ModelBounds,
                    _fill_point_blocks, _fill_row_blocks, coordinate_product_grad,
-                   positive_finite)
+                   draw_indices, positive_finite)
 
 _QUAD_NODES = 64
 
@@ -103,8 +103,7 @@ class _TruncatedConvProfile:
         mu_slope = s * s / vsum
         inv_c = 1.0 / c
         a_c = a / c
-        self._a_c = _const(a_c)
-        self._neg_a_c = _const(-a_c)
+        self._edges_c = np.array([-a_c, a_c])
         self._mu_c_slope = _const(mu_slope * inv_c)
         self._dbox_coef = _const(mu_slope * inv_c / self.z)
         self._neg_inv_vsum = _const(-(1.0 / vsum))
@@ -112,15 +111,17 @@ class _TruncatedConvProfile:
         self._norm = _const(np.sqrt(2.0 * np.pi * vsum))
 
     def __call__(self, x, grad=True):
+        # both ends of the box, lo = -a_c - mu_c and hi = a_c - mu_c, as
+        # one (2, ...) array: one ndtr and one _std_pdf call, same bits
         x = np.asarray(x, dtype=float)
-        mu_c = x * self._mu_c_slope
-        lo = self._neg_a_c - mu_c
-        hi = self._a_c - mu_c
+        lo_hi = np.subtract.outer(self._edges_c, x * self._mu_c_slope)
         base = _gauss_pdf(x, self.vsum, self._norm)
-        val = base * (ndtr(hi) - ndtr(lo)) * self._inv_z
+        cdf = ndtr(lo_hi)
+        val = base * (cdf[1] - cdf[0]) * self._inv_z
         if not grad:
             return (val,)
-        d_box = self._dbox_coef * (_std_pdf(lo) - _std_pdf(hi))
+        pdf = _std_pdf(lo_hi)
+        d_box = self._dbox_coef * (pdf[0] - pdf[1])
         return val, self._neg_inv_vsum * x * val + base * d_box
 
     def sample_mean(self, pts, data, grad):
@@ -406,7 +407,7 @@ class GaussianMixtureModel(FeatureModel):
                                  self._u_window)
 
     def sample_v(self, rng, size):
-        return self.data[rng.integers(self.n_data, size=size)]
+        return self.data[draw_indices(rng, self.n_data, size)]
 
     def kernel_surrogate(self, t, t_prime, u):
         arg = (np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .base import (FeatureModel, ModelBounds, _fill_point_blocks, _fill_row_blocks,
-                   positive_finite)
+                   draw_indices, positive_finite)
 
 
 def sample_regression_data(n: int, dim: int, rng: np.random.Generator,
@@ -113,14 +113,14 @@ class ReluFeatureModel(FeatureModel):
     # ----- stochastic surrogates -------------------------------------------------
 
     def sample_u(self, rng, size):
-        return rng.integers(self.n_data, size=size)
+        return draw_indices(rng, self.n_data, size)
 
     def sample_v(self, rng, size):
-        return rng.integers(self.n_data, size=size)
+        return draw_indices(rng, self.n_data, size)
 
     def sample_uv(self, rng, size):
         # a single data index feeds both sides
-        idx = rng.integers(self.n_data, size=size)
+        idx = draw_indices(rng, self.n_data, size)
         return idx, idx
 
     def kernel_surrogate(self, t, t_prime, u):

@@ -29,6 +29,14 @@ MASS_EXTINCT_TV = 1e-300
 # kernel/data products (value and gradient) in deterministic mode
 STOCHASTIC_EVALS_PER_POINT = 4
 
+# slack of the increment check in step, as 0-d arrays: an elementwise op
+# with an array operand dispatches faster than with a Python float, and
+# rounds identically.  The check takes squared lengths by np.vecdot, one
+# call each; for d >= 2 it may round them an ulp apart from a sum of
+# squares, which the 1e-9 slack cannot see
+_INC_RTOL = np.array(1.0 + 1e-9)
+_INC_ATOL = np.array(1e-18)
+
 
 @dataclass
 class RunConfig:
@@ -200,9 +208,9 @@ def step(state: IterateState, model: FeatureModel, cfg: RunConfig) -> IterateSta
 
     # position increments can never exceed the unprojected step
     inc = model.displacement(new_pos, positions)
-    inc_sq = np.add.reduce(inc * inc, axis=-1)
-    step_sq = np.add.reduce(move * move, axis=-1)
-    if np.logical_or.reduce(inc_sq > step_sq * (1.0 + 1e-9) + 1e-18):
+    inc_sq = np.vecdot(inc, inc)
+    step_sq = np.vecdot(move, move)
+    if np.logical_or.reduce(inc_sq > step_sq * _INC_RTOL + _INC_ATOL):
         raise RuntimeError("position increment exceeded the gradient step")
     if not model.contains(new_pos):
         raise RuntimeError("projected position left the domain")
@@ -235,6 +243,11 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
         raise ValueError("alpha and eta must be >= 0 and lam > 0")
     if cfg.trace_every < 1:
         raise ValueError("trace_every must be >= 1")
+    if cfg.mode not in ("stochastic", "deterministic"):
+        raise ValueError(f"mode must be 'stochastic' or 'deterministic', got {cfg.mode!r}")
+    batch = cfg.batch_schedule  # a float or bool batch is refused, not rounded
+    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
+        raise ValueError(f"batch_schedule must be an integer >= 1, got {batch!r}")
     if cfg.trace_cesaro and not cfg.cesaro:
         raise ValueError("trace_cesaro requires cesaro tracking")
 

@@ -20,7 +20,7 @@ wrapper, a float at a single point).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +28,16 @@ from .measures import ParticleMeasure, sample_particle_index
 from .models.base import FeatureModel
 
 
-@dataclass(frozen=True)
-class Minibatch:
+_ZERO = np.array(0.0)
+
+
+class Minibatch(NamedTuple):
     """A batch of independent joint draws, stored column-wise.
 
     ``t_indices`` holds atom indices of the measure the batch was drawn
     against; ``u`` and ``v`` are model-specific arrays with the batch on
-    the first axis.
+    the first axis.  A named tuple: one is built every step, and a frozen
+    dataclass takes several times longer to construct.
     """
 
     t_indices: np.ndarray
@@ -96,13 +99,20 @@ def minibatch_fields(model: FeatureModel, measure: ParticleMeasure, points,
     t_indices = batch.t_indices
     atoms = measure.positions[t_indices]
     total = measure.tv_norm
-    inv_m = 1.0 / len(t_indices)
     gval, ggrad, hval, hgrad = model.surrogate_fields(
         pts[:, None, :], atoms[None, :, :], batch.u[None, ...], batch.v[None, ...])
     if not measure.unsigned:
         signs = measure.signs[t_indices]
         gval = signs * gval
         ggrad = signs[None, :, None] * ggrad
+    if len(t_indices) == 1:
+        # a batch of one, with the general form's bits and no reductions:
+        # inv_m is 1, and numpy's sum over the batch axis is 0.0 + its one
+        # term, which turns -0.0 into 0.0.  The cost skips that + 0.0: a
+        # zero's sign cannot reach it through the final + lam (lam != -0.0)
+        return (total * gval[:, 0] - hval[:, 0] + lam,
+                total * (ggrad[:, 0] + _ZERO) - (hgrad[:, 0] + _ZERO))
+    inv_m = 1.0 / len(t_indices)
     scale = total * inv_m
     add = np.add.reduce
     cost = scale * add(gval, axis=1) - inv_m * add(hval, axis=1) + lam

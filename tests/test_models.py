@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from fastpart import (
     FourierDeconvolutionModel,
@@ -436,3 +437,40 @@ class TestProjection:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             project_to_ball(np.zeros(2), 0.0)
+
+
+class TestTruncatedProfile:
+    """The truncated mixture's profile evaluates both box ends as one
+    stacked array; a reference with separate ends pins its bits.  The
+    fused and separate surrogates share the profile, so
+    ``TestFusedSurrogates`` cannot see a change here."""
+
+    @staticmethod
+    def _separate_ends(prof, x):
+        neg_a_c, a_c = prof._edges_c
+        mu_c = x * prof._mu_c_slope
+        lo = neg_a_c - mu_c
+        hi = a_c - mu_c
+        base = np.exp(-0.5 * x * x / prof.vsum) / prof._norm
+        val = base * (ndtr(hi) - ndtr(lo)) * prof._inv_z
+        pdf_lo = np.exp(-0.5 * lo * lo) / np.sqrt(2.0 * np.pi)
+        pdf_hi = np.exp(-0.5 * hi * hi) / np.sqrt(2.0 * np.pi)
+        d_box = prof._dbox_coef * (pdf_lo - pdf_hi)
+        return val, prof._neg_inv_vsum * x * val + base * d_box
+
+    @pytest.mark.parametrize("bandwidth,scale", [(1.0, 0.5), (0.3, 0.2), (0.05, 0.3)])
+    def test_stacked_ends_match_separate_ends(self, bandwidth, scale):
+        model = GaussianMixtureModel([-0.2, 0.3], bandwidth=bandwidth,
+                                     mixing_scale=scale, radius=1.0, trunc_width=3.0)
+        prof = model._ktilde
+        # every argument a surrogate can see, tails included
+        reach = 2.0 * model.radius + model.trunc_width * scale
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(-reach, reach, 5000),
+                            [-reach, reach, 0.0, -0.0, 1e-300]])
+        for shaped in (x, x.reshape(-1, 5, 1)):
+            val, der = prof(shaped)
+            ref_val, ref_der = self._separate_ends(prof, shaped)
+            assert val.tobytes() == ref_val.tobytes()
+            assert der.tobytes() == ref_der.tobytes()
+            assert prof(shaped, False)[0].tobytes() == ref_val.tobytes()

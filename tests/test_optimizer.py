@@ -148,6 +148,28 @@ class TestRun:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             run(cfg, gmm_small)
 
+    def test_unknown_mode_rejected_before_any_work(self, gmm_small, monkeypatch):
+        # the misspelled mode used to surface only after the initial trace
+        monkeypatch.setattr("fastpart.diagnostics.trace_stats", None)
+        cfg = run_cfg(measure_1d([0.5, 0.5], [-0.3, 0.3]), mode="stochasitc")
+        with pytest.raises(ValueError, match="mode must be"):
+            run(cfg, gmm_small)
+
+    @pytest.mark.parametrize("batch", [0, 1.0, 2.5, True, np.float64(2.0)])
+    def test_non_integer_batch_rejected(self, gmm_small, batch):
+        # a float batch used to fail at step 1 inside numpy's size handling,
+        # and a batch of 1.0 would reach the batch-of-one path by accident
+        cfg = run_cfg(measure_1d([0.5, 0.5], [-0.3, 0.3]), batch_schedule=batch)
+        with pytest.raises(ValueError, match="batch_schedule must be an integer"):
+            run(cfg, gmm_small)
+
+    def test_numpy_integer_batch_accepted(self, gmm_small):
+        nu = measure_1d([0.5, 0.5], [-0.3, 0.3])
+        res = run(run_cfg(nu, iterations=5, batch_schedule=np.int64(2)), gmm_small)
+        ref = run(run_cfg(nu, iterations=5, batch_schedule=2), gmm_small)
+        assert np.array_equal(res.measure.weights, ref.measure.weights)
+        assert np.array_equal(res.measure.positions, ref.measure.positions)
+
     def test_single_zero_step_returns_init(self, gmm_small):
         nu = measure_1d([0.4, 0.6], [-0.2, 0.2])
         res = run(run_cfg(nu, alpha=0.0, eta=0.0, iterations=1), gmm_small)

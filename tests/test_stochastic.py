@@ -206,3 +206,69 @@ class TestAlmostSureBounds:
             means = samples[:n_rep * m].reshape(n_rep, m).mean(axis=1)
             ratio = means.var() / (var1 / m)
             assert 1 / 1.3 <= ratio <= 1.3
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBatchOfOne:
+    """The batch-of-one fast paths of the stochastic step against the
+    general forms they replace, bit for bit."""
+
+    @staticmethod
+    def _sized_draws(kind, model, rng):
+        """Each sampler's one-index draw, written with numpy's size=1 path."""
+        n = model.n_data
+        if kind == "gmm":
+            return {"sample_v": lambda: model.data[rng.integers(n, size=1)]}
+        return {"sample_u": lambda: rng.integers(n, size=1),
+                "sample_v": lambda: rng.integers(n, size=1),
+                "sample_uv": lambda: (lambda i: (i, i))(rng.integers(n, size=1))}
+
+    @pytest.mark.parametrize("kind", ["gmm", "relu"])
+    def test_single_index_draw_matches_sized_draw(self, request, kind):
+        # 10^4 draws of each sampler interleaved with uniforms: the scalar
+        # path takes the same PCG64 stream as rng.integers(n, size=1)
+        model = request.getfixturevalue({"gmm": "gmm_small", "relu": "relu_model"}[kind])
+        fast, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        reference = self._sized_draws(kind, model, ref)
+        for _ in range(10_000):
+            for name, draw in reference.items():
+                got, want = getattr(model, name)(fast, 1), draw()
+                if name == "sample_uv":
+                    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+                else:
+                    assert same_bits(got, want)
+            assert fast.random() == ref.random()
+
+    @pytest.mark.parametrize("lam", [0.25, 0.0])
+    @pytest.mark.parametrize("name", ["gmm_trunc", "gmm_small", "relu_model"])
+    def test_minibatch_fields_match_the_batch_sum(self, request, name, lam):
+        # the general estimator at m = 1, written out: a reduction over a
+        # length-1 batch axis and a division by 1.  ReLU's gradients hold
+        # many -0.0 terms, which the reduction turns into 0.0
+        model = request.getfixturevalue(name)
+        rng = np.random.default_rng(17)
+        p = 5
+        pts = model.project(rng.uniform(-1, 1, size=(p, model.dim)))
+        signs = [1, -1, 1, -1, 1] if name == "relu_model" else None
+        nu = ParticleMeasure(rng.random(p) + 0.1, pts, signs)
+        assert nu.unsigned == (signs is None)
+        for _ in range(200):
+            batch = draw_batch(model, nu, 1, rng)
+            cost, grad = minibatch_fields(model, nu, pts, lam, batch)
+            atoms = nu.positions[batch.t_indices]
+            gval, ggrad, hval, hgrad = model.surrogate_fields(
+                pts[:, None, :], atoms[None], batch.u[None], batch.v[None])
+            if not nu.unsigned:
+                s = nu.signs[batch.t_indices]
+                gval, ggrad = s * gval, s[None, :, None] * ggrad
+            inv_m = 1.0 / batch.size
+            scale = nu.tv_norm * inv_m
+            add = np.add.reduce
+            assert same_bits(cost, scale * add(gval, axis=1)
+                             - inv_m * add(hval, axis=1) + lam)
+            assert same_bits(grad, scale * add(ggrad, axis=1)
+                             - inv_m * add(hgrad, axis=1))
