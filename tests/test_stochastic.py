@@ -217,30 +217,24 @@ class TestBatchOfOne:
     """The batch-of-one fast paths of the stochastic step against the
     general forms they replace, bit for bit."""
 
-    @staticmethod
-    def _sized_draws(kind, model, rng):
-        """Each sampler's one-index draw, written with numpy's size=1 path."""
-        n = model.n_data
-        if kind == "gmm":
-            return {"sample_v": lambda: model.data[rng.integers(n, size=1)]}
-        return {"sample_u": lambda: rng.integers(n, size=1),
-                "sample_v": lambda: rng.integers(n, size=1),
-                "sample_uv": lambda: (lambda i: (i, i))(rng.integers(n, size=1))}
-
-    @pytest.mark.parametrize("kind", ["gmm", "relu"])
-    def test_single_index_draw_matches_sized_draw(self, request, kind):
-        # 10^4 draws of each sampler interleaved with uniforms: the scalar
-        # path takes the same PCG64 stream as rng.integers(n, size=1)
-        model = request.getfixturevalue({"gmm": "gmm_small", "relu": "relu_model"}[kind])
+    @pytest.mark.parametrize("name,sampler,reference", [
+        ("gmm_small", "sample_v", lambda model, idx: model.data[idx]),
+        ("relu_model", "sample_u", lambda model, idx: idx),
+        ("relu_model", "sample_v", lambda model, idx: idx),
+        ("relu_model", "sample_uv", lambda model, idx: (idx, idx)),
+    ])
+    def test_single_index_draw_matches_sized_draw(self, request, name, sampler, reference):
+        # 10^4 one-index draws interleaved with uniforms: the scalar path
+        # takes the same PCG64 stream as rng.integers(n, size=1)
+        model = request.getfixturevalue(name)
         fast, ref = np.random.default_rng(2024), np.random.default_rng(2024)
-        reference = self._sized_draws(kind, model, ref)
         for _ in range(10_000):
-            for name, draw in reference.items():
-                got, want = getattr(model, name)(fast, 1), draw()
-                if name == "sample_uv":
-                    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-                else:
-                    assert same_bits(got, want)
+            got = getattr(model, sampler)(fast, 1)
+            want = reference(model, ref.integers(model.n_data, size=1))
+            if sampler == "sample_uv":
+                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            else:
+                assert same_bits(got, want)
             assert fast.random() == ref.random()
 
     @pytest.mark.parametrize("lam", [0.25, 0.0])
