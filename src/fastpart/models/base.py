@@ -203,7 +203,7 @@ class FeatureModel(ABC):
     def contains(self, points: np.ndarray, tol: float = 1e-12) -> bool:
         """Whether every point lies in the domain up to tol."""
         pts = np.asarray(points)
-        sq = np.vecdot(pts, pts)  # one call; an ulp is far inside tol
+        sq = np.add.reduce(pts * pts, axis=-1)
         return bool(np.maximum.reduce(sq, axis=None) <= (self.radius + tol) ** 2)
 
     def smooth_at(self, t, step: float = 0.0) -> bool:

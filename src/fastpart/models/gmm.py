@@ -118,6 +118,7 @@ class _TruncatedConvProfile:
         base = _gauss_pdf(x, self.vsum, self._norm)
         cdf = ndtr(lo_hi)
         val = base * (cdf[1] - cdf[0]) * self._inv_z
+        del cdf  # two block-sized arrays, not kept alive through _std_pdf
         if not grad:
             return (val,)
         pdf = _std_pdf(lo_hi)

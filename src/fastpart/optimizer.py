@@ -31,9 +31,7 @@ STOCHASTIC_EVALS_PER_POINT = 4
 
 # slack of the increment check in step, as 0-d arrays: an elementwise op
 # with an array operand dispatches faster than with a Python float, and
-# rounds identically.  The check takes squared lengths by np.vecdot, one
-# call each; for d >= 2 it may round them an ulp apart from a sum of
-# squares, which the 1e-9 slack cannot see
+# rounds identically
 _INC_RTOL = np.array(1.0 + 1e-9)
 _INC_ATOL = np.array(1e-18)
 
@@ -208,8 +206,8 @@ def step(state: IterateState, model: FeatureModel, cfg: RunConfig) -> IterateSta
 
     # position increments can never exceed the unprojected step
     inc = model.displacement(new_pos, positions)
-    inc_sq = np.vecdot(inc, inc)
-    step_sq = np.vecdot(move, move)
+    inc_sq = np.add.reduce(inc * inc, axis=-1)
+    step_sq = np.add.reduce(move * move, axis=-1)
     if np.logical_or.reduce(inc_sq > step_sq * _INC_RTOL + _INC_ATOL):
         raise RuntimeError("position increment exceeded the gradient step")
     if not model.contains(new_pos):

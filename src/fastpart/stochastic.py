@@ -20,7 +20,7 @@ wrapper, a float at a single point).
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,15 @@ from .models.base import FeatureModel
 _ZERO = np.array(0.0)
 
 
-class Minibatch(NamedTuple):
+@dataclass(slots=True)
+class Minibatch:
     """A batch of independent joint draws, stored column-wise.
 
     ``t_indices`` holds atom indices of the measure the batch was drawn
     against; ``u`` and ``v`` are model-specific arrays with the batch on
-    the first axis.  A named tuple: one is built every step, and a frozen
-    dataclass takes several times longer to construct.
+    the first axis.  One is built every step, so it is a slotted dataclass
+    rather than a frozen one, whose ``__init__`` costs over twice as much;
+    treat it as read-only.  It has no ``len``: its batch size is ``size``.
     """
 
     t_indices: np.ndarray

@@ -266,3 +266,14 @@ class TestBatchOfOne:
                              - inv_m * add(hval, axis=1) + lam)
             assert same_bits(grad, scale * add(ggrad, axis=1)
                              - inv_m * add(hgrad, axis=1))
+
+    def test_minibatch_is_not_a_sequence(self, gmm_small):
+        # a batch's size is .size; len() and indexing must fail loudly
+        # rather than read as a tuple of its three fields
+        batch = draw_batch(gmm_small, measure_1d([0.5, 0.5], [-0.2, 0.3]), 1,
+                           np.random.default_rng(3))
+        assert batch.size == 1
+        with pytest.raises(TypeError):
+            len(batch)
+        with pytest.raises(TypeError):
+            batch[0]
