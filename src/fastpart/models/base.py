@@ -10,9 +10,9 @@ kernel side and a data draw ``v`` for the observation side, with
     E_u[g(t, t', u)] = K(t, t')      E_v[h(t, v)] = <phi_t, y>
 
 and the same identities for the gradients in ``t``.  Each quantity is
-implemented once, as a fused value-and-gradient primitive whose ``grad``
-flag drops the gradient; see ``FeatureModel``.  Models are immutable once
-built and never hold random state; callers pass RNG streams in.
+implemented once, in a fused value-and-gradient primitive (an exact one
+takes a ``grad`` flag that drops the gradient); see ``FeatureModel``.
+Models are immutable and hold no random state; callers pass RNG streams in.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ def _as_points(points) -> np.ndarray:
 class FeatureModel(ABC):
     """Capability interface shared by all problem models.
 
-    A model implements four quantity primitives.  Point arguments
+    A model implements three quantity primitives.  Point arguments
     broadcast: ``t`` and ``t_prime`` may be single ``(d,)`` vectors or
     stacked ``(..., d)`` arrays; values follow the broadcast shape and
     gradients (in ``t``) add a trailing ``d`` axis.
@@ -88,17 +88,16 @@ class FeatureModel(ABC):
       fields; with ``grad=False`` each returns the 1-tuple ``(value,)``,
       for the lattice scans (grid oracle columns, certificates) that must
       not allocate a gradient array;
-    * ``kernel_surrogate(t, t', u) -> (g, grad g)`` and
-      ``data_surrogate(t, v) -> (h, grad h)``: the stochastic fields.
+    * ``surrogate_fields(t, t', u, v) -> (g, grad g, h, grad h)``: the
+      stochastic fields, all four arguments broadcast together (a draw
+      ``u`` or ``v`` has the model's per-sample shape).
 
-    The joint ``surrogate_fields`` and the pairwise ``gram_bundle`` (with
-    the same ``grad`` flag) are derived here from the primitives; a single
-    quantity is the matching primitive's ``[0]`` or ``[1]``, and the
-    values ``kernel``, ``inner_y`` and ``gram`` are the ``[0]`` of the
+    The pairwise ``gram_bundle`` (with the same ``grad`` flag) is derived
+    here from ``kernel_fields``; a single quantity is the matching
+    primitive's ``[0]``, ``[1]``, ``[:2]`` or ``[2:]``, and the values
+    ``kernel``, ``inner_y`` and ``gram`` are the ``[0]`` of the
     ``grad=False`` call, so a value equals its fused form bit for bit.
-    Models override a derived method only for speed, each with its
-    reason: the mixture model's ``surrogate_fields`` (same bits) and the
-    ReLU model's matmul ``gram_bundle``.
+    The ReLU model overrides ``gram_bundle`` for speed, with its reason.
 
     Each model also caches its almost-sure surrogate bounds as a
     ``_bounds`` property; ``bounds()`` returns them.
@@ -130,12 +129,8 @@ class FeatureModel(ABC):
         """(<phi_t, y>, its gradient in t); (<phi_t, y>,) without ``grad``."""
 
     @abstractmethod
-    def kernel_surrogate(self, t, t_prime, u):
-        """(g, grad g): unbiased kernel surrogate, E_u g = K(t, t')."""
-
-    @abstractmethod
-    def data_surrogate(self, t, v):
-        """(h, grad h): unbiased data surrogate, E_v h = <phi_t, y>."""
+    def surrogate_fields(self, t, t_prime, u, v):
+        """(g, grad g, h, grad h), unbiased: E_u g = K(t, t'), E_v h = <phi_t, y>."""
 
     @property
     @abstractmethod
@@ -159,10 +154,6 @@ class FeatureModel(ABC):
         return self._bounds
 
     # ----- derived forms -----------------------------------------------------
-
-    def surrogate_fields(self, t, t_prime, u, v):
-        """(g, grad g, h, grad h) in one call; the solver's hot path."""
-        return (*self.kernel_surrogate(t, t_prime, u), *self.data_surrogate(t, v))
 
     def kernel(self, t, t_prime):
         """K(t, t')."""

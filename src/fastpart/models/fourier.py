@@ -108,15 +108,13 @@ class FourierDeconvolutionModel(FeatureModel):
         # data side is deterministic for this model
         return np.zeros(size)
 
-    def kernel_surrogate(self, t, t_prime, u):
+    def surrogate_fields(self, t, t_prime, u, v):
         u = np.asarray(u, dtype=float)
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
         phase = np.sum(u * diff, axis=-1)
-        return np.cos(phase), -np.sin(phase)[..., None] * u
-
-    def data_surrogate(self, t, v):
         iy, giy = self.data_fit(t)
-        return (np.broadcast_to(iy, np.broadcast_shapes(np.shape(iy), np.shape(v))),
+        return (np.cos(phase), -np.sin(phase)[..., None] * u,
+                np.broadcast_to(iy, np.broadcast_shapes(np.shape(iy), np.shape(v))),
                 np.broadcast_to(giy, np.broadcast_shapes(np.shape(giy),
                                                          np.shape(v) + (1,))))
 

@@ -410,28 +410,17 @@ class GaussianMixtureModel(FeatureModel):
     def sample_v(self, rng, size):
         return self.data[draw_indices(rng, self.n_data, size)]
 
-    def kernel_surrogate(self, t, t_prime, u):
-        arg = (np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-               - np.asarray(u, dtype=float))
-        return _prod_profile(self._ktilde, arg)
-
-    def data_surrogate(self, t, v):
-        arg = np.asarray(t, dtype=float) - np.asarray(v, dtype=float)
-        return _prod_profile(self._ktilde, arg)
-
     def surrogate_fields(self, t, t_prime, u, v):
-        # speed override, same bits as the derived method: both argument
-        # blocks share one profile evaluation, the g block filling the
-        # first half of one preallocated buffer and the h block the rest
-        shape = np.broadcast(t, t_prime, u).shape
-        n = shape[0]
-        stacked = np.empty((2 * n,) + shape[1:])
-        arg_g = stacked[:n]
+        # g = ktilde(t - t' - u) and h = ktilde(t - v) share one profile
+        # evaluation: their arguments fill the two halves of one
+        # preallocated buffer, stacked on a new leading axis
+        stacked = np.empty((2,) + np.broadcast(t, t_prime, u, v).shape)
+        arg_g = stacked[0]
         np.subtract(t, t_prime, out=arg_g)
         np.subtract(arg_g, u, out=arg_g)
-        np.subtract(t, v, out=stacked[n:])
+        np.subtract(t, v, out=stacked[1])
         vals, grads = _prod_profile(self._ktilde, stacked)
-        return vals[:n], grads[:n], vals[n:], grads[n:]
+        return vals[0], grads[0], vals[1], grads[1]
 
     # ----- bounds -------------------------------------------------------------
 

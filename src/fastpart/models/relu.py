@@ -123,17 +123,16 @@ class ReluFeatureModel(FeatureModel):
         idx = draw_indices(rng, self.n_data, size)
         return idx, idx
 
-    def kernel_surrogate(self, t, t_prime, u):
+    def surrogate_fields(self, t, t_prime, u, v):
+        t = np.asarray(t, dtype=float)
         xu = self.x[np.asarray(u, dtype=int)]
-        zt = np.sum(np.asarray(t, dtype=float) * xu, axis=-1)
+        zu = np.sum(t * xu, axis=-1)
         fs = np.maximum(np.sum(np.asarray(t_prime, dtype=float) * xu, axis=-1), 0.0)
-        return np.maximum(zt, 0.0) * fs, ((zt > 0.0) * fs)[..., None] * xu
-
-    def data_surrogate(self, t, v):
         v = np.asarray(v, dtype=int)
         xv, yv = self.x[v], self.y[v]
-        zt = np.sum(np.asarray(t, dtype=float) * xv, axis=-1)
-        return np.maximum(zt, 0.0) * yv, ((zt > 0.0) * yv)[..., None] * xv
+        zv = np.sum(t * xv, axis=-1)
+        return (np.maximum(zu, 0.0) * fs, ((zu > 0.0) * fs)[..., None] * xu,
+                np.maximum(zv, 0.0) * yv, ((zv > 0.0) * yv)[..., None] * xv)
 
     # ----- geometry ------------------------------------------------------------------
 

@@ -232,20 +232,19 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
     When the mass-bound hypothesis holds and alpha <= 1, the total mass
     of every iterate is checked against R0.
     """
-    if cfg.iterations < 1:
-        raise ValueError("iteration budget must be >= 1")
+    # counts must be ints, refused rather than rounded: the loop tests
+    # k % trace_every == 0, which a float or a bool passes silently
+    for name in ("iterations", "trace_every", "batch_schedule"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     for name in ("alpha", "eta", "lam"):  # a NaN passes the comparisons below
         if not math.isfinite(getattr(cfg, name)):
             raise ValueError(f"{name} must be finite, got {getattr(cfg, name)}")
     if cfg.alpha < 0 or cfg.eta < 0 or cfg.lam <= 0:
         raise ValueError("alpha and eta must be >= 0 and lam > 0")
-    if cfg.trace_every < 1:
-        raise ValueError("trace_every must be >= 1")
     if cfg.mode not in ("stochastic", "deterministic"):
         raise ValueError(f"mode must be 'stochastic' or 'deterministic', got {cfg.mode!r}")
-    batch = cfg.batch_schedule  # a float or bool batch is refused, not rounded
-    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
-        raise ValueError(f"batch_schedule must be an integer >= 1, got {batch!r}")
     if cfg.trace_cesaro and not cfg.cesaro:
         raise ValueError("trace_cesaro requires cesaro tracking")
 

@@ -107,17 +107,14 @@ class StubModel(FeatureModel):
     def sample_v(self, rng, size):
         return np.zeros(size)
 
-    def kernel_surrogate(self, t, t_prime, u):
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
+    def surrogate_fields(self, t, t_prime, u, v):
+        t = np.asarray(t, dtype=float)
+        diff = t - np.asarray(t_prime, dtype=float)
         return (np.full(np.broadcast_shapes(diff.shape[:-1], np.shape(u)[:-1]),
                         self.k0),
-                np.zeros(np.broadcast_shapes(diff.shape, np.shape(u))))
-
-    def data_surrogate(self, t, v):
-        t = np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(t.shape, np.shape(v) + (1,))
-        return (np.full(np.broadcast_shapes(t.shape[:-1], np.shape(v)), self.iy),
-                np.full(shape, self.giy))
+                np.zeros(np.broadcast_shapes(diff.shape, np.shape(u))),
+                np.full(np.broadcast_shapes(t.shape[:-1], np.shape(v)), self.iy),
+                np.full(np.broadcast_shapes(t.shape, np.shape(v) + (1,)), self.giy))
 
     def bounds(self):
         return self._stub_bounds

@@ -241,7 +241,7 @@ def test_criterion_5_monte_carlo_rate(bench3a):
         errs = np.empty(reps)
         for r in range(reps):
             u = model.sample_u(rng, m)
-            errs[r] = np.mean(model.kernel_surrogate(t, s, u)[0]) - exact
+            errs[r] = np.mean(model.surrogate_fields(t, s, u, model.data[0])[0]) - exact
         rmse.append(float(np.sqrt(np.mean(errs**2))))
     slope = float(np.polyfit(np.log(sizes), np.log(rmse), 1)[0])
     assert -0.65 <= slope <= -0.35

@@ -44,7 +44,8 @@ class TestGmmClosedForms:
         assert m.inner_y(pt(0.0)) == pytest.approx(oracle, rel=1e-10)
 
     def test_g_at_zero_offset(self, gmm_unit):
-        val = gmm_unit.kernel_surrogate(pt(0.3), pt(0.3), np.zeros(1))[0]
+        val = gmm_unit.surrogate_fields(pt(0.3), pt(0.3), np.zeros(1),
+                                        gmm_unit.data[0])[0]
         assert val == pytest.approx(0.2820948, abs=1e-7)
 
     def test_y_norm_matches_direct_sum(self, gmm_unit):
@@ -71,38 +72,40 @@ class TestGmmClosedForms:
     def test_truncated_surrogate_mean_is_kernel(self, gmm_trunc):
         rng = np.random.default_rng(11)
         u = gmm_trunc.sample_u(rng, 400_000)
-        vals = gmm_trunc.kernel_surrogate(pt(0.2), pt(-0.17), u)[0]
+        vals = gmm_trunc.surrogate_fields(pt(0.2), pt(-0.17), u, gmm_trunc.data[0])[0]
         exact = gmm_trunc.kernel(pt(0.2), pt(-0.17))
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se
 
 
 class TestFusedSurrogates:
-    """``surrogate_fields`` against the separate g/grad_g/h/grad_h views."""
+    """``surrogate_fields`` broadcasts its four arguments together: the
+    fused, stacked call the estimators make equals, bit for bit, separate
+    calls on one unbatched ``(d,)`` point with one draw."""
 
     @staticmethod
-    def _model(dim, trunc_width):
-        rng = np.random.default_rng(dim)
-        data = rng.uniform(-0.8, 0.8, size=(50, dim))
-        return GaussianMixtureModel(data, bandwidth=0.3, mixing_scale=0.2,
-                                    radius=1.0, trunc_width=trunc_width)
+    def _assert_entries_match(model, t, atoms, u, v):
+        stacked = model.surrogate_fields(t, atoms, u, v)
+        for i in range(t.shape[0]):
+            for j in range(atoms.shape[1]):
+                single = model.surrogate_fields(t[i, 0], atoms[0, j], u[0, j], v[0, j])
+                for one, many in zip(single, stacked):
+                    one, entry = np.asarray(one), many[i, j]
+                    assert one.shape == entry.shape
+                    assert one.tobytes() == entry.tobytes()
 
     @pytest.mark.parametrize("trunc_width", [None, 3.0])
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("p", [1, 5, 33])
     @pytest.mark.parametrize("m", [1, 4])
     def test_fused_matches_separate(self, trunc_width, dim, p, m):
-        model = self._model(dim, trunc_width)
+        model = _any_model("gmm_plain" if trunc_width is None else "gmm_trunc", dim)
         rng = np.random.default_rng(100 * p + m)
         t = project_to_ball(rng.uniform(-1, 1, size=(p, 1, dim)), 1.0)
         atoms = project_to_ball(rng.uniform(-1, 1, size=(1, m, dim)), 1.0)
         u = model.sample_u(rng, m)[None]
         v = model.sample_v(rng, m)[None]
-        fused = model.surrogate_fields(t, atoms, u, v)
-        separate = (*model.kernel_surrogate(t, atoms, u), *model.data_surrogate(t, v))
-        for a, b in zip(fused, separate):
-            assert a.shape == b.shape
-            assert np.array_equal(a, b)
+        self._assert_entries_match(model, t, atoms, u, v)
 
     @pytest.mark.parametrize("kind", ["fourier", "relu"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -114,11 +117,7 @@ class TestFusedSurrogates:
         atoms = model.project(rng.uniform(-1, 1, size=(m, dim)))[None]
         u = model.sample_u(rng, m)[None]
         v = model.sample_v(rng, m)[None]
-        fused = model.surrogate_fields(t, atoms, u, v)
-        separate = (*model.kernel_surrogate(t, atoms, u), *model.data_surrogate(t, v))
-        for a, b in zip(fused, separate):
-            assert a.shape == b.shape
-            assert np.array_equal(a, b)
+        self._assert_entries_match(model, t, atoms, u, v)
 
 
 def _any_model(kind, dim):
@@ -240,26 +239,26 @@ class TestFourierModel:
     def test_flat_surrogates_degenerate(self, fourier_flat):
         rng = np.random.default_rng(0)
         u = fourier_flat.sample_u(rng, 50)
-        g, gg = fourier_flat.kernel_surrogate(pt(0.5), pt(-0.5), u)
+        g, gg = fourier_flat.surrogate_fields(pt(0.5), pt(-0.5), u, 0.0)[:2]
         assert np.all(g == 1.0)
         assert np.all(gg == 0.0)
 
     def test_spectral_surrogate_values(self, fourier_fc1):
         # g = cos(u (t - t')), so the gradient is -u sin(u (t - t')),
         # cross-checked by central differences
-        g, gg = fourier_fc1.kernel_surrogate(pt(np.pi / 2), pt(0.0), pt(1.0))
+        g, gg = fourier_fc1.surrogate_fields(pt(np.pi / 2), pt(0.0), pt(1.0), 0.0)[:2]
         assert g == pytest.approx(0.0, abs=1e-12)
         assert gg[0] == pytest.approx(-1.0, rel=1e-12)
         h = 1e-6
-        g_hi = fourier_fc1.kernel_surrogate(pt(np.pi / 2 + h), pt(0.0), pt(1.0))[0]
-        g_lo = fourier_fc1.kernel_surrogate(pt(np.pi / 2 - h), pt(0.0), pt(1.0))[0]
+        g_hi = fourier_fc1.surrogate_fields(pt(np.pi / 2 + h), pt(0.0), pt(1.0), 0.0)[0]
+        g_lo = fourier_fc1.surrogate_fields(pt(np.pi / 2 - h), pt(0.0), pt(1.0), 0.0)[0]
         fd = (g_hi - g_lo) / (2 * h)
         assert gg[0] == pytest.approx(fd, abs=1e-8)
 
     def test_surrogate_mean_is_kernel(self, fourier_noisy):
         rng = np.random.default_rng(1)
         u = fourier_noisy.sample_u(rng, 200_000)
-        vals = fourier_noisy.kernel_surrogate(pt(0.8), pt(-0.4), u)[0]
+        vals = fourier_noisy.surrogate_fields(pt(0.8), pt(-0.4), u, 0.0)[0]
         exact = fourier_noisy.kernel(pt(0.8), pt(-0.4))
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se
@@ -308,12 +307,13 @@ class TestBounds:
 
     def test_sampled_values_respect_bounds(self, gmm_trunc, fourier_noisy):
         rng = np.random.default_rng(2)
-        for model in (gmm_trunc, fourier_noisy):
+        # v: one data draw each, taken without the rng
+        for model, v in ((gmm_trunc, gmm_trunc.data[0]), (fourier_noisy, 0.0)):
             b = model.bounds()
             u = model.sample_u(rng, 5000)
             t = model.project(rng.uniform(-1, 1, size=(1, model.dim)))[0]
             s = model.project(rng.uniform(-1, 1, size=(1, model.dim)))[0]
-            g = model.kernel_surrogate(t, s, u)[0]
+            g = model.surrogate_fields(t, s, u, v)[0]
             assert np.all(g <= b.g_sup + 1e-12)
             assert np.all(g >= b.g_inf - 1e-12)
 
@@ -371,7 +371,8 @@ class TestStructuralInvariants:
             errs = []
             for _ in range(reps):
                 u = gmm_small.sample_u(rng, m)
-                errs.append(np.mean(gmm_small.kernel_surrogate(t, s, u)[0]) - exact)
+                g = gmm_small.surrogate_fields(t, s, u, gmm_small.data[0])[0]
+                errs.append(np.mean(g) - exact)
             rmse.append(np.sqrt(np.mean(np.square(errs))))
         slope = np.polyfit(np.log(sizes), np.log(rmse), 1)[0]
         assert -0.65 <= slope <= -0.35
@@ -395,7 +396,7 @@ class TestReluModel:
         rng = np.random.default_rng(9)
         t, s = pt(0.3, -0.2), pt(-0.5, 0.7)
         u = relu_model.sample_u(rng, 200_000)
-        vals = relu_model.kernel_surrogate(t, s, u)[0]
+        vals = relu_model.surrogate_fields(t, s, u, u)[0]
         exact = float(relu_model.kernel(t, s))
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se
@@ -403,7 +404,7 @@ class TestReluModel:
     def test_kink_gradient_zero(self, relu_model):
         x0 = relu_model.x[0]
         t = np.array([-x0[1], x0[0]])  # orthogonal to the first sample
-        grad = relu_model.kernel_surrogate(t, pt(0.5, 0.5), np.array(0))[1]
+        grad = relu_model.surrogate_fields(t, pt(0.5, 0.5), np.array(0), np.array(0))[1]
         assert np.all(grad == 0.0)
 
     def test_smooth_at_detects_kinks(self, relu_model):
@@ -441,9 +442,9 @@ class TestProjection:
 
 class TestTruncatedProfile:
     """The truncated mixture's profile evaluates both box ends as one
-    stacked array; a reference with separate ends pins its bits.  The
-    fused and separate surrogates share the profile, so
-    ``TestFusedSurrogates`` cannot see a change here."""
+    stacked array; a reference with separate ends pins its bits.  Every
+    surrogate goes through this one profile, so no surrogate test can
+    see a change here."""
 
     @staticmethod
     def _separate_ends(prof, x):

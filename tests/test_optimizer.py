@@ -155,12 +155,23 @@ class TestRun:
         with pytest.raises(ValueError, match="mode must be"):
             run(cfg, gmm_small)
 
-    @pytest.mark.parametrize("batch", [0, 1.0, 2.5, True, np.float64(2.0)])
+    @pytest.mark.parametrize("batch", [0, 1.0, 2.5, True, np.float64(2.0), 12.0])
     def test_non_integer_batch_rejected(self, gmm_small, batch):
         # a float batch used to fail at step 1 inside numpy's size handling,
         # and a batch of 1.0 would reach the batch-of-one path by accident
         cfg = run_cfg(measure_1d([0.5, 0.5], [-0.3, 0.3]), batch_schedule=batch)
         with pytest.raises(ValueError, match="batch_schedule must be an integer"):
+            run(cfg, gmm_small)
+
+    @pytest.mark.parametrize("value", [2.5, True, 12.0])
+    @pytest.mark.parametrize("field", ["iterations", "trace_every"])
+    def test_non_integer_count_rejected_before_any_work(self, gmm_small, monkeypatch,
+                                                        field, value):
+        # trace_every = 2.5 used to trace at k = 0, 5, 10 and the last step,
+        # True every step, and iterations = 12.0 failed after the first trace
+        monkeypatch.setattr("fastpart.diagnostics.trace_stats", None)
+        cfg = run_cfg(measure_1d([0.5, 0.5], [-0.3, 0.3]), **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
             run(cfg, gmm_small)
 
     def test_numpy_integer_batch_accepted(self, gmm_small):

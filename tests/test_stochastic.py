@@ -110,9 +110,8 @@ class TestMinibatchEstimators:
         batch = draw_batch(gmm_small, nu, 6, np.random.default_rng(3))
         t = np.array([0.1])
         lam = 0.4
-        manual = (w * np.mean(gmm_small.kernel_surrogate(t, np.array([s]),
-                                                         batch.u)[0])
-                  - np.mean(gmm_small.data_surrogate(t, batch.v)[0]) + lam)
+        g, _, h, _ = gmm_small.surrogate_fields(t, np.array([s]), batch.u, batch.v)
+        manual = w * np.mean(g) - np.mean(h) + lam
         est = minibatch_fields(gmm_small, nu, t[None], lam, batch)[0][0]
         assert est == pytest.approx(float(manual), rel=1e-12)
 
@@ -139,7 +138,7 @@ class TestMinibatchEstimators:
         nu = measure_1d([0.7], [0.2])
         batch = Minibatch(np.array([0]), np.zeros((1, 1)), np.array([[0.45]]))
         grad = minibatch_fields(gmm_small, nu, t[None], 0.0, batch)[1][0]
-        expected = -gmm_small.data_surrogate(t, np.array([0.45]))[1]
+        expected = -gmm_small.surrogate_fields(t, t, np.zeros(1), np.array([0.45]))[3]
         assert grad == pytest.approx(expected)
         assert grad[0] != 0.0
 
