@@ -40,11 +40,11 @@ def trace_stats(model: FeatureModel, measure: ParticleMeasure,
     signs = measure.signs
     sw = measure.signed_weights
     iy, giy = model.data_fit(pos)
-    gram, gram_grad = model.gram_bundle(pos, pos)
+    gram, kgrad = model.gram_bundle(pos, pos, sw)
     kw = gram @ sw
     obj = float(base + lam * w.sum() - sw @ iy + 0.5 * sw @ kw)
     cost = signs * (kw - iy) + lam
-    grad = np.einsum("ijd,j->id", gram_grad, sw) - giy
+    grad = kgrad - giy
     j2 = float(np.sum(w * cost**2))
     g2 = float(np.sum(w * (grad**2).sum(axis=1)))
     return obj, j2, g2
@@ -75,8 +75,9 @@ class KktReport:
 def kkt_certificate(model: FeatureModel, measure: ParticleMeasure, lam: float,
                     grid_step: float, mass_threshold: float = 1e-6) -> KktReport:
     """Evaluate the first-order conditions on the model's lattice; a lattice
-    beyond physical memory is refused as in ``grid_oracle``."""
-    grid = model_lattice(model, grid_step)
+    beyond physical memory is refused as in ``grid_oracle``, counting the
+    lattice-by-atoms kernel matrix of the scan."""
+    grid = model_lattice(model, grid_step, atoms=measure.size)
     grid_vals = marginal_cost(model, measure, grid, lam)
     grid_min = float(np.min(grid_vals))
     support_max = 0.0
@@ -104,13 +105,14 @@ class LatticeTooLarge(ValueError):
     """A lattice refused before it is built: its working set exceeds memory."""
 
 
-def model_lattice(model: FeatureModel, step: float, key: str = "grid_step") -> np.ndarray:
+def model_lattice(model: FeatureModel, step: float, key: str = "grid_step",
+                  atoms: int = 0) -> np.ndarray:
     """``grid_points`` over the model's domain, refused with a
     ``LatticeTooLarge`` naming ``key`` and the point count, before anything
     is built, when its working set exceeds physical memory: about two
     d-vectors a point of the bounding cube (``grid_points``' peak), then a
     few floats a lattice point for the scans (and one a point per support
-    column)."""
+    column), and one a point per atom of a measure scanned against it."""
     if not step > 0:
         raise ValueError(f"{key} must be positive")
     try:
@@ -120,7 +122,7 @@ def model_lattice(model: FeatureModel, step: float, key: str = "grid_step") -> n
     points = grid_size_estimate(model.radius, model.dim, step, model.torus)
     # the bounding cube is the torus lattice, up to its +radius face
     cube = grid_size_estimate(model.radius, model.dim, step, torus=True)
-    need = 8.0 * ((2 * model.dim + 2) * cube + (model.dim + 4) * points)
+    need = 8.0 * ((2 * model.dim + 2) * cube + (model.dim + 4 + atoms) * points)
     if need > have:
         raise LatticeTooLarge(
             f"{key} = {step:g} gives a lattice of about {points:.3g} points "

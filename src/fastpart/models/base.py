@@ -92,12 +92,14 @@ class FeatureModel(ABC):
       stochastic fields, all four arguments broadcast together (a draw
       ``u`` or ``v`` has the model's per-sample shape).
 
-    The pairwise ``gram_bundle`` (with the same ``grad`` flag) is derived
-    here from ``kernel_fields``; a single quantity is the matching
-    primitive's ``[0]``, ``[1]``, ``[:2]`` or ``[2:]``, and the values
-    ``kernel``, ``inner_y`` and ``gram`` are the ``[0]`` of the
-    ``grad=False`` call, so a value equals its fused form bit for bit.
-    The ReLU model overrides ``gram_bundle`` for speed, with its reason.
+    The pairwise ``gram_bundle`` (the gram and, given weights, the
+    weighted sum of its kernel gradients) is derived here from
+    ``kernel_fields``; a single quantity is the matching primitive's
+    ``[0]``, ``[1]``, ``[:2]`` or ``[2:]``, the values ``kernel`` and
+    ``inner_y`` are the ``[0]`` of the ``grad=False`` call and ``gram``
+    that of the unweighted ``gram_bundle``, so a value equals its fused
+    form bit for bit.  The ReLU model overrides ``gram_bundle`` for
+    speed, with its reason.
 
     Each model also caches its almost-sure surrogate bounds as a
     ``_bounds`` property; ``bounds()`` returns them.
@@ -165,13 +167,20 @@ class FeatureModel(ABC):
 
     def gram(self, t, t_prime):
         """Kernel matrix between two point sets, shape (n, q)."""
-        return self.gram_bundle(t, t_prime, False)[0]
+        return self.gram_bundle(t, t_prime)[0]
 
-    def gram_bundle(self, t, t_prime, grad=True):
-        """(gram, grad_t K(t_i, s_j) of shape (n, q, d)); (gram,) without ``grad``."""
+    def gram_bundle(self, t, t_prime, weights=None):
+        """(gram,) of shape (n, q); with ``weights`` w, shape (q,), also
+        sum_j w_j grad_t K(t_i, s_j), shape (n, d), contracted a row block
+        at a time, so the (n, q, d) gradient tensor is never held."""
         t, s = _pairwise(t, t_prime)
-        return _fill_row_blocks(lambda rows: self.kernel_fields(t[rows], s, grad),
-                                len(t), s.shape[1] * self._pair_width)
+
+        def fields(rows):
+            if weights is None:
+                return self.kernel_fields(t[rows], s, False)
+            val, grad = self.kernel_fields(t[rows], s)
+            return val, np.einsum("ijd,j->id", grad, weights)
+        return _fill_row_blocks(fields, len(t), s.shape[1] * self._pair_width)
 
     # ----- geometry ----------------------------------------------------------
 
@@ -255,6 +264,14 @@ def draw_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     if size == 1:
         return np.array([rng.integers(n)])
     return rng.integers(n, size=size)
+
+
+def broadcast_fields(g, grad_g, h, grad_h, batch: tuple) -> tuple:
+    """The four stochastic fields broadcast over ``batch``, the batch shape
+    of all four arguments; gradients keep their trailing d axis."""
+    grad = batch + np.shape(grad_g)[-1:]
+    return (np.broadcast_to(g, batch), np.broadcast_to(grad_g, grad),
+            np.broadcast_to(h, batch), np.broadcast_to(grad_h, grad))
 
 
 def positive_finite(name: str, value) -> float:

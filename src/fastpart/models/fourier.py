@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import FeatureModel, GroundTruth, ModelBounds, coordinate_product_grad
+from .base import (FeatureModel, GroundTruth, ModelBounds, broadcast_fields,
+                   coordinate_product_grad)
 
 TORUS_RADIUS = np.pi
 
@@ -113,10 +114,8 @@ class FourierDeconvolutionModel(FeatureModel):
         diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
         phase = np.sum(u * diff, axis=-1)
         iy, giy = self.data_fit(t)
-        return (np.cos(phase), -np.sin(phase)[..., None] * u,
-                np.broadcast_to(iy, np.broadcast_shapes(np.shape(iy), np.shape(v))),
-                np.broadcast_to(giy, np.broadcast_shapes(np.shape(giy),
-                                                         np.shape(v) + (1,))))
+        return broadcast_fields(np.cos(phase), -np.sin(phase)[..., None] * u, iy, giy,
+                                np.broadcast_shapes(phase.shape, np.shape(v)))
 
     # ----- geometry ---------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .base import (FeatureModel, ModelBounds, _fill_point_blocks, _fill_row_blocks,
-                   draw_indices, positive_finite)
+                   broadcast_fields, draw_indices, positive_finite)
 
 
 def sample_regression_data(n: int, dim: int, rng: np.random.Generator,
@@ -94,17 +94,22 @@ class ReluFeatureModel(FeatureModel):
     # speed override of the derived pairwise form: one matmul over the
     # sample (a row block of t at a time) instead of an (n, q, N)
     # broadcast.  It differs from the pointwise mean in the last bits; the
-    # golden ReLU cases pin it.
-    def gram_bundle(self, t, t_prime, grad=True):
+    # golden ReLU cases pin it.  The weighted gradient sum contracts each
+    # block's (rows, q, d) gradient tensor, in the gram's own row blocks:
+    # the gram's BLAS bits change with the row count, the einsums' do not
+    def gram_bundle(self, t, t_prime, weights=None):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
-        gram = _fill_row_blocks(
-            lambda rows: (np.maximum(t[rows] @ self.x.T, 0.0) @ fs.T / self.n_data,),
-            len(t), self.n_data)[0]
-        if not grad:
-            return (gram,)
-        mask = (t @ self.x.T > 0.0).astype(float)
-        return gram, np.einsum("in,jn,nd->ijd", mask, fs, self.x) / self.n_data
+
+        def fields(rows):
+            zt = t[rows] @ self.x.T
+            gram = np.maximum(zt, 0.0) @ fs.T / self.n_data
+            if weights is None:
+                return (gram,)
+            grad = np.einsum("in,jn,nd->ijd", (zt > 0.0).astype(float), fs,
+                             self.x) / self.n_data
+            return gram, np.einsum("ijd,j->id", grad, weights)
+        return _fill_row_blocks(fields, len(t), self.n_data)
 
     @cached_property
     def y_norm_sq(self) -> float:
@@ -125,14 +130,17 @@ class ReluFeatureModel(FeatureModel):
 
     def surrogate_fields(self, t, t_prime, u, v):
         t = np.asarray(t, dtype=float)
-        xu = self.x[np.asarray(u, dtype=int)]
+        t_prime = np.asarray(t_prime, dtype=float)
+        u, v = np.asarray(u, dtype=int), np.asarray(v, dtype=int)
+        xu = self.x[u]
         zu = np.sum(t * xu, axis=-1)
-        fs = np.maximum(np.sum(np.asarray(t_prime, dtype=float) * xu, axis=-1), 0.0)
-        v = np.asarray(v, dtype=int)
+        fs = np.maximum(np.sum(t_prime * xu, axis=-1), 0.0)
         xv, yv = self.x[v], self.y[v]
         zv = np.sum(t * xv, axis=-1)
-        return (np.maximum(zu, 0.0) * fs, ((zu > 0.0) * fs)[..., None] * xu,
-                np.maximum(zv, 0.0) * yv, ((zv > 0.0) * yv)[..., None] * xv)
+        return broadcast_fields(
+            np.maximum(zu, 0.0) * fs, ((zu > 0.0) * fs)[..., None] * xu,
+            np.maximum(zv, 0.0) * yv, ((zv > 0.0) * yv)[..., None] * xv,
+            np.broadcast_shapes(t.shape[:-1], t_prime.shape[:-1], u.shape, v.shape))
 
     # ----- geometry ------------------------------------------------------------------
 

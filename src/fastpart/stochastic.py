@@ -130,9 +130,9 @@ def exact_fields(model: FeatureModel, measure: ParticleMeasure, points,
     iy, *giy = model.data_fit(pts, grad)
     if measure.size == 0:
         return lam - iy, *(-g for g in giy)
-    gram, *ggrad = model.gram_bundle(pts, measure.positions, grad)
     sw = measure.signed_weights
+    gram, *kgrad = model.gram_bundle(pts, measure.positions, sw if grad else None)
     cost = gram @ sw - iy + lam
     if not grad:
         return (cost,)
-    return cost, np.einsum("ijd,j->id", ggrad[0], sw) - giy[0]
+    return cost, kgrad[0] - giy[0]

@@ -109,12 +109,11 @@ class StubModel(FeatureModel):
 
     def surrogate_fields(self, t, t_prime, u, v):
         t = np.asarray(t, dtype=float)
-        diff = t - np.asarray(t_prime, dtype=float)
-        return (np.full(np.broadcast_shapes(diff.shape[:-1], np.shape(u)[:-1]),
-                        self.k0),
-                np.zeros(np.broadcast_shapes(diff.shape, np.shape(u))),
-                np.full(np.broadcast_shapes(t.shape[:-1], np.shape(v)), self.iy),
-                np.full(np.broadcast_shapes(t.shape, np.shape(v) + (1,)), self.giy))
+        batch = np.broadcast_shapes(t.shape[:-1], np.shape(t_prime)[:-1],
+                                    np.shape(u)[:-1], np.shape(v))
+        grad = batch + t.shape[-1:]
+        return (np.full(batch, self.k0), np.zeros(grad),
+                np.full(batch, self.iy), np.full(grad, self.giy))
 
     def bounds(self):
         return self._stub_bounds

@@ -7,7 +7,10 @@ preallocated output.  Only the point axis is split, so every output
 element must equal its one-row evaluation exactly, except for the ReLU
 model: its ``data_fit`` and ``gram_bundle`` are BLAS products, whose
 last bits change with the row count, so its rows need only agree to
-1e-14 of the largest entry.  ``y_norm_sq`` sums
+1e-14 of the largest entry.  ``gram_bundle`` contracts each block's
+kernel gradients with the weights it is given, so ``exact_fields`` and
+``trace_stats`` must equal, bit for bit, the dense form that builds the
+whole (n, q, d) gradient tensor and contracts it once.  ``y_norm_sq`` sums
 its sample pairs a row block at a time and keeps no (N, N) matrix.
 Peak memory is read with ``tracemalloc``, which sees numpy's buffers.
 """
@@ -19,9 +22,12 @@ import numpy as np
 import pytest
 
 from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel, GroundTruth,
-                      ReluFeatureModel, benchmarks, sample_mixture_data,
-                      sample_regression_data)
+                      ParticleMeasure, ReluFeatureModel, benchmarks, sample_mixture_data,
+                      sample_regression_data, uniform_grid_measure)
+from fastpart.diagnostics import trace_stats
 from fastpart.measures import grid_points
+from fastpart.stochastic import exact_fields
+from test_golden import EXACT_CASES
 
 
 def _gmm3a():
@@ -85,11 +91,13 @@ def _assert_rows_match(name, blocked, one_row):
 def test_pairwise_rows_match_single_row_evaluation(name):
     model, lattice = _case(name)
     gram = model.gram(lattice, lattice)
-    bundle = model.gram_bundle(lattice, lattice)
+    weights = np.random.default_rng(5).uniform(-1.0, 1.0, len(lattice))
+    bundle = model.gram_bundle(lattice, lattice, weights)
     assert np.array_equal(gram, bundle[0])
     rows = [model.kernel_fields(t, lattice) for t in lattice]
     _assert_rows_match(name, bundle[0], np.array([k for k, _ in rows]))
-    _assert_rows_match(name, bundle[1], np.array([grad for _, grad in rows]))
+    _assert_rows_match(name, bundle[1], np.einsum(
+        "ijd,j->id", np.array([grad for _, grad in rows]), weights))
     _assert_rows_match(name, gram, np.array([model.kernel(t, lattice) for t in lattice]))
 
 
@@ -155,7 +163,9 @@ def test_shapes_across_leading_dims_and_empty_input():
     assert model.inner_y(empty).shape == (0,)
     assert [a.shape for a in model.data_fit(empty)] == [(0,), (0, 2)]
     assert model.gram(empty, pts).shape == (0, 12)
-    assert [a.shape for a in model.gram_bundle(pts, empty)] == [(12, 0), (12, 0, 2)]
+    assert [a.shape for a in model.gram_bundle(pts, empty)] == [(12, 0)]
+    gram, grad = model.gram_bundle(pts, empty, np.empty(0))
+    assert gram.shape == (12, 0) and np.array_equal(grad, np.zeros((12, 2)))
 
 
 def _peak_bytes(fn):
@@ -214,3 +224,67 @@ def test_y_norm_sq_builds_no_sample_matrix():
     # gmm3a's 2000 x 2000 sample matrix alone is 32 MB
     model = _gmm3a()
     assert _peak_bytes(lambda: model.y_norm_sq) < 2e6
+
+
+def _dense_kernel_fields(model, t, atoms):
+    """The gram and the whole (n, q, d) gradient tensor: one kernel row per
+    point, or for the ReLU model its blocked gram beside the one einsum
+    over the sample that used to build the tensor."""
+    if isinstance(model, ReluFeatureModel):
+        fs = np.maximum(atoms @ model.x.T, 0.0)
+        mask = (t @ model.x.T > 0.0).astype(float)
+        return (model.gram(t, atoms),
+                np.einsum("in,jn,nd->ijd", mask, fs, model.x) / model.n_data)
+    rows = [model.kernel_fields(point, atoms) for point in t]
+    return np.array([k for k, _ in rows]), np.array([grad for _, grad in rows])
+
+
+def _dense_exact_fields(model, nu, pts, lam):
+    gram, tensor = _dense_kernel_fields(model, pts, nu.positions)
+    iy, giy = model.data_fit(pts)
+    sw = nu.signed_weights
+    return gram @ sw - iy + lam, np.einsum("ijd,j->id", tensor, sw) - giy
+
+
+def _dense_trace_stats(model, nu, lam):
+    w, sw, pos = nu.weights, nu.signed_weights, nu.positions
+    gram, tensor = _dense_kernel_fields(model, pos, pos)
+    iy, giy = model.data_fit(pos)
+    kw = gram @ sw
+    obj = float(0.5 * model.y_norm_sq + lam * w.sum() - sw @ iy + 0.5 * sw @ kw)
+    cost = nu.signs * (kw - iy) + lam
+    grad = np.einsum("ijd,j->id", tensor, sw) - giy
+    return obj, float(np.sum(w * cost**2)), float(np.sum(w * (grad**2).sum(axis=1)))
+
+
+@pytest.mark.parametrize("p", [300, 701])
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_layer_matches_dense_gradient_tensor(case, p):
+    # at 300 and 701 atoms every mixture and Fourier evaluation spans
+    # several row blocks (the truncated mixture one row a block at 701),
+    # and the ReLU model's trace_stats two
+    model, measure, lam, *_ = EXACT_CASES[case]()
+    rng = np.random.default_rng(p)
+    reach = 0.9 * model.radius
+    atoms = model.project(rng.uniform(-reach, reach, size=(p, model.dim)))
+    signs = None if measure.unsigned else rng.choice([-1.0, 1.0], size=p)
+    nu = ParticleMeasure(0.1 + rng.random(p), atoms, signs)
+    pts = model.project(rng.uniform(-model.radius, model.radius, size=(333, model.dim)))
+    cost, grad = _dense_exact_fields(model, nu, pts, lam)
+    got = exact_fields(model, nu, pts, lam)
+    assert got[0].tobytes() == cost.tobytes()
+    assert got[1].tobytes() == grad.tobytes()
+    assert exact_fields(model, nu, pts, lam, grad=False)[0].tobytes() == cost.tobytes()
+    assert ([x.hex() for x in trace_stats(model, nu, lam)]
+            == [x.hex() for x in _dense_trace_stats(model, nu, lam)])
+
+
+def test_exact_layer_peaks_near_its_gram():
+    # 1001 gmm3a atoms: the (p, p, d) gradient tensor beside the 8 MB gram
+    # took both routines to 18.7 MB; now it is the gram, a (p, d) sum and
+    # one row block
+    model = _gmm3a()
+    nu = uniform_grid_measure(1, 1, 0.002, 0.5)
+    bound = 8 * nu.size**2 + 3e6
+    assert _peak_bytes(lambda: trace_stats(model, nu, 0.01)) < bound
+    assert _peak_bytes(lambda: exact_fields(model, nu, nu.positions, 0.01)) < bound

@@ -3,6 +3,7 @@ outside its table, a malformed value of any present key and a variant
 label outside ``[A-Za-z0-9_.-]+`` are refused with a message naming them."""
 import configparser
 import math
+import os
 import re
 from pathlib import Path
 
@@ -156,6 +157,23 @@ def test_certify_lattice_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, st
     path = _config(tmp_path, extra=f"\n[certify]\ngrid_step = {step}\n")
     assert main(["certify", str(path), str(measure), "--quiet"]) == 2
     assert f"[certify] grid_step = {step} gives a lattice" in capsys.readouterr().err
+
+
+def test_certify_counts_the_measures_atoms(tmp_path, capsys, monkeypatch):
+    # 1 MiB of memory holds the 2001-point lattice at step 1e-3 (0.14 MB),
+    # not the 3.2 MB gram of its scan against 200 atoms
+    sysconf = os.sysconf
+    pages = 2**20 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+    monkeypatch.setattr(diagnostics, "grid_points",
+                        lambda *args: pytest.fail("the lattice was built"))
+    measure = tmp_path / "measure.csv"
+    measure.write_text("weight,x0\n" + "".join(f"0.005,{i / 250 - 0.4!r}\n"
+                                               for i in range(200)), encoding="utf-8")
+    path = _config(tmp_path, extra="\n[certify]\ngrid_step = 0.001\n")
+    assert main(["certify", str(path), str(measure), "--quiet"]) == 2
+    assert "[certify] grid_step = 0.001 gives a lattice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,solver_step,extra,section", [

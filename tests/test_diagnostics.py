@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -217,6 +218,22 @@ class TestGridOracle:
                             lambda *args: pytest.fail("the lattice was built"))
         with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 4\.2e\+09 points"):
             kkt_certificate(_small_model("gmm", 3), EMPTY, 0.01, 1e-3)
+
+    def test_certificate_counts_the_measures_atoms(self, monkeypatch):
+        # 1 MiB of memory: the 2001-point lattice at step 1e-3 needs 0.14 MB
+        # and one atom's scan 16 KB more, but 200 atoms' scan gram is 3.2 MB
+        sysconf = os.sysconf
+        pages = 2**20 // sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+        model = _small_model("gmm", 1)
+        kkt_certificate(model, measure_1d([0.5], [0.1]), 0.01, 1e-3)
+        monkeypatch.setattr(diagnostics, "grid_points",
+                            lambda *args: pytest.fail("the lattice was built"))
+        atoms = np.linspace(-0.9, 0.9, 200)
+        with pytest.raises(diagnostics.LatticeTooLarge,
+                           match=r"grid_step = 0\.001 .* 2e\+03 points"):
+            kkt_certificate(model, measure_1d(np.full(200, 0.005), atoms), 0.01, 1e-3)
 
     def test_unconverged_flag(self, gmm_small):
         # a tolerance below machine precision is unreachable

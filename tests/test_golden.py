@@ -314,13 +314,19 @@ def _digest(arrays):
     return h.hexdigest()
 
 
+def _block_weights(n):
+    """Signed weights for the blocks cases' weighted ``gram_bundle``."""
+    return np.random.default_rng(n).uniform(-1.0, 1.0, n)
+
+
 def _blocks_outputs(case):
     model, step = BLOCK_CASES[case]()
     lattice = grid_points(model.radius, model.dim, step)
     return {
         "points": len(lattice),
         "gram": _digest([model.gram(lattice, lattice)]),
-        "gram_bundle": _digest(model.gram_bundle(lattice, lattice)),
+        "gram_bundle": _digest(model.gram_bundle(lattice, lattice,
+                                                 _block_weights(len(lattice)))),
         "inner_y": _digest([model.inner_y(lattice)]),
         "data_fit": _digest(model.data_fit(lattice)),
         "y_norm_sq": float(model.y_norm_sq).hex(),

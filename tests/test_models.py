@@ -119,6 +119,26 @@ class TestFusedSurrogates:
         v = model.sample_v(rng, m)[None]
         self._assert_entries_match(model, t, atoms, u, v)
 
+    @pytest.mark.parametrize("batched", ["u", "v"])
+    @pytest.mark.parametrize("kind", ["gmm_plain", "gmm_trunc", "fourier", "relu", "stub"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_batched_draw_spans_every_field(self, stub_model, kind, dim, batched):
+        # one point, one atom, 50 draws on one side and one on the other:
+        # every field follows the 50 draws (Fourier and ReLU returned h of
+        # shape () for 50 draws of u)
+        model = stub_model(dim=dim) if kind == "stub" else _any_model(kind, dim)
+        rng = np.random.default_rng(dim)
+        t, atom = model.project(rng.uniform(-1, 1, size=(2, dim)))
+        u, v = model.sample_u(rng, 50), model.sample_v(rng, 50)
+        draws = [(u, v[0])] + [(u[i], v[0]) for i in range(50)]
+        if batched == "v":
+            draws = [(u[0], v)] + [(u[0], v[i]) for i in range(50)]
+        fields = model.surrogate_fields(t, atom, *draws[0])
+        assert [np.shape(f) for f in fields] == [(50,), (50, dim), (50,), (50, dim)]
+        for i, draw in enumerate(draws[1:]):
+            for one, many in zip(model.surrogate_fields(t, atom, *draw), fields):
+                assert np.asarray(one).tobytes() == many[i].tobytes()
+
 
 def _any_model(kind, dim):
     """A small model of each kind in dimension ``dim``."""
@@ -154,8 +174,9 @@ class TestValueContract:
                               model.kernel_fields(t[0], s[0])[0])
         assert np.array_equal(model.inner_y(t), model.data_fit(t)[0])
         assert np.array_equal(model.inner_y(t[0]), model.data_fit(t[0])[0])
-        assert np.array_equal(model.gram(t, s), model.gram_bundle(t, s)[0])
         nu = ParticleMeasure(np.linspace(0.2, 1.0, len(s)), s)
+        assert np.array_equal(model.gram(t, s), model.gram_bundle(t, s)[0])
+        assert np.array_equal(model.gram(t, s), model.gram_bundle(t, s, nu.weights)[0])
         assert np.array_equal(marginal_cost(model, nu, t, 0.1),
                               exact_fields(model, nu, t, 0.1)[0])
 

@@ -162,8 +162,9 @@ class TestMinibatchEstimators:
         assert np.allclose(grad, sgrad.mean(axis=1), rtol=1e-12)
         ecost, egrad = exact_fields(gmm_trunc, nu, pts, 0.3)
         assert np.allclose(ecost, marginal_cost(gmm_trunc, nu, pts, 0.3), rtol=1e-12)
-        reference = (np.einsum("ijd,j->id", gmm_trunc.gram_bundle(pts, pts)[1],
-                               nu.signed_weights) - gmm_trunc.data_fit(pts)[1])
+        tensor = gmm_trunc.kernel_fields(pts[:, None], pts[None])[1]
+        reference = (np.einsum("ijd,j->id", tensor, nu.signed_weights)
+                     - gmm_trunc.data_fit(pts)[1])
         assert np.allclose(egrad, reference, rtol=1e-12)
 
     def test_signed_measure_estimator_unbiased(self, gmm_small):
