@@ -75,8 +75,7 @@ class KktReport:
 def kkt_certificate(model: FeatureModel, measure: ParticleMeasure, lam: float,
                     grid_step: float, mass_threshold: float = 1e-6) -> KktReport:
     """Evaluate the first-order conditions on the model's lattice; a lattice
-    beyond physical memory is refused as in ``grid_oracle``, counting the
-    lattice-by-atoms kernel matrix of the scan."""
+    whose scan of the measure's atoms exceeds physical memory is refused."""
     grid = model_lattice(model, grid_step, atoms=measure.size)
     grid_vals = marginal_cost(model, measure, grid, lam)
     grid_min = float(np.min(grid_vals))

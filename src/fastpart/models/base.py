@@ -92,14 +92,12 @@ class FeatureModel(ABC):
       stochastic fields, all four arguments broadcast together (a draw
       ``u`` or ``v`` has the model's per-sample shape).
 
-    The pairwise ``gram_bundle`` (the gram and, given weights, the
-    weighted sum of its kernel gradients) is derived here from
-    ``kernel_fields``; a single quantity is the matching primitive's
-    ``[0]``, ``[1]``, ``[:2]`` or ``[2:]``, the values ``kernel`` and
-    ``inner_y`` are the ``[0]`` of the ``grad=False`` call and ``gram``
-    that of the unweighted ``gram_bundle``, so a value equals its fused
-    form bit for bit.  The ReLU model overrides ``gram_bundle`` for
-    speed, with its reason.
+    The pairwise ``gram_bundle`` (the gram, and given weights the weighted
+    sum of its kernel gradients) is derived here from ``kernel_fields``; a
+    single quantity is the matching primitive's ``[0]``, ``[1]``, ``[:2]``
+    or ``[2:]``, and the values ``kernel``, ``inner_y`` and ``gram`` are
+    the ``[0]`` of the value-only calls, so a value equals its fused form
+    bit for bit.  The ReLU model overrides ``gram_bundle`` for speed.
 
     Each model also caches its almost-sure surrogate bounds as a
     ``_bounds`` property; ``bounds()`` returns them.
@@ -173,7 +171,8 @@ class FeatureModel(ABC):
         """(gram,) of shape (n, q); with ``weights`` w, shape (q,), also
         sum_j w_j grad_t K(t_i, s_j), shape (n, d), contracted a row block
         at a time, so the (n, q, d) gradient tensor is never held."""
-        t, s = _pairwise(t, t_prime)
+        t = np.atleast_2d(np.asarray(t, dtype=float))[:, None, :]
+        s = np.atleast_2d(np.asarray(t_prime, dtype=float))[None, :, :]
 
         def fields(rows):
             if weights is None:
@@ -247,13 +246,6 @@ def _fill_point_blocks(evaluate, t, row_width: int):
     pts = t.reshape(-1, t.shape[-1])
     outs = _fill_row_blocks(lambda rows: evaluate(pts[rows]), len(pts), row_width)
     return tuple(out.reshape(t.shape[:-1] + out.shape[1:])[()] for out in outs)
-
-
-def _pairwise(t, t_prime):
-    """Two point sets as (n, 1, d) and (1, q, d) stacks."""
-    t = np.atleast_2d(np.asarray(t, dtype=float))
-    s = np.atleast_2d(np.asarray(t_prime, dtype=float))
-    return t[:, None, :], s[None, :, :]
 
 
 def draw_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:

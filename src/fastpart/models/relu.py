@@ -130,17 +130,16 @@ class ReluFeatureModel(FeatureModel):
 
     def surrogate_fields(self, t, t_prime, u, v):
         t = np.asarray(t, dtype=float)
-        t_prime = np.asarray(t_prime, dtype=float)
-        u, v = np.asarray(u, dtype=int), np.asarray(v, dtype=int)
-        xu = self.x[u]
+        xu = self.x[np.asarray(u, dtype=int)]
         zu = np.sum(t * xu, axis=-1)
-        fs = np.maximum(np.sum(t_prime * xu, axis=-1), 0.0)
+        fs = np.maximum(np.sum(np.asarray(t_prime, dtype=float) * xu, axis=-1), 0.0)
+        v = np.asarray(v, dtype=int)
         xv, yv = self.x[v], self.y[v]
         zv = np.sum(t * xv, axis=-1)
         return broadcast_fields(
             np.maximum(zu, 0.0) * fs, ((zu > 0.0) * fs)[..., None] * xu,
             np.maximum(zv, 0.0) * yv, ((zv > 0.0) * yv)[..., None] * xv,
-            np.broadcast_shapes(t.shape[:-1], t_prime.shape[:-1], u.shape, v.shape))
+            np.broadcast_shapes(zu.shape, fs.shape, zv.shape))
 
     # ----- geometry ------------------------------------------------------------------
 
