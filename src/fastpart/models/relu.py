@@ -94,9 +94,10 @@ class ReluFeatureModel(FeatureModel):
     # speed override of the derived pairwise form: one matmul over the
     # sample (a row block of t at a time) instead of an (n, q, N)
     # broadcast.  It differs from the pointwise mean in the last bits; the
-    # golden ReLU cases pin it.  The weighted gradient sum contracts each
-    # block's (rows, q, d) gradient tensor, in the gram's own row blocks:
-    # the gram's BLAS bits change with the row count, the einsums' do not
+    # golden ReLU cases pin it.  The weighted gradient sum is contracted
+    # inside the gram's own row blocks (its BLAS bits change with the row
+    # count, the einsums' do not), in sub-blocks of q d floats a row, so
+    # a small sample's wide gram block never holds a whole (n, q, d) tensor
     def gram_bundle(self, t, t_prime, weights=None):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
@@ -106,9 +107,12 @@ class ReluFeatureModel(FeatureModel):
             gram = np.maximum(zt, 0.0) @ fs.T / self.n_data
             if weights is None:
                 return (gram,)
-            grad = np.einsum("in,jn,nd->ijd", (zt > 0.0).astype(float), fs,
-                             self.x) / self.n_data
-            return gram, np.einsum("ijd,j->id", grad, weights)
+            mask = (zt > 0.0).astype(float)
+
+            def grad_sum(sub):
+                grad = np.einsum("in,jn,nd->ijd", mask[sub], fs, self.x) / self.n_data
+                return (np.einsum("ijd,j->id", grad, weights),)
+            return gram, _fill_row_blocks(grad_sum, len(mask), len(fs) * self.dim)[0]
         return _fill_row_blocks(fields, len(t), self.n_data)
 
     @cached_property
