@@ -196,6 +196,8 @@ def cmd_gen_data(args) -> int:
         problem = benchmarks.get_benchmark(args.problem)
     except KeyError as exc:
         raise ConfigError(str(exc)) from None
+    if args.seed < 0:
+        raise ConfigError(f"gen-data seed must be an integer >= 0, got {args.seed}")
     data = benchmarks.gen_data(problem, args.seed)
     out = Path(args.out)
     if out.parent and not out.parent.exists():

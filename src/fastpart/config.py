@@ -393,9 +393,9 @@ def build_run_config(spec: SimpleNamespace, model: FeatureModel, init: ParticleM
             r0 = init.tv_norm
         if spec.schedule == "global":
             tv_star = tv_star_value if isinstance(spec.tv_star, str) else spec.tv_star
-            if tv_star is None:
-                raise ConfigError("global schedule needs a numeric tv_star "
-                                  "or an oracle value")
+            if tv_star is None or not tv_star > 0:  # a null oracle measure has mass 0
+                raise ConfigError(f"key 'tv_star' in [{spec.section}] must be > 0, got "
+                                  f"{tv_star} at lambda {spec.lam:g} (global schedule)")
             sch = make_schedule("global", model.dim, tv_star, r0, spec.iterations)
         else:
             sch = make_schedule("local", model.dim, 1.0, r0, spec.iterations,

@@ -78,10 +78,10 @@ def _as_points(points) -> np.ndarray:
 class FeatureModel(ABC):
     """Capability interface shared by all problem models.
 
-    A model implements three quantity primitives.  Point arguments
-    broadcast: ``t`` and ``t_prime`` may be single ``(d,)`` vectors or
-    stacked ``(..., d)`` arrays; values follow the broadcast shape and
-    gradients (in ``t``) add a trailing ``d`` axis.
+    A model implements three quantity primitives and one draw.  Point
+    arguments broadcast: ``t`` and ``t_prime`` may be single ``(d,)``
+    vectors or stacked ``(..., d)`` arrays; values follow the broadcast
+    shape and gradients (in ``t``) add a trailing ``d`` axis.
 
     * ``kernel_fields(t, t', grad) -> (K, grad K)`` and
       ``data_fit(t, grad) -> (<phi_t, y>, its gradient)``: the exact
@@ -90,7 +90,8 @@ class FeatureModel(ABC):
       not allocate a gradient array;
     * ``surrogate_fields(t, t', u, v) -> (g, grad g, h, grad h)``: the
       stochastic fields, all four arguments broadcast together (a draw
-      ``u`` or ``v`` has the model's per-sample shape).
+      ``u`` or ``v`` has the model's per-sample shape);
+    * ``sample_uv(rng, size) -> (u, v)``: the draw they are unbiased under.
 
     The pairwise ``gram_bundle`` (the gram, and given weights the weighted
     sum of its kernel gradients) is derived here from ``kernel_fields``; a
@@ -138,16 +139,9 @@ class FeatureModel(ABC):
         """Squared Hilbert norm of the observation."""
 
     @abstractmethod
-    def sample_u(self, rng: np.random.Generator, size: int):
-        """Draw `size` kernel-side noise variables."""
-
-    @abstractmethod
-    def sample_v(self, rng: np.random.Generator, size: int):
-        """Draw `size` data-side noise variables."""
-
     def sample_uv(self, rng: np.random.Generator, size: int):
-        """Joint draw of (u, v); independent unless a model couples them."""
-        return self.sample_u(rng, size), self.sample_v(rng, size)
+        """``size`` independent draws of the joint law of (u, v), u then v:
+        the law ``surrogate_fields`` is unbiased under (v may copy u)."""
 
     def bounds(self) -> ModelBounds:
         """Conservative almost-sure bounds valid on the domain."""

@@ -101,13 +101,11 @@ class FourierDeconvolutionModel(FeatureModel):
 
     # ----- stochastic surrogates -----------------------------------------------
 
-    def sample_u(self, rng, size):
-        return rng.integers(-self.freq_cutoff, self.freq_cutoff + 1,
-                            size=(size, self.dim)).astype(float)
-
-    def sample_v(self, rng, size):
-        # data side is deterministic for this model
-        return np.zeros(size)
+    def sample_uv(self, rng, size):
+        # the data side is deterministic: v is a placeholder and takes no draw
+        u = rng.integers(-self.freq_cutoff, self.freq_cutoff + 1,
+                         size=(size, self.dim))
+        return u.astype(float), np.zeros(size)
 
     def surrogate_fields(self, t, t_prime, u, v):
         u = np.asarray(u, dtype=float)

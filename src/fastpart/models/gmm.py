@@ -23,7 +23,7 @@ zero on the domain, at the price of error-function closed forms for
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
@@ -261,27 +261,22 @@ def _chop_length(coeffs: np.ndarray) -> int:
     return max(int(np.argmin(biased)), 1)
 
 
+@cache
 def _truncation_window(trunc_width: float):
     """Standard normal CDF at ``-trunc_width`` and the CDF mass up to
-    ``+trunc_width``: the quantile window of the truncated draw."""
+    ``+trunc_width``: the truncated draw's quantile window, cached per width."""
     lo = ndtr(-trunc_width)
     return _const(lo), _const(ndtr(trunc_width) - lo)
 
 
-def _truncated_normal(rng: np.random.Generator, size, scale: float,
-                      window) -> np.ndarray:
-    """Inverse-CDF draw of a Gaussian restricted to a quantile window."""
-    lo, span = window
-    return scale * ndtri(lo + rng.random(size=size) * span)
-
-
 def sample_mixing_noise(rng: np.random.Generator, size, scale: float,
                         trunc_width: float | None = None) -> np.ndarray:
-    """Draw from the mixing density: Gaussian of the given scale, optionally
-    truncated at ``trunc_width`` scales per coordinate."""
+    """The mixing law, for the data and for ``sample_uv``: a Gaussian of the
+    given scale, optionally truncated at ``trunc_width`` scales per coordinate."""
     if trunc_width is None:
         return rng.normal(scale=scale, size=size)
-    return _truncated_normal(rng, size, scale, _truncation_window(trunc_width))
+    lo, span = _truncation_window(trunc_width)
+    return scale * ndtri(lo + rng.random(size=size) * span)
 
 
 def sample_mixture_data(truth: GroundTruth, mixing_scale: float, n: int,
@@ -344,7 +339,6 @@ class GaussianMixtureModel(FeatureModel):
             self._ktilde = _TruncatedConvProfile(m2, mixing_scale, a)
             self._kern = _QuadConvProfile(self._ktilde, mixing_scale, a)
             self._pair_width = _QUAD_NODES
-            self._u_window = _truncation_window(trunc_width)
 
     # ----- exact quantities -------------------------------------------------
 
@@ -401,14 +395,10 @@ class GaussianMixtureModel(FeatureModel):
 
     # ----- stochastic surrogates --------------------------------------------
 
-    def sample_u(self, rng, size):
-        if self.trunc_width is None:
-            return rng.normal(scale=self.mixing_scale, size=(size, self.dim))
-        return _truncated_normal(rng, (size, self.dim), self.mixing_scale,
-                                 self._u_window)
-
-    def sample_v(self, rng, size):
-        return self.data[draw_indices(rng, self.n_data, size)]
+    def sample_uv(self, rng, size):
+        u = sample_mixing_noise(rng, (size, self.dim), self.mixing_scale,
+                                self.trunc_width)
+        return u, self.data[draw_indices(rng, self.n_data, size)]
 
     def surrogate_fields(self, t, t_prime, u, v):
         # g = ktilde(t - t' - u) and h = ktilde(t - v) share one profile

@@ -8,7 +8,7 @@ loss plus a total-mass penalty is then the same objective the other
 models use, so the particle solver applies unchanged up to two quirks:
 
 * the kernel-side and data-side draws coincide (one random sample
-  index serves both), which the joint sampler reflects;
+  index serves both), which its ``sample_uv`` reflects;
 * relu is positively one-homogeneous, so instead of clipping positions
   to the ball the model rescales: positions outside are pulled back to
   the sphere and their weights absorb the norm, leaving the network
@@ -120,12 +120,6 @@ class ReluFeatureModel(FeatureModel):
         return float(np.mean(self.y**2))
 
     # ----- stochastic surrogates -------------------------------------------------
-
-    def sample_u(self, rng, size):
-        return draw_indices(rng, self.n_data, size)
-
-    def sample_v(self, rng, size):
-        return draw_indices(rng, self.n_data, size)
 
     def sample_uv(self, rng, size):
         # a single data index feeds both sides

@@ -101,11 +101,8 @@ class StubModel(FeatureModel):
     def y_norm_sq(self):
         return self._y_sq
 
-    def sample_u(self, rng, size):
-        return np.zeros((size, self.dim))
-
-    def sample_v(self, rng, size):
-        return np.zeros(size)
+    def sample_uv(self, rng, size):
+        return np.zeros((size, self.dim)), np.zeros(size)
 
     def surrogate_fields(self, t, t_prime, u, v):
         t = np.asarray(t, dtype=float)

@@ -104,6 +104,7 @@ REFUSALS = {
     "measure-not-utf8": (CERTIFY, RELU_CFG, {"m.csv": "\xffweight,x0,x1\n"}, "m.csv"),
     "gen-data-missing-dir": (["gen-data", "gmm3a", "1", "{tmp}/nodir/d.csv"], "", {},
                              "nodir"),
+    "gen-data-negative-seed": (["gen-data", "gmm3a", "-1", "{tmp}/d.csv"], "", {}, "seed"),
 }
 
 
@@ -163,6 +164,18 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, text.replace(old, new))
         assert main(["run", cfg, "--quiet"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    def test_null_oracle_mass_exits_2(self, tmp_path, capsys):
+        # at lambda = 50 the oracle's measure is null: its mass 0 used to
+        # reach make_schedule and exit 1 with "schedule inputs must be positive"
+        text = BASE_GMM.format(k=10, out=tmp_path / "o", trace_every=1)
+        text = text.replace("schedule = manual", "schedule = global\ntv_star = oracle")
+        cfg = write_cfg(tmp_path, text.replace("lambda = 0.05", "lambda = 50")
+                        + "\n[oracle]\ngrid_step = 0.01\n")
+        assert main(["run", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "'tv_star' in [solver]" in err and "lambda 50" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2

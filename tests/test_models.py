@@ -12,6 +12,7 @@ from fastpart import (
     project_to_ball,
     sample_regression_data,
 )
+from fastpart.models.gmm import sample_mixing_noise
 from fastpart.stochastic import exact_fields, marginal_cost
 
 
@@ -71,7 +72,8 @@ class TestGmmClosedForms:
 
     def test_truncated_surrogate_mean_is_kernel(self, gmm_trunc):
         rng = np.random.default_rng(11)
-        u = gmm_trunc.sample_u(rng, 400_000)
+        u = sample_mixing_noise(rng, (400_000, gmm_trunc.dim), gmm_trunc.mixing_scale,
+                                gmm_trunc.trunc_width)
         vals = gmm_trunc.surrogate_fields(pt(0.2), pt(-0.17), u, gmm_trunc.data[0])[0]
         exact = gmm_trunc.kernel(pt(0.2), pt(-0.17))
         se = vals.std() / np.sqrt(len(vals))
@@ -103,9 +105,8 @@ class TestFusedSurrogates:
         rng = np.random.default_rng(100 * p + m)
         t = project_to_ball(rng.uniform(-1, 1, size=(p, 1, dim)), 1.0)
         atoms = project_to_ball(rng.uniform(-1, 1, size=(1, m, dim)), 1.0)
-        u = model.sample_u(rng, m)[None]
-        v = model.sample_v(rng, m)[None]
-        self._assert_entries_match(model, t, atoms, u, v)
+        u, v = model.sample_uv(rng, m)
+        self._assert_entries_match(model, t, atoms, u[None], v[None])
 
     @pytest.mark.parametrize("kind", ["fourier", "relu"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -115,9 +116,10 @@ class TestFusedSurrogates:
         rng = np.random.default_rng(100 * p + m)
         t = model.project(rng.uniform(-1, 1, size=(p, dim)))[:, None, :]
         atoms = model.project(rng.uniform(-1, 1, size=(m, dim)))[None]
-        u = model.sample_u(rng, m)[None]
-        v = model.sample_v(rng, m)[None]
-        self._assert_entries_match(model, t, atoms, u, v)
+        u, v = model.sample_uv(rng, m)
+        if kind == "relu":  # its law sets v = u: a second draw keeps them apart
+            v = model.sample_uv(rng, m)[1]
+        self._assert_entries_match(model, t, atoms, u[None], v[None])
 
     @pytest.mark.parametrize("batched", ["u", "v"])
     @pytest.mark.parametrize("kind", ["gmm_plain", "gmm_trunc", "fourier", "relu", "stub"])
@@ -129,7 +131,9 @@ class TestFusedSurrogates:
         model = stub_model(dim=dim) if kind == "stub" else _any_model(kind, dim)
         rng = np.random.default_rng(dim)
         t, atom = model.project(rng.uniform(-1, 1, size=(2, dim)))
-        u, v = model.sample_u(rng, 50), model.sample_v(rng, 50)
+        u, v = model.sample_uv(rng, 50)
+        if kind == "relu":  # its law sets v = u: a second draw keeps them apart
+            v = model.sample_uv(rng, 50)[1]
         draws = [(u, v[0])] + [(u[i], v[0]) for i in range(50)]
         if batched == "v":
             draws = [(u[0], v)] + [(u[0], v[i]) for i in range(50)]
@@ -259,8 +263,8 @@ class TestFourierModel:
 
     def test_flat_surrogates_degenerate(self, fourier_flat):
         rng = np.random.default_rng(0)
-        u = fourier_flat.sample_u(rng, 50)
-        g, gg = fourier_flat.surrogate_fields(pt(0.5), pt(-0.5), u, 0.0)[:2]
+        u, v = fourier_flat.sample_uv(rng, 50)
+        g, gg = fourier_flat.surrogate_fields(pt(0.5), pt(-0.5), u, v)[:2]
         assert np.all(g == 1.0)
         assert np.all(gg == 0.0)
 
@@ -278,8 +282,8 @@ class TestFourierModel:
 
     def test_surrogate_mean_is_kernel(self, fourier_noisy):
         rng = np.random.default_rng(1)
-        u = fourier_noisy.sample_u(rng, 200_000)
-        vals = fourier_noisy.surrogate_fields(pt(0.8), pt(-0.4), u, 0.0)[0]
+        u, v = fourier_noisy.sample_uv(rng, 200_000)
+        vals = fourier_noisy.surrogate_fields(pt(0.8), pt(-0.4), u, v)[0]
         exact = fourier_noisy.kernel(pt(0.8), pt(-0.4))
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se
@@ -331,7 +335,11 @@ class TestBounds:
         # v: one data draw each, taken without the rng
         for model, v in ((gmm_trunc, gmm_trunc.data[0]), (fourier_noisy, 0.0)):
             b = model.bounds()
-            u = model.sample_u(rng, 5000)
+            if model is gmm_trunc:  # u alone: the mixing law
+                u = sample_mixing_noise(rng, (5000, model.dim), model.mixing_scale,
+                                        model.trunc_width)
+            else:  # Fourier's v takes no draw
+                u = model.sample_uv(rng, 5000)[0]
             t = model.project(rng.uniform(-1, 1, size=(1, model.dim)))[0]
             s = model.project(rng.uniform(-1, 1, size=(1, model.dim)))[0]
             g = model.surrogate_fields(t, s, u, v)[0]
@@ -391,7 +399,8 @@ class TestStructuralInvariants:
         for m in sizes:
             errs = []
             for _ in range(reps):
-                u = gmm_small.sample_u(rng, m)
+                u = sample_mixing_noise(rng, (m, gmm_small.dim), gmm_small.mixing_scale,
+                                        gmm_small.trunc_width)
                 g = gmm_small.surrogate_fields(t, s, u, gmm_small.data[0])[0]
                 errs.append(np.mean(g) - exact)
             rmse.append(np.sqrt(np.mean(np.square(errs))))
@@ -416,8 +425,8 @@ class TestReluModel:
     def test_surrogate_mean_is_kernel(self, relu_model):
         rng = np.random.default_rng(9)
         t, s = pt(0.3, -0.2), pt(-0.5, 0.7)
-        u = relu_model.sample_u(rng, 200_000)
-        vals = relu_model.surrogate_fields(t, s, u, u)[0]
+        u, v = relu_model.sample_uv(rng, 200_000)
+        vals = relu_model.surrogate_fields(t, s, u, v)[0]
         exact = float(relu_model.kernel(t, s))
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from fastpart import (
+    FourierDeconvolutionModel,
     Minibatch,
     ParticleMeasure,
+    ReluFeatureModel,
     draw_batch,
     marginal_cost,
 )
@@ -213,28 +216,41 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def law_draw(model, rng):
+    """One (u, v) draw of the model's law, u then v, with sized draws."""
+    d = (1, model.dim)
+    if isinstance(model, FourierDeconvolutionModel):  # v takes no draw
+        fc = model.freq_cutoff
+        return rng.integers(-fc, fc + 1, size=d).astype(float), np.zeros(1)
+    if isinstance(model, ReluFeatureModel):  # one index feeds both sides
+        idx = rng.integers(model.n_data, size=1)
+        return idx, idx
+    s, width = model.mixing_scale, model.trunc_width
+    if width is None:
+        u = rng.normal(scale=s, size=d)
+    else:  # inverse CDF over the truncation's quantile window
+        lo = ndtr(-width)
+        u = s * ndtri(lo + rng.random(size=d) * (ndtr(width) - lo))
+    return u, model.data[rng.integers(model.n_data, size=1)]
+
+
 class TestBatchOfOne:
     """The batch-of-one fast paths of the stochastic step against the
     general forms they replace, bit for bit."""
 
-    @pytest.mark.parametrize("name,sampler,reference", [
-        ("gmm_small", "sample_v", lambda model, idx: model.data[idx]),
-        ("relu_model", "sample_u", lambda model, idx: idx),
-        ("relu_model", "sample_v", lambda model, idx: idx),
-        ("relu_model", "sample_uv", lambda model, idx: (idx, idx)),
-    ])
-    def test_single_index_draw_matches_sized_draw(self, request, name, sampler, reference):
-        # 10^4 one-index draws interleaved with uniforms: the scalar path
-        # takes the same PCG64 stream as rng.integers(n, size=1)
+    @pytest.mark.parametrize("name", ["gmm_small", "gmm_trunc", "fourier_noisy",
+                                      "relu_model"])
+    def test_single_index_draw_matches_sized_draw(self, request, name):
+        # 10^4 one-draw sample_uv calls interleaved with uniforms, against
+        # the model's law written out with sized draws on a twin stream, u
+        # then v: the scalar index path takes the same PCG64 stream as
+        # rng.integers(n, size=1)
         model = request.getfixturevalue(name)
         fast, ref = np.random.default_rng(2024), np.random.default_rng(2024)
         for _ in range(10_000):
-            got = getattr(model, sampler)(fast, 1)
-            want = reference(model, ref.integers(model.n_data, size=1))
-            if sampler == "sample_uv":
-                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-            else:
-                assert same_bits(got, want)
+            got = model.sample_uv(fast, 1)
+            want = law_draw(model, ref)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
             assert fast.random() == ref.random()
 
     @pytest.mark.parametrize("lam", [0.25, 0.0])
