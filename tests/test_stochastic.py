@@ -238,19 +238,28 @@ class TestBatchOfOne:
     """The batch-of-one fast paths of the stochastic step against the
     general forms they replace, bit for bit."""
 
-    @pytest.mark.parametrize("name", ["gmm_small", "gmm_trunc", "fourier_noisy",
-                                      "relu_model"])
-    def test_single_index_draw_matches_sized_draw(self, request, name):
+    @pytest.mark.parametrize("name,draw,sides", [
+        ("gmm_small", "sample_uv", lambda uv: uv),
+        ("gmm_small", "sample_v", lambda uv: uv[1:]),
+        ("gmm_trunc", "sample_uv", lambda uv: uv),
+        ("fourier_noisy", "sample_uv", lambda uv: uv),
+        ("relu_model", "sample_u", lambda uv: uv[:1]),
+        ("relu_model", "sample_v", lambda uv: uv[1:]),
+        ("relu_model", "sample_uv", lambda uv: uv),
+    ])
+    def test_single_index_draw_matches_sized_draw(self, request, name, draw, sides):
         # 10^4 one-draw sample_uv calls interleaved with uniforms, against
         # the model's law written out with sized draws on a twin stream, u
         # then v: the scalar index path takes the same PCG64 stream as
-        # rng.integers(n, size=1)
+        # rng.integers(n, size=1).  `draw` names the part of the (u, v)
+        # draw compared: its u side, its v side, or both
         model = request.getfixturevalue(name)
         fast, ref = np.random.default_rng(2024), np.random.default_rng(2024)
         for _ in range(10_000):
-            got = model.sample_uv(fast, 1)
-            want = law_draw(model, ref)
-            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            got = sides(model.sample_uv(fast, 1))
+            want = sides(law_draw(model, ref))
+            assert len(got) == len(want) == {"sample_uv": 2}.get(draw, 1)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
             assert fast.random() == ref.random()
 
     @pytest.mark.parametrize("lam", [0.25, 0.0])
