@@ -10,6 +10,7 @@ grid-restricted problem).  Exit codes: 0 success, 1 runtime failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import benchmarks, diagnostics
 from .config import (
     ConfigError,
+    benchmark_problem,
     build_init,
     build_model,
     build_run_config,
@@ -85,35 +87,46 @@ def _on_lattice(section: str, scan, *args):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _grid_oracle(cfg, model, lam: float):
-    """``grid_oracle`` on the [oracle] lattice."""
-    return _on_lattice("oracle", diagnostics.grid_oracle, model, lam, cfg.oracle_step,
-                       cfg.oracle_tol, cfg.oracle_max_iter)
-
-
-def _resolve_tv_star(cfg, spec, model, quiet: bool):
-    """The global schedule may ask for the oracle's mass estimate; callers
-    build the start first, so a start is refused before the oracle runs."""
-    if spec.schedule == "global" and isinstance(spec.tv_star, str):
+def _oracle(cfg, model, quiet: bool):
+    """lambda -> ``grid_oracle`` on the [oracle] lattice, solved once per
+    lambda for the command that made it, each solve announced unless quiet."""
+    @functools.cache
+    def solve(lam: float):
         if not quiet:
-            print(f"computing oracle mass estimate (grid_step={cfg.oracle_step})")
-        return _grid_oracle(cfg, model, spec.lam).measure.tv_norm
-    return None
+            print(f"solving grid oracle at lambda={lam:g} grid_step={cfg.oracle_step:g}")
+        return _on_lattice("oracle", diagnostics.grid_oracle, model, lam, cfg.oracle_step,
+                           cfg.oracle_tol, cfg.oracle_max_iter)
+    return solve
+
+
+def _run_configs(cfg, model, specs: dict, oracle) -> dict:
+    """Label -> RunConfig, built in label order once every start is built:
+    a start is refused before any oracle runs, a run before any is solved."""
+    inits = {name: build_init(spec, model) for name, spec in specs.items()}
+    return {name: build_run_config(specs[name], model, inits[name], cfg.trace_every,
+                                   lambda lam: oracle(lam).measure.tv_norm)
+            for name in sorted(specs)}
+
+
+def _out_dir(args, cfg) -> Path:
+    """--out-dir, else [output] dir, made; one it cannot make is a config error."""
+    out = Path(args.out_dir or cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from None
+    return out
 
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
     if args.trace_every is not None:
         cfg.trace_every = args.trace_every
     model = build_model(cfg)
-    init = build_init(cfg.solver, model)
-    tv_star = _resolve_tv_star(cfg, cfg.solver, model, args.quiet)
-    rc = build_run_config(cfg.solver, model, init, cfg.trace_every, tv_star)
+    oracle = _oracle(cfg, model, args.quiet)
+    rc = _run_configs(cfg, model, {"solver": cfg.solver}, oracle)["solver"]
+    out = _out_dir(args, cfg)
     result = run(rc, model)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     note = f"seed={rc.seed} mode={rc.mode} status={result.status}"
     write_trace(out / "trace.csv", result, note)
     write_measure(out / "final_measure.csv", result.measure)
@@ -129,45 +142,31 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = parse_config(args.config)
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
     if len(cfg.variants) < 2:
         raise ConfigError("compare needs at least two [variant NAME] sections")
     model = build_model(cfg)
+    oracle = _oracle(cfg, model, args.quiet)
     base_init = build_init(cfg.solver, model)
-    # every start is built once, and refused before the oracle runs
-    inits = {name: build_init(spec, model) for name, spec in cfg.variants.items()}
-    orc = _grid_oracle(cfg, model, cfg.solver.lam)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    rcs = _run_configs(cfg, model, cfg.variants, oracle)
+    orc = oracle(cfg.solver.lam)  # solved already if a variant's mass asked for it
+    out = _out_dir(args, cfg)
     j_init = diagnostics.objective(model, base_init, cfg.solver.lam)
     threshold = orc.objective + cfg.compare_threshold_frac * (j_init - orc.objective)
     if not args.quiet:
         print(f"J*={orc.objective:.6g} J0={j_init:.6g} threshold={threshold:.6g}")
 
-    rows = []
-    for name in sorted(cfg.variants):
-        spec = cfg.variants[name]
-        tv_star = _resolve_tv_star(cfg, spec, model, args.quiet)
-        rc = build_run_config(spec, model, inits[name], cfg.trace_every, tv_star)
-        result = run(rc, model)
-        write_trace(out / f"{name}_trace.csv", result,
-                    f"variant={name} seed={rc.seed} mode={rc.mode}")
-        evals_hit = ""
-        for r in result.trace:
-            if r.objective <= threshold:
-                evals_hit = str(r.evals)
-                break
-        rows.append((name, evals_hit, result.trace[-1].objective))
-        if not args.quiet:
-            print(f"{name}: evals_to_threshold={evals_hit or 'never'} "
-                  f"final_J={result.trace[-1].objective:.6g}")
-
     lines = ["variant,evals_to_threshold,final_J",
              f"# fastpart compare threshold={_FMT % threshold} "
              f"oracle_J={_FMT % orc.objective}"]
-    for name, evals_hit, final_j in rows:
-        lines.append(f"{name},{evals_hit},{_FMT % final_j}")
+    for name, rc in rcs.items():
+        result = run(rc, model)
+        write_trace(out / f"{name}_trace.csv", result,
+                    f"variant={name} seed={rc.seed} mode={rc.mode}")
+        hit = next((str(r.evals) for r in result.trace if r.objective <= threshold), "")
+        lines.append(f"{name},{hit},{_FMT % result.trace[-1].objective}")
+        if not args.quiet:
+            print(f"{name}: evals_to_threshold={hit or 'never'} "
+                  f"final_J={result.trace[-1].objective:.6g}")
     (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 
@@ -192,10 +191,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    try:
-        problem = benchmarks.get_benchmark(args.problem)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+    problem = benchmark_problem(args.problem)
     if args.seed < 0:
         raise ConfigError(f"gen-data seed must be an integer >= 0, got {args.seed}")
     data = benchmarks.gen_data(problem, args.seed)
@@ -214,12 +210,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = parse_config(args.config)
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
     model = build_model(cfg)
-    orc = _grid_oracle(cfg, model, cfg.solver.lam)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # the directory comes after the solve, whose lattice refusal is a config error
+    orc = _oracle(cfg, model, args.quiet)(cfg.solver.lam)
+    out = _out_dir(args, cfg)
     write_measure(out / "oracle_measure.csv", orc.measure)
     if not args.quiet:
         flag = "" if orc.converged else " (unconverged)"

@@ -15,6 +15,7 @@ import configparser
 import math
 import re
 import warnings
+from collections.abc import Callable
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -109,7 +110,7 @@ def _points(raw: str) -> np.ndarray:
     return pts
 
 
-def _benchmark(raw: str) -> benchmarks.BenchmarkProblem:
+def benchmark_problem(raw: str) -> benchmarks.BenchmarkProblem:
     try:
         return benchmarks.get_benchmark(raw)
     except KeyError as exc:
@@ -148,7 +149,7 @@ _SOLVER = {  # [solver], and [variant NAME] over it
 
 _MODELS = {  # [model] per kind
     "gmm": {
-        "benchmark": ("problem", _benchmark, None),
+        "benchmark": ("problem", benchmark_problem, None),
         "data": ("data", str, None),
         "data_seed": ("data_seed", _int(0), _inherit("data_seed")),
         "n": ("n", _int(1), _inherit("n_samples")),
@@ -240,7 +241,7 @@ def _model(sec) -> SimpleNamespace:
         raise ConfigError("key 'benchmark' in [model] only applies to gmm")
     if kind == "gmm" and "benchmark" not in sec and "data" not in sec:
         raise ConfigError("gmm model needs 'benchmark' or 'data' in [model]")
-    problem = _benchmark(sec["benchmark"]) if "benchmark" in sec else None
+    problem = benchmark_problem(sec["benchmark"]) if "benchmark" in sec else None
     m = _parse({k: v for k, v in sec.items() if k != "kind"}, "model", _MODELS[kind],
                problem)
     if kind == "fourier":
@@ -376,11 +377,12 @@ def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
 
 
 def build_run_config(spec: SimpleNamespace, model: FeatureModel, init: ParticleMeasure,
-                     trace_every: int, tv_star_value: float | None = None) -> RunConfig:
+                     trace_every: int, oracle_mass: Callable | None = None) -> RunConfig:
     """RunConfig from a solver spec and the start ``build_init`` made of it.
 
-    ``tv_star_value`` supplies the mass estimate when the spec asked for
-    the oracle's value (global schedule) and the caller computed it.
+    A global schedule with ``tv_star = oracle`` takes its mass estimate
+    from ``oracle_mass(lam)``, called only then; with no callable the
+    estimate is missing and refused.
     """
     alpha, eta, batch = spec.alpha, spec.eta, spec.batch
     if spec.schedule in ("global", "local"):
@@ -392,7 +394,9 @@ def build_run_config(spec: SimpleNamespace, model: FeatureModel, init: ParticleM
         else:
             r0 = init.tv_norm
         if spec.schedule == "global":
-            tv_star = tv_star_value if isinstance(spec.tv_star, str) else spec.tv_star
+            tv_star = spec.tv_star
+            if isinstance(tv_star, str):  # "oracle"
+                tv_star = oracle_mass(spec.lam) if oracle_mass else None
             if tv_star is None or not tv_star > 0:  # a null oracle measure has mass 0
                 raise ConfigError(f"key 'tv_star' in [{spec.section}] must be > 0, got "
                                   f"{tv_star} at lambda {spec.lam:g} (global schedule)")

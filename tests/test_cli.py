@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastpart import diagnostics
+from fastpart import cli, diagnostics
 from fastpart.cli import main, read_measure, write_measure
 from fastpart.measures import ParticleMeasure
 
@@ -176,6 +176,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "'tv_star' in [solver]" in err and "lambda 50" in err
         assert not (tmp_path / "o").exists()
+
+    def test_out_dir_under_a_file_exits_2_before_the_run(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # used to run the solver, then exit 1 with "[Errno 20] Not a directory"
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("the solver ran"))
+        (tmp_path / "afile").write_text("")
+        cfg = write_cfg(tmp_path, BASE_GMM.format(k=10, out=tmp_path / "o",
+                                                  trace_every=1))
+        out = tmp_path / "afile" / "sub"
+        assert main(["run", cfg, "--out-dir", str(out), "--quiet"]) == 2
+        assert f"output directory {out}" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
@@ -441,6 +452,43 @@ tol = 1e-6
         assert lines[0] == "variant,evals_to_threshold,final_J"
         names = [l.split(",")[0] for l in lines[2:]]
         assert names == ["det", "sto"]
+
+    @staticmethod
+    def _manual_and_global(tmp_path, lam):
+        text = BASE_GMM.format(k=10, out=tmp_path / "cmp", trace_every=1)
+        return write_cfg(tmp_path, text + f"""
+[variant man]
+
+[variant zglob]
+schedule = global
+tv_star = oracle
+lambda = {lam}
+
+[oracle]
+grid_step = 0.01
+""")
+
+    def test_global_variant_at_base_lambda_shares_the_oracle(self, tmp_path,
+                                                             monkeypatch):
+        # the threshold and the variant's mass each used to solve it
+        lams, oracle = [], diagnostics.grid_oracle
+        monkeypatch.setattr(diagnostics, "grid_oracle",
+                            lambda *args: lams.append(args[1]) or oracle(*args))
+        cfg = self._manual_and_global(tmp_path, 0.05)
+        assert main(["compare", cfg, "--quiet"]) == 0
+        assert lams == [0.05]
+        assert (tmp_path / "cmp" / "man_trace.csv").exists()
+        assert (tmp_path / "cmp" / "zglob_trace.csv").exists()
+
+    def test_null_variant_mass_exits_2_before_any_run(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # at lambda 50 the oracle's measure is null; variant man used to
+        # run and write its trace before zglob's turn refused it
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("the solver ran"))
+        cfg = self._manual_and_global(tmp_path, 50)
+        assert main(["compare", cfg, "--quiet"]) == 2
+        assert "'tv_star' in [variant zglob]" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
     def test_cesaro_variant_smoother(self, tmp_path):
         # the averaged trace has lower late-run wiggle than the raw one

@@ -45,9 +45,8 @@ def test_shipped_config_builds(path):
     cfg = parse_config(path)
     model = build_model(cfg)
     for spec in (cfg.solver, *cfg.variants.values()):
-        tv_star = 1.0 if spec.tv_star == "oracle" else None
         run_cfg = build_run_config(spec, model, build_init(spec, model),
-                                   cfg.trace_every, tv_star_value=tv_star)
+                                   cfg.trace_every, oracle_mass=lambda lam: 1.0)
         assert run_cfg.iterations == spec.iterations
 
 

@@ -441,9 +441,9 @@ def _config_outputs(name, tmp_dir):
     specs = [("solver", cfg.solver)] + [(f"variant {v}", cfg.variants[v])
                                         for v in sorted(cfg.variants)]
     for section, spec in specs:
-        tv_star = 1.0 if spec.tv_star == "oracle" else None
         init = build_init(spec, model)
-        rc = build_run_config(spec, model, init, cfg.trace_every, tv_star_value=tv_star)
+        rc = build_run_config(spec, model, init, cfg.trace_every,
+                              oracle_mass=lambda lam: 1.0)
         out[section] = {
             "alpha": float(rc.alpha).hex(), "eta": float(rc.eta).hex(),
             "lam": float(rc.lam).hex(), "iterations": rc.iterations,
