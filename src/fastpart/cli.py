@@ -23,6 +23,7 @@ from .config import (
     build_init,
     build_model,
     build_run_config,
+    on_lattice,
     parse_config,
     read_rows,
 )
@@ -76,17 +77,6 @@ def write_data(path: Path, data: np.ndarray, note: str) -> None:
                header=f"fastpart data {note}", encoding="utf-8")
 
 
-def _on_lattice(section: str, scan, *args):
-    """``scan(*args)`` on the [section] lattice; a lattice it refuses (one
-    beyond physical memory) is a config error."""
-    try:
-        return scan(*args)
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
-
-
 def _oracle(cfg, model, quiet: bool):
     """lambda -> ``grid_oracle`` on the [oracle] lattice, solved once per
     lambda for the command that made it, each solve announced unless quiet."""
@@ -94,8 +84,8 @@ def _oracle(cfg, model, quiet: bool):
     def solve(lam: float):
         if not quiet:
             print(f"solving grid oracle at lambda={lam:g} grid_step={cfg.oracle_step:g}")
-        return _on_lattice("oracle", diagnostics.grid_oracle, model, lam, cfg.oracle_step,
-                           cfg.oracle_tol, cfg.oracle_max_iter)
+        return on_lattice("oracle", diagnostics.grid_oracle, model, lam, cfg.oracle_step,
+                          cfg.oracle_tol, cfg.oracle_max_iter)
     return solve
 
 
@@ -179,8 +169,8 @@ def cmd_certify(args) -> int:
         raise ConfigError(
             f"measure dimension {measure.dim} does not match model dimension {model.dim}"
         )
-    report = _on_lattice("certify", diagnostics.kkt_certificate, model, measure,
-                         cfg.solver.lam, cfg.certify_step, cfg.certify_mass_threshold)
+    report = on_lattice("certify", diagnostics.kkt_certificate, model, measure,
+                        cfg.solver.lam, cfg.certify_step, cfg.certify_mass_threshold)
     ok = report.certified(cfg.certify_tol)
     if not args.quiet:
         print(f"grid_min={report.grid_min:.8g}")
@@ -194,16 +184,12 @@ def cmd_gen_data(args) -> int:
     problem = benchmark_problem(args.problem)
     if args.seed < 0:
         raise ConfigError(f"gen-data seed must be an integer >= 0, got {args.seed}")
-    data = benchmarks.gen_data(problem, args.seed)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        raise ConfigError(f"output directory does not exist: {out.parent}")
-    try:
-        write_data(out, data, f"problem={problem.name} seed={args.seed} "
-                              f"n={problem.n_samples}")
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    if not out.parent.is_dir():
+        raise ConfigError(f"output path {out.parent} is not a directory")
+    data = benchmarks.gen_data(problem, args.seed)
+    write_data(out, data, f"problem={problem.name} seed={args.seed} "
+                          f"n={problem.n_samples}")
     print(f"wrote {len(data)} samples to {out}")
     return EXIT_OK
 
@@ -240,24 +226,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="stochastic conic particle descent for sparse measures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments several subcommands share, each declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("config")
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default=None)
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true")
 
-    p_run = sub.add_parser("run", help="run one solver configuration")
-    p_run.add_argument("config")
-    p_run.add_argument("--out-dir", default=None)
+    p_run = sub.add_parser("run", parents=[config, out_dir, quiet],
+                           help="run one solver configuration")
     p_run.add_argument("--trace-every", type=_positive_int, default=None)
-    p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run solver variants on one problem")
-    p_cmp.add_argument("config")
-    p_cmp.add_argument("--out-dir", default=None)
-    p_cmp.add_argument("--quiet", action="store_true")
+    p_cmp = sub.add_parser("compare", parents=[config, out_dir, quiet],
+                           help="run solver variants on one problem")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_cert = sub.add_parser("certify", help="check first-order optimality")
-    p_cert.add_argument("config")
+    p_cert = sub.add_parser("certify", parents=[config, quiet],
+                            help="check first-order optimality")
     p_cert.add_argument("measure")
-    p_cert.add_argument("--quiet", action="store_true")
     p_cert.set_defaults(func=cmd_certify)
 
     p_gen = sub.add_parser("gen-data", help="regenerate a benchmark sample")
@@ -266,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("out")
     p_gen.set_defaults(func=cmd_gen_data)
 
-    p_orc = sub.add_parser("oracle", help="solve the grid-restricted problem")
-    p_orc.add_argument("config")
-    p_orc.add_argument("--out-dir", default=None)
-    p_orc.add_argument("--quiet", action="store_true")
+    p_orc = sub.add_parser("oracle", parents=[config, out_dir, quiet],
+                           help="solve the grid-restricted problem")
     p_orc.set_defaults(func=cmd_oracle)
     return parser
 

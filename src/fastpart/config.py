@@ -117,6 +117,15 @@ def benchmark_problem(raw: str) -> benchmarks.BenchmarkProblem:
         raise ConfigError(str(exc)) from None
 
 
+def on_lattice(section: str, scan, *args):
+    """``scan(*args)`` on the [section] lattice; a lattice it refuses is a
+    config error."""
+    try:
+        return scan(*args)
+    except diagnostics.LatticeRefused as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 # ----- tables: key -> (attribute, converter, default) ---------------------------------
 
 _REQUIRED = object()  # default of a key that must be present
@@ -263,8 +272,6 @@ def parse_config(path: str | Path) -> SimpleNamespace:
     """The config at ``path``: ``model``, ``solver``, ``variants`` (label ->
     solver spec), ``base_dir`` and the attributes of the optional sections."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -357,13 +364,8 @@ def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
     network-style problems that need both orientations.
     """
     if spec.init == "grid":
-        try:
-            pts = diagnostics.model_lattice(model, spec.init_step, "init_step")
-        except diagnostics.LatticeTooLarge as exc:
-            raise ConfigError(f"[{spec.section}] {exc}") from None
-        except ValueError as exc:  # no lattice point inside the domain
-            raise ConfigError(f"key 'init_step' in [{spec.section}] is too coarse: "
-                              f"{exc}") from None
+        pts = on_lattice(spec.section, diagnostics.model_lattice, model, spec.init_step,
+                         "init_step")
     else:
         rng = np.random.default_rng(spec.seed + 0xA5A5)
         pts = rng.uniform(-model.radius, model.radius,

@@ -100,20 +100,21 @@ class OracleResult:
     iterations: int
 
 
-class LatticeTooLarge(ValueError):
-    """A lattice refused before it is built: its working set exceeds memory."""
+class LatticeRefused(ValueError):
+    """A lattice refused before it is scanned: ``<key> = <step> <reason>``."""
 
 
 def model_lattice(model: FeatureModel, step: float, key: str = "grid_step",
                   atoms: int = 0) -> np.ndarray:
-    """``grid_points`` over the model's domain, refused with a
-    ``LatticeTooLarge`` naming ``key`` and the point count, before anything
-    is built, when its working set exceeds physical memory: about two
-    d-vectors a point of the bounding cube (``grid_points``' peak), then a
-    few floats a lattice point for the scans (and one a point per support
-    column), and one a point per atom of a measure scanned against it."""
+    """``grid_points`` over the model's domain, and the one place a lattice
+    is refused, with a ``LatticeRefused`` naming ``key`` and ``step``: a
+    step that is not positive, one that leaves no point in the domain, or,
+    before anything is built, one whose working set exceeds physical
+    memory (about two d-vectors a point of the bounding cube, ``grid_points``'
+    peak, then a few floats a lattice point for the scans, one a point per
+    support column and one a point per atom of a measure scanned on it)."""
     if not step > 0:
-        raise ValueError(f"{key} must be positive")
+        raise LatticeRefused(f"{key} = {step:g} must be > 0")
     try:
         have = float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):  # no sysconf: no refusal
@@ -123,11 +124,15 @@ def model_lattice(model: FeatureModel, step: float, key: str = "grid_step",
     cube = grid_size_estimate(model.radius, model.dim, step, torus=True)
     need = 8.0 * ((2 * model.dim + 2) * cube + (model.dim + 4 + atoms) * points)
     if need > have:
-        raise LatticeTooLarge(
+        raise LatticeRefused(
             f"{key} = {step:g} gives a lattice of about {points:.3g} points "
             f"whose scans need {need / 1e9:.3g} GB, more than the "
             f"{have / 1e9:.3g} GB of physical memory; raise {key}")
-    return grid_points(model.radius, model.dim, step, model.torus)
+    try:
+        return grid_points(model.radius, model.dim, step, model.torus)
+    except ValueError:  # the one left once step > 0: no point in the ball
+        raise LatticeRefused(f"{key} = {step:g} leaves no lattice point in the ball "
+                             f"of radius {model.radius:g}; lower {key}") from None
 
 
 def _kkt_residual(cost: np.ndarray, w: np.ndarray) -> float:
@@ -194,8 +199,8 @@ def grid_oracle(model: FeatureModel, lam: float, grid_step: float,
     negative marginal cost on the grid, largest magnitude on the support)
     passes ``tol``; ``iterations`` counts the points joined.  Runs
     entirely on exact kernel evaluations and shares nothing with the
-    particle solver.  A lattice whose working set exceeds physical memory
-    is refused with a ``ValueError`` before anything is built.
+    particle solver.  ``model_lattice`` refuses the lattice with a
+    ``LatticeRefused``, before anything is built.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -116,8 +116,12 @@ class _TruncatedConvProfile:
         x = np.asarray(x, dtype=float)
         lo_hi = np.subtract.outer(self._edges_c, x * self._mu_c_slope)
         base = _gauss_pdf(x, self.vsum, self._norm)
+        # where lo > 0, ndtr(hi) - ndtr(lo) cancels (both near 1): flip
+        # both ends there, so the box mass is |ndtr(-hi) - ndtr(-lo)|; the
+        # abs keeps every other entry's bits, and _std_pdf is even
+        np.negative(lo_hi, out=lo_hi, where=lo_hi[0] > 0.0)
         cdf = ndtr(lo_hi)
-        val = base * (cdf[1] - cdf[0]) * self._inv_z
+        val = base * np.abs(cdf[1] - cdf[0]) * self._inv_z
         del cdf  # two block-sized arrays, not kept alive through _std_pdf
         if not grad:
             return (val,)
@@ -166,6 +170,7 @@ def _prod_profile(profile, x, grad=True):
 _EPS = float(np.finfo(float).eps)
 _SERIES_START = 32  # nodes of the first try: the chop reads at least 17
 _SERIES_CAP = 512  # nodes of the last try; a function still unresolved keeps the sum
+_SERIES_CHECK = 2e-14  # a chopped series misses its own samples by at most this share
 
 
 class _ChebyshevSeries:
@@ -176,7 +181,9 @@ class _ChebyshevSeries:
     ``fit(sample)`` doubles the node count from ``_SERIES_START`` until
     both coefficient rows reach their noise plateau, then chops them to
     one common length (Aurentz & Trefethen, "Chopping a Chebyshev series",
-    2017); it returns None when ``_SERIES_CAP`` nodes do not resolve them.
+    2017) and keeps the chopped series if it reproduces its own samples at
+    the nodes within ``_SERIES_CHECK`` of their largest magnitude; it
+    returns None when ``_SERIES_CAP`` nodes do not resolve them.
     ``sample(pts)`` gives (values, (n, 1) derivatives) at (n, 1) points.
     """
 
@@ -192,10 +199,14 @@ class _ChebyshevSeries:
         while n <= _SERIES_CAP:
             nodes = radius * np.cos((np.arange(n) + 0.5) * (np.pi / n))
             val, der = sample(nodes[:, None])
-            coeffs = _cosine_coefficients(np.stack([val, der[:, 0]]))
+            samples = np.stack([val, der[:, 0]])
+            coeffs = _cosine_coefficients(samples)
             length = max(_chop_length(row) for row in coeffs)
             if length < n:
-                return cls(coeffs[:, :length].copy(), radius)
+                series = cls(coeffs[:, :length].copy(), radius)
+                if all(np.max(np.abs(got.ravel() - f)) <= _SERIES_CHECK * np.max(np.abs(f))
+                       for got, f in zip(series(nodes, True), samples)):
+                    return series
             n *= 2
         return None
 
@@ -247,11 +258,11 @@ def _chop_length(coeffs: np.ndarray) -> int:
         if j2 > n:
             return n
         e1, e2 = env[j - 1], env[j2 - 1]
+        # a plateau follows point j - 1, where env > 0: the scan stops at
+        # the envelope's first zero at the latest, so the paper's cut at a
+        # zero plateau point never applies
         if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(_EPS)):
-            plateau = j - 1
             break
-    if env[plateau - 1] == 0.0:
-        return plateau
     floor = _EPS ** (7.0 / 6.0)
     j3 = int(np.count_nonzero(env >= floor))
     if j3 < j2:

@@ -105,6 +105,8 @@ REFUSALS = {
     "gen-data-missing-dir": (["gen-data", "gmm3a", "1", "{tmp}/nodir/d.csv"], "", {},
                              "nodir"),
     "gen-data-negative-seed": (["gen-data", "gmm3a", "-1", "{tmp}/d.csv"], "", {}, "seed"),
+    "gen-data-under-a-file": (["gen-data", "gmm3a", "1", "{tmp}/afile/d.csv"], "",
+                              {"afile": ""}, "afile"),
 }
 
 
@@ -130,6 +132,16 @@ class TestRunCommand:
         rows = read_trace(out / "trace.csv")
         assert len(rows) == 21  # k = 0 .. K
         assert [r[0] for r in rows[:3]] == ["0", "1", "2"]
+
+    def test_run_prints_its_status_and_trace_path(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, BASE_GMM.format(k=20, out=out, trace_every=1))
+        assert main(["run", cfg]) == 0
+        k, j, tv, *_, evals, _ = read_trace(out / "trace.csv")[-1]
+        assert capsys.readouterr().out.splitlines() == [
+            f"status=ok k={k} J={float(j):.6g} tv={float(tv):.6g} evals={evals}",
+            f"wrote {out / 'trace.csv'}",
+        ]
 
     def test_trace_every_flag(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_GMM.format(k=25, out=tmp_path / "o",
@@ -282,6 +294,24 @@ class TestCertifyCommand:
         write_measure(bad, ParticleMeasure([0.5, 0.5], [[-0.6], [0.6]]))
         assert main(["certify", cfg, str(bad), "--quiet"]) == 3
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command,scan", [("oracle", "_lawson_hanson"),
+                                              ("certify", "marginal_cost")])
+    def test_value_error_inside_the_scan_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                 command, scan):
+        # only the lattice's refusal is a config error; any ValueError the
+        # scan raised used to exit 2 as one too
+        def fail(*args):
+            raise ValueError("not a lattice refusal")
+
+        monkeypatch.setattr(diagnostics, scan, fail)
+        cfg = write_cfg(tmp_path, BASE_GMM.format(k=5, out=tmp_path / "o", trace_every=1)
+                        + "\n[oracle]\ngrid_step = 0.02\n\n[certify]\ngrid_step = 0.02\n")
+        measure = tmp_path / "measure.csv"
+        write_measure(measure, ParticleMeasure([0.5], [[0.1]]))
+        argv = [command, cfg] + ([str(measure)] if command == "certify" else [])
+        assert main(argv + ["--quiet"]) == 1
+        assert capsys.readouterr().err == "error: not a lattice refusal\n"
 
     def test_null_measure_certifies_when_lam_dominates(self, tmp_path):
         # over-regularized problem: the empty measure satisfies optimality
@@ -452,6 +482,26 @@ tol = 1e-6
         assert lines[0] == "variant,evals_to_threshold,final_J"
         names = [l.split(",")[0] for l in lines[2:]]
         assert names == ["det", "sto"]
+
+    def test_compare_prints_the_threshold_and_each_variant(self, tmp_path, capsys):
+        from fastpart.config import build_init, build_model, parse_config
+        text = BASE_GMM.format(k=30, out=tmp_path / "cmp", trace_every=1)
+        cfg = write_cfg(tmp_path, text + "\n[variant a]\n\n[variant b]\nalpha = 0.2\n"
+                                         "\n[oracle]\ngrid_step = 0.02\n")
+        assert main(["compare", cfg]) == 0
+        _, note, *rows = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
+        threshold, oracle_j = (float(f.split("=")[1]) for f in note.split()[-2:])
+        parsed = parse_config(cfg)
+        model = build_model(parsed)
+        j0 = diagnostics.objective(model, build_init(parsed.solver, model), 0.05)
+        lines = [f"{name}: evals_to_threshold={hit or 'never'} final_J={float(j):.6g}"
+                 for name, hit, j in (row.split(",") for row in rows)]
+        assert capsys.readouterr().out.splitlines() == [
+            "solving grid oracle at lambda=0.05 grid_step=0.02",
+            f"J*={oracle_j:.6g} J0={j0:.6g} threshold={threshold:.6g}",
+            *lines,
+        ]
+        assert [line.split(":")[0] for line in lines] == ["a", "b"]
 
     @staticmethod
     def _manual_and_global(tmp_path, lam):

@@ -13,6 +13,7 @@ from fastpart import config, diagnostics
 from fastpart.cli import main
 from fastpart.config import (ConfigError, build_init, build_model, build_run_config,
                              parse_config)
+from fastpart.optimizer import mass_radii
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
@@ -48,6 +49,29 @@ def test_shipped_config_builds(path):
         run_cfg = build_run_config(spec, model, build_init(spec, model),
                                    cfg.trace_every, oracle_mass=lambda lam: 1.0)
         assert run_cfg.iterations == spec.iterations
+
+
+@pytest.mark.parametrize("schedule", ["global", "local"])
+def test_schedule_without_r0_takes_the_mass_bound_r0(tmp_path, schedule):
+    # a truncated mixture's surrogate is bounded below, so the a-priori
+    # mass bound R0 is finite and a schedule with no r0 key is built on it
+    path = _config(tmp_path, extra_model="trunc_width = 3\n")
+    path.write_text(path.read_text().replace(
+        "alpha = 0.1\neta = 0.01\n", f"schedule = {schedule}\ntv_star = 0.5\n"))
+    cfg = parse_config(path)
+    model = build_model(cfg)
+    init = build_init(cfg.solver, model)
+    radii = mass_radii(model, cfg.solver.lam, init)
+    r0 = radii.R0
+    assert radii.hypothesis_ok and math.isfinite(r0) and r0 > 2 * init.tv_norm
+    if schedule == "global":
+        rc = build_run_config(cfg.solver, model, init, 1)
+        assert (rc.alpha, rc.eta, rc.batch_schedule) == (
+            math.sqrt(0.5 / (r0**3 * 5)), math.sqrt(r0 / (5**3 * 0.5)), 1)
+    else:  # the rates are 1/sqrt(K); R0 enters the small-step check
+        with pytest.warns(RuntimeWarning, match=re.escape(f"R0={r0:.3g})")):
+            rc = build_run_config(cfg.solver, model, init, 1)
+        assert (rc.alpha, rc.eta, rc.batch_schedule) == (1 / math.sqrt(5),) * 2 + (3,)
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -195,8 +219,23 @@ def test_init_step_with_no_lattice_point_exits_2(tmp_path, capsys, monkeypatch, 
                                              f"init_step = {solver_step}", 1))
     assert main([command, str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert f"key 'init_step' in [{section}] is too coarse" in err
+    assert f"[{section}] init_step = 2.5 leaves no lattice point" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "certify"])
+def test_grid_step_with_no_lattice_point_exits_2_naming_it(tmp_path, capsys, command):
+    # it used to exit 2 with "[oracle] step 2.5 yields no lattice point
+    # inside the ball of radius 1.0", naming no key
+    measure = tmp_path / "measure.csv"
+    measure.write_text("weight,x0,x1\n0.5,0.1,0.2\n", encoding="utf-8")
+    path = _config(tmp_path, "relu", extra=f"\n[{command}]\ngrid_step = 2.5\n"
+                                           f"\n[output]\ndir = {tmp_path / 'out'}\n")
+    argv = [command, str(path)] + ([str(measure)] if command == "certify" else [])
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"[{command}] grid_step = 2.5 leaves no lattice point" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("dim,size", [(1, 10), (2, 100)])
@@ -227,7 +266,8 @@ def test_init_step_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, model, s
                     .replace("init_step = 0.5", f"init_step = {step}"))
     assert main(["run", str(path), "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"[solver] init_step = {float(step):g}" in err and "too coarse" not in err
+    assert f"[solver] init_step = {float(step):g} gives" in err
+    assert "no lattice point" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from fastpart import GaussianMixtureModel, GroundTruth, benchmarks, sample_mixture_data
 from fastpart.measures import grid_points
+from fastpart.models.gmm import _chop_length
 
 BOUND = 1e-13
 
@@ -99,3 +100,15 @@ def test_only_data_fit_builds_the_series():
     assert "_data_series" not in vars(model)
     model.inner_y(np.array([0.1]))
     assert vars(model)["_data_series"] is not None
+
+
+@pytest.mark.parametrize("row,length", [
+    (np.zeros(40), 1),  # a zero function: one term
+    # a decay to exact zeros: the envelope is cut at its last nonzero point
+    (np.r_[1.0, -0.5, 0.25, np.zeros(37)], 3),
+    (np.r_[1.0, 0.5, np.zeros(38)], 2),
+    # a decay through the eps^(7/6) floor: the cut stays above it, at 1e-17
+    (10.0 ** -np.arange(40.0), 18),
+], ids=["zeros", "exact-zeros-3", "exact-zeros-2", "below-floor"])
+def test_chop_of_synthetic_coefficient_rows(row, length):
+    assert _chop_length(row) == length

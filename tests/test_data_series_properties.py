@@ -20,6 +20,14 @@ from test_data_series import CAPPED, assert_within_bound, random_mixture  # noqa
        trunc_width=st.none() | st.floats(1.0, 4.0), seed=st.integers(0, 2**32 - 1))
 @example(**CAPPED)
 @example(radius=3.0, bandwidth=0.045, scale=0.045, n=300, trunc_width=None, seed=1)
+# one sample outside [-R, R]: the truncated profile's tail once cancelled
+# there, and 3091's series, chopped too soon, missed its own samples
+@example(radius=1.0, bandwidth=np.exp(-3.5), scale=np.exp(-3.0), n=1, trunc_width=1.0,
+         seed=1869)
+@example(radius=2.75, bandwidth=np.exp(-3.5), scale=np.exp(-2.0), n=1, trunc_width=1.0,
+         seed=3091)
+@example(radius=3.0, bandwidth=np.exp(-2.0), scale=np.exp(-1.0), n=1, trunc_width=1.0,
+         seed=3093)
 def test_series_of_a_random_mixture_is_within_bound_or_the_sum(**drawn):
     model = random_mixture(**drawn)
     lattice = np.linspace(-model.radius, model.radius, 2001)[:, None]

@@ -231,9 +231,19 @@ class TestGridOracle:
         monkeypatch.setattr(diagnostics, "grid_points",
                             lambda *args: pytest.fail("the lattice was built"))
         atoms = np.linspace(-0.9, 0.9, 200)
-        with pytest.raises(diagnostics.LatticeTooLarge,
+        with pytest.raises(diagnostics.LatticeRefused,
                            match=r"grid_step = 0\.001 .* 2e\+03 points"):
             kkt_certificate(model, measure_1d(np.full(200, 0.005), atoms), 0.01, 1e-3)
+
+    @pytest.mark.parametrize("step,reason", [
+        (0.0, "must be > 0"), (math.nan, "must be > 0"), (-0.5, "must be > 0"),
+        (2.5, "leaves no lattice point in the ball of radius 1"),  # (-1, -1) anchor
+        (1e-300, "gives a lattice of about inf points"),
+    ])
+    def test_every_lattice_refusal_names_its_key_and_step(self, step, reason):
+        with pytest.raises(diagnostics.LatticeRefused) as exc:
+            diagnostics.model_lattice(_small_model("gmm", 2), step, "init_step")
+        assert str(exc.value).startswith(f"init_step = {step:g} {reason}")
 
     def test_unconverged_flag(self, gmm_small):
         # a tolerance below machine precision is unreachable

@@ -483,7 +483,9 @@ class TestTruncatedProfile:
         lo = neg_a_c - mu_c
         hi = a_c - mu_c
         base = np.exp(-0.5 * x * x / prof.vsum) / prof._norm
-        val = base * (ndtr(hi) - ndtr(lo)) * prof._inv_z
+        # both ends in the upper tail (lo > 0): the difference of the tails
+        box = np.where(lo > 0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+        val = base * box * prof._inv_z
         pdf_lo = np.exp(-0.5 * lo * lo) / np.sqrt(2.0 * np.pi)
         pdf_hi = np.exp(-0.5 * hi * hi) / np.sqrt(2.0 * np.pi)
         d_box = prof._dbox_coef * (pdf_lo - pdf_hi)
