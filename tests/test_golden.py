@@ -36,6 +36,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +94,9 @@ def _plain_gmm_2d():
     data = sample_mixture_data(truth, 0.1, 200, np.random.default_rng(11))
     model = GaussianMixtureModel(data, bandwidth=0.15, mixing_scale=0.1, radius=1.0)
     init = uniform_grid_measure(1.0, 2, 0.5, 1.0)
-    cfg = RunConfig(alpha=0.3, eta=0.05, iterations=200, lam=0.05, init=init,
+    # eta small enough that the run contracts: a one-ulp change of the
+    # start moves its outputs at rounding level, not wholesale
+    cfg = RunConfig(alpha=0.3, eta=0.005, iterations=200, lam=0.05, init=init,
                     seed=5, batch_schedule=4, cesaro=True, trace_every=20)
     return cfg, model
 
@@ -489,6 +492,34 @@ def _compare(got, want, case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_matches_golden_bits(golden, case):
     _compare(_outputs(case), golden["cases"][case], case)
+
+
+def _run_arrays(res):
+    return [res.measure.weights, res.measure.positions,
+            [r.objective for r in res.trace], res.cesaro.weights, res.cesaro.positions]
+
+
+def test_plain_gmm_2d_run_contracts():
+    # a golden case must not amplify rounding: a change of the code that
+    # moves its path by an ulp moves its outputs by as little, so the bit
+    # policy's 1e-12 agreement can be shown for it.  Each start
+    # coordinate, one ulp up and one down, moves no output array by more
+    # than 1e-12 of its largest magnitude
+    cfg, model = _plain_gmm_2d()
+    base = run(cfg, model)
+    want = _run_arrays(base)
+    for i, k in np.ndindex(cfg.init.positions.shape):
+        for toward in (-np.inf, np.inf):
+            pos = cfg.init.positions.copy()
+            pos[i, k] = np.nextafter(pos[i, k], toward)
+            if np.sum(pos[i] ** 2) > model.radius**2:
+                continue
+            res = run(replace(cfg, init=ParticleMeasure(cfg.init.weights, pos)), model)
+            assert res.evals == base.evals
+            for got, ref in zip(_run_arrays(res), want):
+                got, ref = np.asarray(got), np.asarray(ref)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("case", sorted(EXACT_CASES))
