@@ -93,6 +93,16 @@ class FeatureModel(ABC):
       ``u`` or ``v`` has the model's per-sample shape);
     * ``sample_uv(rng, size) -> (u, v)``: the draw they are unbiased under.
 
+    ``surrogate_sums(t, t', signs, u, v, kernel_scale, data_scale)`` is
+    the mini-batch estimator's reduction: kernel_scale times the sum over
+    a batch of draws of the signed kernel-side fields, less data_scale
+    times the sum of the data-side fields, at each point.  Its default
+    reduces ``surrogate_fields`` over every (point, draw) pair; the plain
+    Gaussian mixture overrides it with the Gaussian's moments (one
+    ``exp`` per pair, no per-pair gradient): within 1e-14 of the largest
+    magnitude of the pairwise value sums and 1e-13 of the gradient sums'
+    (``tests/test_moment_sums_properties.py``).
+
     The pairwise ``gram_bundle`` (the gram, and given weights the weighted
     sum of its kernel gradients) is derived here from ``kernel_fields``; a
     single quantity is the matching primitive's ``[0]``, ``[1]``, ``[:2]``
@@ -146,6 +156,21 @@ class FeatureModel(ABC):
     def bounds(self) -> ModelBounds:
         """Conservative almost-sure bounds valid on the domain."""
         return self._bounds
+
+    def surrogate_sums(self, t, t_prime, signs, u, v, kernel_scale, data_scale):
+        """kernel_scale sum_j s_j g_j - data_scale sum_j h_j over a batch of
+        draws, and its gradient, at each point of t, shape (n, d): shapes
+        (n,) and (n, d).  Draw j is (t'_j, u_j, v_j) with sign s_j
+        (``signs`` None: all +1).  Each sum is numpy's reduction of the
+        pairwise fields over the batch axis."""
+        gval, ggrad, hval, hgrad = self.surrogate_fields(
+            t[:, None, :], t_prime[None, :, :], u[None, ...], v[None, ...])
+        if signs is not None:
+            gval = signs * gval
+            ggrad = signs[None, :, None] * ggrad
+        add = np.add.reduce
+        return (kernel_scale * add(gval, axis=1) - data_scale * add(hval, axis=1),
+                kernel_scale * add(ggrad, axis=1) - data_scale * add(hgrad, axis=1))
 
     # ----- derived forms -----------------------------------------------------
 

@@ -89,6 +89,24 @@ class _GaussianProfile:
         s1 = np.stack([np.einsum("ij,j->i", e, y) for y in data.T], axis=1)
         return s0 * scale, (scale * self._neg_inv_var) * (pts * s0[:, None] - s1)
 
+    def centre_sums(self, pts, centres, weights):
+        """sum_j w_j of the d-fold product at t - c_j, and of its gradient,
+        for each row point t, over centres c_j of shape (k, d) with weights
+        of shape (k,): S0 and -(1 / var) (t S0 - S1), from the moments
+        S0 = sum_j w'_j e_tj and S1 = sum_j w'_j e_tj c_j of the pair
+        weights, with w' the weights over the norm.  The sums are einsums,
+        not BLAS, so each row's bits are its own.  ``sample_mean`` is the
+        same sum with equal weights, kept apart for its bits."""
+        w = weights / float(self._norm) ** pts.shape[1]
+        e = self.pair_weights(pts, centres)
+        s0 = np.einsum("ij,j->i", e, w)
+        grad = np.empty_like(pts)
+        for k in range(pts.shape[1]):
+            np.subtract(pts[:, k] * s0, np.einsum("ij,j->i", e, w * centres[:, k]),
+                        out=grad[:, k])
+        grad *= self._neg_inv_var
+        return s0, grad
+
 
 class _TruncatedConvProfile:
     """1-D convolution of a Gaussian (variance ``vg``) with a truncated
@@ -422,6 +440,19 @@ class GaussianMixtureModel(FeatureModel):
         np.subtract(t, v, out=stacked[1])
         vals, grads = _prod_profile(self._ktilde, stacked)
         return vals[0], grads[0], vals[1], grads[1]
+
+    def surrogate_sums(self, t, t_prime, signs, u, v, kernel_scale, data_scale):
+        if self.trunc_width is not None:
+            return super().surrogate_sums(t, t_prime, signs, u, v, kernel_scale,
+                                          data_scale)
+        # with the plain Gaussian, g and h are the profile's d-fold product
+        # at t - c_j for the centres c_j = t'_j + u_j and v_j: one weighted
+        # sum over both sets of centres, from the profile's moments
+        m = len(t_prime)
+        weights = np.empty(m + len(v))
+        weights[:m] = kernel_scale if signs is None else kernel_scale * signs
+        weights[m:] = -data_scale
+        return self._ktilde.centre_sums(t, np.concatenate((t_prime + u, v)), weights)
 
     # ----- bounds -------------------------------------------------------------
 

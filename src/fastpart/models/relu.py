@@ -97,7 +97,9 @@ class ReluFeatureModel(FeatureModel):
     # golden ReLU cases pin it.  The weighted gradient sum is contracted
     # inside the gram's own row blocks (its BLAS bits change with the row
     # count, the einsums' do not), in sub-blocks of q d floats a row, so
-    # a small sample's wide gram block never holds a whole (n, q, d) tensor
+    # a small sample's wide gram block never holds a whole (n, q, d)
+    # tensor.  A row block counts the wider of its N-column product and
+    # its q-column gram row, so a small sample's block is not the whole gram
     def gram_bundle(self, t, t_prime, weights=None):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
@@ -113,7 +115,7 @@ class ReluFeatureModel(FeatureModel):
                 grad = np.einsum("in,jn,nd->ijd", mask[sub], fs, self.x) / self.n_data
                 return (np.einsum("ijd,j->id", grad, weights),)
             return gram, _fill_row_blocks(grad_sum, len(mask), len(fs) * self.dim)[0]
-        return _fill_row_blocks(fields, len(t), self.n_data)
+        return _fill_row_blocks(fields, len(t), max(self.n_data, len(fs)))
 
     @cached_property
     def y_norm_sq(self) -> float:

@@ -17,6 +17,15 @@ One routine per job: ``sample_fields`` (per-draw estimates),
 ``exact_fields`` (the exact cost and gradient, or with ``grad=False`` the
 cost alone, for lattice scans) and ``marginal_cost`` (its value-only
 wrapper, a float at a single point).
+
+``minibatch_fields`` takes the batch sum of m > 1 draws from the model's
+``surrogate_sums`` hook, with the kernel side scaled by |nu| / m and the
+data side by 1 / m.  Its default reduces the per-pair fields over the
+batch axis; the plain Gaussian mixture sums by moments, one ``exp`` per
+pair, within 1e-14 (values) and 1e-13 (gradients) of the largest
+magnitude of the per-pair sums (``tests/test_moment_sums_properties.py``
+states the range).  A batch of one takes the per-pair fields for every
+model.
 """
 from __future__ import annotations
 
@@ -101,25 +110,24 @@ def minibatch_fields(model: FeatureModel, measure: ParticleMeasure, points,
     t_indices = batch.t_indices
     atoms = measure.positions[t_indices]
     total = measure.tv_norm
+    if len(t_indices) > 1:
+        inv_m = 1.0 / len(t_indices)
+        signs = None if measure.unsigned else measure.signs[t_indices]
+        cost, grad = model.surrogate_sums(pts, atoms, signs, batch.u, batch.v,
+                                          total * inv_m, inv_m)
+        return cost + lam, grad
+    # a batch of one, with the general form's bits and no reductions:
+    # inv_m is 1, and numpy's sum over the batch axis is 0.0 + its one
+    # term, which turns -0.0 into 0.0.  The cost skips that + 0.0: a
+    # zero's sign cannot reach it through the final + lam (lam != -0.0)
     gval, ggrad, hval, hgrad = model.surrogate_fields(
         pts[:, None, :], atoms[None, :, :], batch.u[None, ...], batch.v[None, ...])
     if not measure.unsigned:
         signs = measure.signs[t_indices]
         gval = signs * gval
         ggrad = signs[None, :, None] * ggrad
-    if len(t_indices) == 1:
-        # a batch of one, with the general form's bits and no reductions:
-        # inv_m is 1, and numpy's sum over the batch axis is 0.0 + its one
-        # term, which turns -0.0 into 0.0.  The cost skips that + 0.0: a
-        # zero's sign cannot reach it through the final + lam (lam != -0.0)
-        return (total * gval[:, 0] - hval[:, 0] + lam,
-                total * (ggrad[:, 0] + _ZERO) - (hgrad[:, 0] + _ZERO))
-    inv_m = 1.0 / len(t_indices)
-    scale = total * inv_m
-    add = np.add.reduce
-    cost = scale * add(gval, axis=1) - inv_m * add(hval, axis=1) + lam
-    grad = scale * add(ggrad, axis=1) - inv_m * add(hgrad, axis=1)
-    return cost, grad
+    return (total * gval[:, 0] - hval[:, 0] + lam,
+            total * (ggrad[:, 0] + _ZERO) - (hgrad[:, 0] + _ZERO))
 
 
 def exact_fields(model: FeatureModel, measure: ParticleMeasure, points,

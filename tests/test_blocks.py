@@ -290,10 +290,20 @@ def test_exact_layer_peaks_near_its_gram():
     assert _peak_bytes(lambda: exact_fields(model, nu, nu.positions, 0.01)) < bound
 
 
+def test_relu_gram_peaks_near_its_output():
+    # N = 40 samples: a row block counted by N alone was 1638 rows, all
+    # 1001 atoms, and its temporaries took the 8 MB gram to 16.4 MB; a
+    # block counted by the wider of N and q = 1001 columns peaks at 9.4 MB
+    x, y = sample_regression_data(40, 2, np.random.default_rng(3))
+    model = ReluFeatureModel(x, y)
+    atoms = model.project(np.random.default_rng(1).uniform(-1.0, 1.0, size=(1001, 2)))
+    assert _peak_bytes(lambda: model.gram(atoms, atoms)) < 1.25 * 1001**2 * 8
+
+
 def test_relu_exact_layer_peaks_near_its_gram():
-    # N = 40 samples make the gram's row blocks 1638 rows wide, all 1001
-    # atoms: contracted per gram block, the (p, p, d) tensor beside them
-    # took trace_stats to 25.0 MB, against 16.4 MB for the gram alone
+    # N = 40 samples and 1001 atoms: contracted per gram block, the
+    # (p, p, d) tensor beside them took trace_stats to 25.0 MB, against
+    # 16.4 MB for the gram alone when one gram block held every row
     x, y = sample_regression_data(40, 2, np.random.default_rng(3))
     model = ReluFeatureModel(x, y)
     rng = np.random.default_rng(1)

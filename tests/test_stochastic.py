@@ -263,11 +263,17 @@ class TestBatchOfOne:
             assert fast.random() == ref.random()
 
     @pytest.mark.parametrize("lam", [0.25, 0.0])
-    @pytest.mark.parametrize("name", ["gmm_trunc", "gmm_small", "relu_model"])
-    def test_minibatch_fields_match_the_batch_sum(self, request, name, lam):
-        # the general estimator at m = 1, written out: a reduction over a
-        # length-1 batch axis and a division by 1.  ReLU's gradients hold
-        # many -0.0 terms, which the reduction turns into 0.0
+    @pytest.mark.parametrize("name,m", [
+        pytest.param(name, m, id=name if m == 1 else f"{name}-m{m}")
+        for name, m in [("gmm_trunc", 1), ("gmm_small", 1), ("relu_model", 1),
+                        ("gmm_trunc", 4), ("relu_model", 4),
+                        ("fourier_noisy", 1), ("fourier_noisy", 4)]])
+    def test_minibatch_fields_match_the_batch_sum(self, request, name, m, lam):
+        # the general estimator written out: a reduction over the batch
+        # axis and a division by m.  At m = 1 ReLU's gradients hold many
+        # -0.0 terms, which the reduction turns into 0.0.  Every model but
+        # the plain mixture (gmm_small) keeps these bits at any m; that one
+        # takes m > 1 batch sums from the Gaussian's moments
         model = request.getfixturevalue(name)
         rng = np.random.default_rng(17)
         p = 5
@@ -276,7 +282,7 @@ class TestBatchOfOne:
         nu = ParticleMeasure(rng.random(p) + 0.1, pts, signs)
         assert nu.unsigned == (signs is None)
         for _ in range(200):
-            batch = draw_batch(model, nu, 1, rng)
+            batch = draw_batch(model, nu, m, rng)
             cost, grad = minibatch_fields(model, nu, pts, lam, batch)
             atoms = nu.positions[batch.t_indices]
             gval, ggrad, hval, hgrad = model.surrogate_fields(
@@ -291,6 +297,22 @@ class TestBatchOfOne:
                              - inv_m * add(hval, axis=1) + lam)
             assert same_bits(grad, scale * add(ggrad, axis=1)
                              - inv_m * add(hgrad, axis=1))
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("m", [4, 64])
+    def test_plain_mixture_batch_rows_keep_their_bits(self, gmm_small, m, signed):
+        # the moment sums reduce each row alone, with no BLAS: a point's
+        # batch estimate has the same bits among 41 points as on its own
+        rng = np.random.default_rng(m)
+        pts = np.linspace(-1.0, 1.0, 41)[:, None]
+        nu = ParticleMeasure(rng.random(41) + 0.1, pts,
+                             rng.choice([-1.0, 1.0], size=41) if signed else None)
+        batch = draw_batch(gmm_small, nu, m, rng)
+        cost, grad = minibatch_fields(gmm_small, nu, pts, 0.1, batch)
+        for i, t in enumerate(pts):
+            alone = minibatch_fields(gmm_small, nu, t[None], 0.1, batch)
+            assert same_bits(alone[0], cost[i:i + 1])
+            assert same_bits(alone[1], grad[i:i + 1])
 
     def test_minibatch_is_not_a_sequence(self, gmm_small):
         # a batch's size is .size; len() and indexing must fail loudly
