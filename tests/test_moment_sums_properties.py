@@ -39,7 +39,6 @@ MIXTURES = dict(radius=st.floats(0.5, 3.0), bandwidth=st.floats(-4.0, 0.4).map(n
                 scale=st.floats(-4.0, 0.0).map(np.exp), dim=st.integers(1, 2),
                 seed=st.integers(0, 2**32 - 1))
 
-
 # the largest radius, in kernel widths, the data side's bound holds on
 DATA_REACH = 50.0
 
@@ -63,8 +62,8 @@ def _points_near(model, centres, rng, p=40):
 
 
 def _assert_within(got, want, scale):
-    """(value, gradient) pairs, each error measured against the largest
-    magnitude of the matching entry in scale."""
+    """(value, gradient) pairs, each error measured against the matching
+    magnitude in scale."""
     for g, w, s, bound in zip(got, want, scale, (VALUE_BOUND, GRAD_BOUND)):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= bound * s
