@@ -495,8 +495,9 @@ def test_run_matches_golden_bits(golden, case):
 
 
 def _run_arrays(res):
+    cesaro = [] if res.cesaro is None else [res.cesaro.weights, res.cesaro.positions]
     return [res.measure.weights, res.measure.positions,
-            [r.objective for r in res.trace], res.cesaro.weights, res.cesaro.positions]
+            [r.objective for r in res.trace], *cesaro]
 
 
 def test_plain_gmm_2d_run_contracts():
@@ -504,22 +505,25 @@ def test_plain_gmm_2d_run_contracts():
     # moves its path by an ulp moves its outputs by as little, so the bit
     # policy's 1e-12 agreement can be shown for it.  Each start
     # coordinate, one ulp up and one down, moves no output array by more
-    # than 1e-12 of its largest magnitude
-    cfg, model = _plain_gmm_2d()
-    base = run(cfg, model)
-    want = _run_arrays(base)
-    for i, k in np.ndindex(cfg.init.positions.shape):
-        for toward in (-np.inf, np.inf):
-            pos = cfg.init.positions.copy()
-            pos[i, k] = np.nextafter(pos[i, k], toward)
-            if np.sum(pos[i] ** 2) > model.radius**2:
-                continue
-            res = run(replace(cfg, init=ParticleMeasure(cfg.init.weights, pos)), model)
-            assert res.evals == base.evals
-            for got, ref in zip(_run_arrays(res), want):
-                got, ref = np.asarray(got), np.asarray(ref)
-                assert got.shape == ref.shape
-                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # than 1e-12 of its largest magnitude.  Checked on every run case
+    # whose path the exact layer feeds: the deterministic step, and the
+    # Fourier model, whose data side is an exact kernel sum
+    for case in ("plain_gmm_2d_m4", "gmm_deterministic", "fourier_torus"):
+        cfg, model = CASES[case]()
+        base = run(cfg, model)
+        want = _run_arrays(base)
+        for i, k in np.ndindex(cfg.init.positions.shape):
+            for toward in (-np.inf, np.inf):
+                pos = cfg.init.positions.copy()
+                pos[i, k] = np.nextafter(pos[i, k], toward)
+                if not model.contains(pos, tol=0.0):
+                    continue
+                res = run(replace(cfg, init=ParticleMeasure(cfg.init.weights, pos)), model)
+                assert res.evals == base.evals, case
+                for got, ref in zip(_run_arrays(res), want):
+                    got, ref = np.asarray(got), np.asarray(ref)
+                    assert got.shape == ref.shape, case
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), case
 
 
 @pytest.mark.parametrize("case", sorted(EXACT_CASES))
