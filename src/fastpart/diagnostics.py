@@ -40,8 +40,7 @@ def trace_stats(model: FeatureModel, measure: ParticleMeasure,
     signs = measure.signs
     sw = measure.signed_weights
     iy, giy = model.data_fit(pos)
-    gram, kgrad = model.gram_bundle(pos, pos, sw)
-    kw = gram @ sw
+    kw, kgrad = model.kernel_sums(pos, pos, sw)
     obj = float(base + lam * w.sum() - sw @ iy + 0.5 * sw @ kw)
     cost = signs * (kw - iy) + lam
     grad = kgrad - giy
@@ -75,8 +74,8 @@ class KktReport:
 def kkt_certificate(model: FeatureModel, measure: ParticleMeasure, lam: float,
                     grid_step: float, mass_threshold: float = 1e-6) -> KktReport:
     """Evaluate the first-order conditions on the model's lattice; a lattice
-    whose scan of the measure's atoms exceeds physical memory is refused."""
-    grid = model_lattice(model, grid_step, atoms=measure.size)
+    whose scans exceed physical memory is refused."""
+    grid = model_lattice(model, grid_step)
     grid_vals = marginal_cost(model, measure, grid, lam)
     grid_min = float(np.min(grid_vals))
     support_max = 0.0
@@ -104,15 +103,15 @@ class LatticeRefused(ValueError):
     """A lattice refused before it is scanned: ``<key> = <step> <reason>``."""
 
 
-def model_lattice(model: FeatureModel, step: float, key: str = "grid_step",
-                  atoms: int = 0) -> np.ndarray:
+def model_lattice(model: FeatureModel, step: float,
+                  key: str = "grid_step") -> np.ndarray:
     """``grid_points`` over the model's domain, and the one place a lattice
     is refused, with a ``LatticeRefused`` naming ``key`` and ``step``: a
     step that is not positive, one that leaves no point in the domain, or,
     before anything is built, one whose working set exceeds physical
     memory (about two d-vectors a point of the bounding cube, ``grid_points``'
-    peak, then a few floats a lattice point for the scans, one a point per
-    support column and one a point per atom of a measure scanned on it)."""
+    peak, then a few floats a lattice point for the scans and one a point
+    per support column)."""
     if not step > 0:
         raise LatticeRefused(f"{key} = {step:g} must be > 0")
     try:
@@ -122,7 +121,7 @@ def model_lattice(model: FeatureModel, step: float, key: str = "grid_step",
     points = grid_size_estimate(model.radius, model.dim, step, model.torus)
     # the bounding cube is the torus lattice, up to its +radius face
     cube = grid_size_estimate(model.radius, model.dim, step, torus=True)
-    need = 8.0 * ((2 * model.dim + 2) * cube + (model.dim + 4 + atoms) * points)
+    need = 8.0 * ((2 * model.dim + 2) * cube + (model.dim + 4) * points)
     if need > have:
         raise LatticeRefused(
             f"{key} = {step:g} gives a lattice of about {points:.3g} points "

@@ -103,12 +103,17 @@ class FeatureModel(ABC):
     magnitude of the pairwise value sums and 1e-13 of the gradient sums'
     (``tests/test_moment_sums_properties.py``).
 
-    The pairwise ``gram_bundle`` (the gram, and given weights the weighted
-    sum of its kernel gradients) is derived here from ``kernel_fields``; a
-    single quantity is the matching primitive's ``[0]``, ``[1]``, ``[:2]``
-    or ``[2:]``, and the values ``kernel``, ``inner_y`` and ``gram`` are
-    the ``[0]`` of the value-only calls, so a value equals its fused form
-    bit for bit.  The ReLU model overrides ``gram_bundle`` for speed.
+    Two pairwise forms are derived here from ``kernel_fields``.
+    ``kernel_sums(t, t', w, grad)`` is the weighted kernel sum
+    ``sum_j w_j K(t, t'_j)`` and its gradient, the one weighted sum of the
+    exact layer: the marginal cost, the trace statistics, the certificate
+    scan and the Fourier model's data side all read it.
+    ``gram_bundle(t, t') -> (gram,)`` is the matrix the grid oracle's
+    support columns need.  A single quantity is the matching primitive's
+    ``[0]``, ``[1]``, ``[:2]`` or ``[2:]``, and the values ``kernel``,
+    ``inner_y`` and ``gram`` are the ``[0]`` of the value-only calls, so a
+    value equals its fused form bit for bit.  The ReLU model overrides
+    both pairwise forms for speed, through its features.
 
     Each model also caches its almost-sure surrogate bounds as a
     ``_bounds`` property; ``bounds()`` returns them.
@@ -123,7 +128,7 @@ class FeatureModel(ABC):
     cost_kernel: int = 1
     cost_inner_y: int = 1
     # floats one kernel value expands a point pair into (a quadrature or
-    # frequency axis): the row blocks of gram/gram_bundle count them
+    # frequency axis): the row blocks of gram_bundle/kernel_sums count them
     _pair_width: int = 1
     # the domain is the ball of ``radius``, or with ``torus`` the cube
     # [-radius, radius)^d with opposite faces identified
@@ -186,19 +191,27 @@ class FeatureModel(ABC):
         """Kernel matrix between two point sets, shape (n, q)."""
         return self.gram_bundle(t, t_prime)[0]
 
-    def gram_bundle(self, t, t_prime, weights=None):
-        """(gram,) of shape (n, q); with ``weights`` w, shape (q,), also
-        sum_j w_j grad_t K(t_i, s_j), shape (n, d), contracted a row block
-        at a time, so the (n, q, d) gradient tensor is never held."""
+    def gram_bundle(self, t, t_prime):
+        """(gram,) of shape (n, q), a row block at a time: the matrix the
+        grid oracle's support columns need, and no weighted sum."""
         t = np.atleast_2d(np.asarray(t, dtype=float))[:, None, :]
         s = np.atleast_2d(np.asarray(t_prime, dtype=float))[None, :, :]
+        return _fill_row_blocks(lambda rows: self.kernel_fields(t[rows], s, False),
+                                len(t), s.shape[1] * self._pair_width)
 
-        def fields(rows):
-            if weights is None:
-                return self.kernel_fields(t[rows], s, False)
-            val, grad = self.kernel_fields(t[rows], s)
-            return val, np.einsum("ijd,j->id", grad, weights)
-        return _fill_row_blocks(fields, len(t), s.shape[1] * self._pair_width)
+    def kernel_sums(self, t, t_prime, weights, grad=True):
+        """(sum_j w_j K(t, t'_j), sum_j w_j grad_t K(t, t'_j)) at the points
+        of t, shape (..., d), for the q points t' and weights w, shape (q,);
+        (the sum,) without ``grad``.  Row blocks of ``kernel_fields`` are
+        contracted by einsum, so no (n, q) matrix is held and a row's bits
+        do not depend on the rows evaluated with it."""
+        s = np.atleast_2d(np.asarray(t_prime, dtype=float))
+
+        def sums(pts):
+            val, *grads = self.kernel_fields(pts[:, None, :], s, grad)
+            return (np.einsum("ij,j->i", val, weights),
+                    *(np.einsum("ijd,j->id", g, weights) for g in grads))
+        return _fill_point_blocks(sums, t, len(s) * self._pair_width)
 
     # ----- geometry ----------------------------------------------------------
 

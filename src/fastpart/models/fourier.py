@@ -89,15 +89,11 @@ class FourierDeconvolutionModel(FeatureModel):
 
     # y is a finite combination of kernel translates
     def data_fit(self, t, grad=True):
-        t = np.asarray(t, dtype=float)[..., None, :]
-        vals, *grads = self.kernel_fields(t, self._atom_positions, grad)
-        return (vals @ self._atom_coeffs,
-                *(np.einsum("...ad,a->...d", g, self._atom_coeffs) for g in grads))
+        return self.kernel_sums(t, self._atom_positions, self._atom_coeffs, grad)
 
     @cached_property
     def y_norm_sq(self) -> float:
-        gram = self.gram(self._atom_positions, self._atom_positions)
-        return float(self._atom_coeffs @ gram @ self._atom_coeffs)
+        return float(self._atom_coeffs @ self.inner_y(self._atom_positions))
 
     # ----- stochastic surrogates -----------------------------------------------
 

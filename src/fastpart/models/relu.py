@@ -83,39 +83,35 @@ class ReluFeatureModel(FeatureModel):
         val = np.mean(np.maximum(zt, 0.0) * fs, axis=-1)
         return (val, ((zt > 0.0) * fs) @ self.x / self.n_data) if grad else (val,)
 
-    # the data side takes row blocks of the points against all N samples
     def data_fit(self, t, grad=True):
+        return self._feature_sums(t, self.y, grad)
+
+    # through the features: sum_j w_j K(t, t'_j) is mean_n relu(<t, x_n>) c_n
+    # at c = sum_j w_j relu(<t'_j, x>), so no (n, q) block is formed
+    def kernel_sums(self, t, t_prime, weights, grad=True):
+        fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
+        return self._feature_sums(t, weights @ fs, grad)
+
+    def _feature_sums(self, t, coeffs, grad=True):
+        """(mean_n relu(<t, x_n>) c_n, its gradient in t), or the 1-tuple,
+        a row block of the points against all N samples at a time."""
         def fields(pts):
             zt = pts @ self.x.T
-            val = np.mean(np.maximum(zt, 0.0) * self.y, axis=-1)
-            return (val, ((zt > 0.0) * self.y) @ self.x / self.n_data) if grad else (val,)
+            val = np.mean(np.maximum(zt, 0.0) * coeffs, axis=-1)
+            return (val, ((zt > 0.0) * coeffs) @ self.x / self.n_data) if grad else (val,)
         return _fill_point_blocks(fields, t, self.n_data)
 
-    # speed override of the derived pairwise form: one matmul over the
-    # sample (a row block of t at a time) instead of an (n, q, N)
-    # broadcast.  It differs from the pointwise mean in the last bits; the
-    # golden ReLU cases pin it.  The weighted gradient sum is contracted
-    # inside the gram's own row blocks (its BLAS bits change with the row
-    # count, the einsums' do not), in sub-blocks of q d floats a row, so
-    # a small sample's wide gram block never holds a whole (n, q, d)
-    # tensor.  A row block counts the wider of its N-column product and
-    # its q-column gram row, so a small sample's block is not the whole gram
-    def gram_bundle(self, t, t_prime, weights=None):
+    # speed override of the derived gram: one matmul over the sample (a row
+    # block of t at a time) instead of an (n, q, N) broadcast.  It differs
+    # from the pointwise mean in the last bits; the golden ReLU cases pin
+    # it.  A row block counts the wider of its N-column product and its
+    # q-column gram row, so a small sample's block is not the whole gram
+    def gram_bundle(self, t, t_prime):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         fs = np.maximum(np.atleast_2d(np.asarray(t_prime, dtype=float)) @ self.x.T, 0.0)
-
-        def fields(rows):
-            zt = t[rows] @ self.x.T
-            gram = np.maximum(zt, 0.0) @ fs.T / self.n_data
-            if weights is None:
-                return (gram,)
-            mask = (zt > 0.0).astype(float)
-
-            def grad_sum(sub):
-                grad = np.einsum("in,jn,nd->ijd", mask[sub], fs, self.x) / self.n_data
-                return (np.einsum("ijd,j->id", grad, weights),)
-            return gram, _fill_row_blocks(grad_sum, len(mask), len(fs) * self.dim)[0]
-        return _fill_row_blocks(fields, len(t), max(self.n_data, len(fs)))
+        return _fill_row_blocks(
+            lambda rows: (np.maximum(t[rows] @ self.x.T, 0.0) @ fs.T / self.n_data,),
+            len(t), max(self.n_data, len(fs)))
 
     @cached_property
     def y_norm_sq(self) -> float:

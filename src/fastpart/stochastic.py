@@ -138,9 +138,5 @@ def exact_fields(model: FeatureModel, measure: ParticleMeasure, points,
     iy, *giy = model.data_fit(pts, grad)
     if measure.size == 0:
         return lam - iy, *(-g for g in giy)
-    sw = measure.signed_weights
-    gram, *kgrad = model.gram_bundle(pts, measure.positions, sw if grad else None)
-    cost = gram @ sw - iy + lam
-    if not grad:
-        return (cost,)
-    return cost, kgrad[0] - giy[0]
+    kw, *kgrad = model.kernel_sums(pts, measure.positions, measure.signed_weights, grad)
+    return kw - iy + lam, *(kg - g for kg, g in zip(kgrad, giy))

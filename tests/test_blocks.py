@@ -1,16 +1,18 @@
 """Row-blocked exact evaluation: the same bits as one row at a time, and a
 peak memory bounded by the output plus one block.
 
-``gram``, ``gram_bundle`` and the mixture and ReLU models'
+``gram``, ``kernel_sums`` and the mixture and ReLU models'
 ``inner_y``/``data_fit`` evaluate fixed-size blocks of points and write each block into a
 preallocated output.  Only the point axis is split, so every output
 element must equal its one-row evaluation exactly, except for the ReLU
-model: its ``data_fit`` and ``gram_bundle`` are BLAS products, whose
-last bits change with the row count, so its rows need only agree to
-1e-14 of the largest entry.  ``gram_bundle`` contracts each block's
-kernel gradients with the weights it is given, so ``exact_fields`` and
-``trace_stats`` must equal, bit for bit, the dense form that builds the
-whole (n, q, d) gradient tensor and contracts it once.  ``y_norm_sq`` sums
+model: its ``data_fit``, ``gram_bundle`` and ``kernel_sums`` are BLAS
+products, whose last bits change with the row count, so its rows need
+only agree to 1e-14 of the largest entry.  ``kernel_sums`` contracts each
+block's kernel values and gradients with the weights by einsum, so
+``exact_fields`` and ``trace_stats`` must equal, bit for bit, the dense
+form that builds the whole gram and (n, q, d) gradient tensor and
+contracts them once by einsum (the ReLU model, which sums through its
+features, to 1e-14 and 1e-13 of the unsigned sums).  ``y_norm_sq`` sums
 its sample pairs a row block at a time and keeps no (N, N) matrix.
 Peak memory is read with ``tracemalloc``, which sees numpy's buffers.
 """
@@ -92,11 +94,12 @@ def test_pairwise_rows_match_single_row_evaluation(name):
     model, lattice = _case(name)
     gram = model.gram(lattice, lattice)
     weights = np.random.default_rng(5).uniform(-1.0, 1.0, len(lattice))
-    bundle = model.gram_bundle(lattice, lattice, weights)
-    assert np.array_equal(gram, bundle[0])
+    sums = model.kernel_sums(lattice, lattice, weights)
     rows = [model.kernel_fields(t, lattice) for t in lattice]
-    _assert_rows_match(name, bundle[0], np.array([k for k, _ in rows]))
-    _assert_rows_match(name, bundle[1], np.einsum(
+    row_gram = np.array([k for k, _ in rows])
+    _assert_rows_match(name, gram, row_gram)
+    _assert_rows_match(name, sums[0], np.einsum("ij,j->i", row_gram, weights))
+    _assert_rows_match(name, sums[1], np.einsum(
         "ijd,j->id", np.array([grad for _, grad in rows]), weights))
     _assert_rows_match(name, gram, np.array([model.kernel(t, lattice) for t in lattice]))
 
@@ -164,8 +167,15 @@ def test_shapes_across_leading_dims_and_empty_input():
     assert [a.shape for a in model.data_fit(empty)] == [(0,), (0, 2)]
     assert model.gram(empty, pts).shape == (0, 12)
     assert [a.shape for a in model.gram_bundle(pts, empty)] == [(12, 0)]
-    gram, grad = model.gram_bundle(pts, empty, np.empty(0))
-    assert gram.shape == (12, 0) and np.array_equal(grad, np.zeros((12, 2)))
+    weights = np.linspace(-1.0, 1.0, 12)
+    val, grad = model.kernel_sums(stacked, pts, weights)
+    flat_val, flat_grad = model.kernel_sums(pts, pts, weights)
+    assert np.array_equal(val, flat_val.reshape(3, 4))
+    assert np.array_equal(grad, flat_grad.reshape(3, 4, 2))
+    assert np.ndim(model.kernel_sums(pts[0], pts, weights, grad=False)[0]) == 0
+    assert [a.shape for a in model.kernel_sums(empty, pts, weights)] == [(0,), (0, 2)]
+    val, grad = model.kernel_sums(pts, empty, np.empty(0))
+    assert np.array_equal(val, np.zeros(12)) and np.array_equal(grad, np.zeros((12, 2)))
 
 
 def _peak_bytes(fn):
@@ -243,14 +253,15 @@ def _dense_exact_fields(model, nu, pts, lam):
     gram, tensor = _dense_kernel_fields(model, pts, nu.positions)
     iy, giy = model.data_fit(pts)
     sw = nu.signed_weights
-    return gram @ sw - iy + lam, np.einsum("ijd,j->id", tensor, sw) - giy
+    return (np.einsum("ij,j->i", gram, sw) - iy + lam,
+            np.einsum("ijd,j->id", tensor, sw) - giy)
 
 
 def _dense_trace_stats(model, nu, lam):
     w, sw, pos = nu.weights, nu.signed_weights, nu.positions
     gram, tensor = _dense_kernel_fields(model, pos, pos)
     iy, giy = model.data_fit(pos)
-    kw = gram @ sw
+    kw = np.einsum("ij,j->i", gram, sw)
     obj = float(0.5 * model.y_norm_sq + lam * w.sum() - sw @ iy + 0.5 * sw @ kw)
     cost = nu.signs * (kw - iy) + lam
     grad = np.einsum("ijd,j->id", tensor, sw) - giy
@@ -261,8 +272,7 @@ def _dense_trace_stats(model, nu, lam):
 @pytest.mark.parametrize("case", sorted(EXACT_CASES))
 def test_exact_layer_matches_dense_gradient_tensor(case, p):
     # at 300 and 701 atoms every mixture and Fourier evaluation spans
-    # several row blocks (the truncated mixture one row a block at 701),
-    # and the ReLU model's trace_stats two
+    # several row blocks (the truncated mixture one row a block at 701)
     model, measure, lam, *_ = EXACT_CASES[case]()
     rng = np.random.default_rng(p)
     reach = 0.9 * model.radius
@@ -272,20 +282,31 @@ def test_exact_layer_matches_dense_gradient_tensor(case, p):
     pts = model.project(rng.uniform(-model.radius, model.radius, size=(333, model.dim)))
     cost, grad = _dense_exact_fields(model, nu, pts, lam)
     got = exact_fields(model, nu, pts, lam)
+    value_only = exact_fields(model, nu, pts, lam, grad=False)[0]
+    stats, dense_stats = trace_stats(model, nu, lam), _dense_trace_stats(model, nu, lam)
+    if isinstance(model, ReluFeatureModel):
+        # the feature sums: within the property bounds of the unsigned sums
+        gram, tensor = _dense_kernel_fields(model, pts, atoms)
+        scale = np.max(np.abs(gram) @ nu.weights)
+        grad_scale = np.max(np.einsum("ijd,j->id", np.abs(tensor), nu.weights))
+        assert np.max(np.abs(got[0] - cost)) <= 1e-14 * scale
+        assert np.max(np.abs(got[1] - grad)) <= 1e-13 * grad_scale
+        assert np.array_equal(value_only, got[0])
+        assert stats == pytest.approx(dense_stats, rel=1e-12)
+        return
     assert got[0].tobytes() == cost.tobytes()
     assert got[1].tobytes() == grad.tobytes()
-    assert exact_fields(model, nu, pts, lam, grad=False)[0].tobytes() == cost.tobytes()
-    assert ([x.hex() for x in trace_stats(model, nu, lam)]
-            == [x.hex() for x in _dense_trace_stats(model, nu, lam)])
+    assert value_only.tobytes() == cost.tobytes()
+    assert [x.hex() for x in stats] == [x.hex() for x in dense_stats]
 
 
 def test_exact_layer_peaks_near_its_gram():
     # 1001 gmm3a atoms: the (p, p, d) gradient tensor beside the 8 MB gram
-    # took both routines to 18.7 MB; now it is the gram, a (p, d) sum and
-    # one row block
+    # took both routines to 18.7 MB, and the gram alone to 10.1 MB; the
+    # kernel sums hold (p,) and (p, d) sums and one row block, 1.6 MB
     model = _gmm3a()
     nu = uniform_grid_measure(1, 1, 0.002, 0.5)
-    bound = 8 * nu.size**2 + 3e6
+    bound = 3e6
     assert _peak_bytes(lambda: trace_stats(model, nu, 0.01)) < bound
     assert _peak_bytes(lambda: exact_fields(model, nu, nu.positions, 0.01)) < bound
 
@@ -302,12 +323,12 @@ def test_relu_gram_peaks_near_its_output():
 
 def test_relu_exact_layer_peaks_near_its_gram():
     # N = 40 samples and 1001 atoms: contracted per gram block, the
-    # (p, p, d) tensor beside them took trace_stats to 25.0 MB, against
-    # 16.4 MB for the gram alone when one gram block held every row
+    # (p, p, d) tensor beside them took trace_stats to 25.0 MB, and the
+    # 8 MB gram with its sub-blocks to 10.0 MB; the feature sums hold a
+    # (q, N) feature table and one row block, 1.4 MB
     x, y = sample_regression_data(40, 2, np.random.default_rng(3))
     model = ReluFeatureModel(x, y)
     rng = np.random.default_rng(1)
     atoms = model.project(rng.uniform(-1.0, 1.0, size=(1001, 2)))
     nu = ParticleMeasure(np.full(1001, 1e-3), atoms, rng.choice([-1.0, 1.0], size=1001))
-    gram_peak = _peak_bytes(lambda: model.gram(atoms, atoms))
-    assert _peak_bytes(lambda: trace_stats(model, nu, 0.01)) < gram_peak + 3e6
+    assert _peak_bytes(lambda: trace_stats(model, nu, 0.01)) < 3e6

@@ -219,21 +219,18 @@ class TestGridOracle:
         with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 4\.2e\+09 points"):
             kkt_certificate(_small_model("gmm", 3), EMPTY, 0.01, 1e-3)
 
-    def test_certificate_counts_the_measures_atoms(self, monkeypatch):
-        # 1 MiB of memory: the 2001-point lattice at step 1e-3 needs 0.14 MB
-        # and one atom's scan 16 KB more, but 200 atoms' scan gram is 3.2 MB
-        sysconf = os.sysconf
-        pages = 2**20 // sysconf("SC_PAGE_SIZE")
-        monkeypatch.setattr(os, "sysconf",
-                            lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
-        model = _small_model("gmm", 1)
-        kkt_certificate(model, measure_1d([0.5], [0.1]), 0.01, 1e-3)
-        monkeypatch.setattr(diagnostics, "grid_points",
-                            lambda *args: pytest.fail("the lattice was built"))
-        atoms = np.linspace(-0.9, 0.9, 200)
-        with pytest.raises(diagnostics.LatticeRefused,
-                           match=r"grid_step = 0\.001 .* 2e\+03 points"):
-            kkt_certificate(model, measure_1d(np.full(200, 0.005), atoms), 0.01, 1e-3)
+    def test_certificate_peak_does_not_grow_with_the_atoms(self):
+        # gmm3a on the 2001-point lattice at step 1e-3: the scan takes the
+        # measure's kernel sums a row block at a time, so its peak read
+        # 1.16, 1.63 and 1.64 MB at 11, 201 and 2001 atoms, where the
+        # lattice-by-atoms gram took it to 1.16, 5.35 and 34.2 MB
+        model, lam = _gmm3a()
+        peaks = []
+        for q in (11, 201, 2001):
+            nu = measure_1d(np.full(q, 0.5 / q), np.linspace(-0.9, 0.9, q))
+            peaks.append(_peak_bytes(lambda: kkt_certificate(model, nu, lam, 1e-3)))
+        assert max(peaks) < 2.5e6
+        assert peaks[2] < 1.25 * peaks[1]
 
     @pytest.mark.parametrize("step,reason", [
         (0.0, "must be > 0"), (math.nan, "must be > 0"), (-0.5, "must be > 0"),

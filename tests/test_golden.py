@@ -318,7 +318,7 @@ def _digest(arrays):
 
 
 def _block_weights(n):
-    """Signed weights for the blocks cases' weighted ``gram_bundle``."""
+    """Signed weights for the blocks cases' ``kernel_sums``."""
     return np.random.default_rng(n).uniform(-1.0, 1.0, n)
 
 
@@ -328,7 +328,7 @@ def _blocks_outputs(case):
     return {
         "points": len(lattice),
         "gram": _digest([model.gram(lattice, lattice)]),
-        "gram_bundle": _digest(model.gram_bundle(lattice, lattice,
+        "kernel_sums": _digest(model.kernel_sums(lattice, lattice,
                                                  _block_weights(len(lattice)))),
         "inner_y": _digest([model.inner_y(lattice)]),
         "data_fit": _digest(model.data_fit(lattice)),

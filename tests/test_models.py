@@ -162,8 +162,9 @@ def _any_model(kind, dim):
 
 class TestValueContract:
     """The value-only forms (``kernel``, ``inner_y``, ``gram``,
-    ``marginal_cost``) equal the first output of their fused primitives
-    bit for bit; the grid routines rely on it."""
+    ``kernel_sums`` without ``grad``, ``marginal_cost``) equal the first
+    output of their fused primitives bit for bit; the grid routines rely
+    on it."""
 
     @pytest.mark.parametrize("kind", ["gmm_plain", "gmm_trunc", "fourier", "relu"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -180,7 +181,8 @@ class TestValueContract:
         assert np.array_equal(model.inner_y(t[0]), model.data_fit(t[0])[0])
         nu = ParticleMeasure(np.linspace(0.2, 1.0, len(s)), s)
         assert np.array_equal(model.gram(t, s), model.gram_bundle(t, s)[0])
-        assert np.array_equal(model.gram(t, s), model.gram_bundle(t, s, nu.weights)[0])
+        assert np.array_equal(model.kernel_sums(t, s, nu.signed_weights, grad=False)[0],
+                              model.kernel_sums(t, s, nu.signed_weights)[0])
         assert np.array_equal(marginal_cost(model, nu, t, 0.1),
                               exact_fields(model, nu, t, 0.1)[0])
 
