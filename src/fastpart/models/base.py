@@ -45,8 +45,9 @@ class ModelBounds:
 @dataclass(frozen=True)
 class GroundTruth:
     """Sparse truth behind a synthetic problem: spikes and optional noise
-    atoms.  Every array must be finite and each coefficient list must
-    match its position list in length; ValueError names the field."""
+    atoms.  The two noise fields come together or not at all, every array
+    must be finite and each coefficient list must match its position list
+    in length; ValueError names the field."""
 
     weights: np.ndarray
     positions: np.ndarray
@@ -54,6 +55,9 @@ class GroundTruth:
     noise_positions: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.noise_coeffs is None) != (self.noise_positions is None):
+            raise ValueError("GroundTruth noise_coeffs and noise_positions must be "
+                             "given together")
         arrays = {"weights": np.asarray(self.weights, dtype=float).ravel(),
                   "positions": _as_points(self.positions)}
         if self.noise_coeffs is not None:

@@ -246,6 +246,15 @@ class TestConstructorValidation:
             GroundTruth([1.0], [0.0], noise_coeffs=[0.05, -0.03],
                         noise_positions=[2.0])
 
+    @pytest.mark.parametrize("given", ["noise_coeffs", "noise_positions"])
+    def test_ground_truth_rejects_a_noise_field_without_its_partner(self, given):
+        # noise positions alone were accepted, and the Fourier model then
+        # dropped the noise; noise coefficients alone were refused as
+        # "noise_positions must be finite"
+        with pytest.raises(ValueError,
+                           match="noise_coeffs and noise_positions must be given together"):
+            GroundTruth([1.0], [0.0], **{given: [0.1]})
+
 
 class TestFourierModel:
     def test_kernel_normalization(self, fourier_fc1):
