@@ -16,7 +16,8 @@ One routine per job: ``sample_fields`` (per-draw estimates),
 ``minibatch_fields`` (their batch mean, the solver's hot path),
 ``exact_fields`` (the exact cost and gradient, or with ``grad=False`` the
 cost alone, for lattice scans) and ``marginal_cost`` (its value-only
-wrapper, a float at a single point).
+wrapper, a float at a single point).  The exact cost takes its sum over
+atoms from the model's ``kernel_sums``, the one weighted kernel sum.
 
 ``minibatch_fields`` takes the batch sum of m > 1 draws from the model's
 ``surrogate_sums`` hook, with the kernel side scaled by |nu| / m and the
