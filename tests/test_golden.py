@@ -505,9 +505,10 @@ def test_plain_gmm_2d_run_contracts():
     # moves its path by an ulp moves its outputs by as little, so the bit
     # policy's 1e-12 agreement can be shown for it.  Each start
     # coordinate, one ulp up and one down, moves no output array by more
-    # than 1e-12 of its largest magnitude.  Checked on every run case
-    # whose path the exact layer feeds: the deterministic step, and the
-    # Fourier model, whose data side is an exact kernel sum
+    # than 1e-12 of its largest magnitude.  Checked on plain_gmm_2d_m4
+    # and on the run cases whose path the exact layer feeds: the
+    # deterministic step, and the Fourier model, whose data side is an
+    # exact kernel sum
     for case in ("plain_gmm_2d_m4", "gmm_deterministic", "fourier_torus"):
         cfg, model = CASES[case]()
         base = run(cfg, model)
