@@ -101,11 +101,12 @@ class FeatureModel(ABC):
     the mini-batch estimator's reduction: kernel_scale times the sum over
     a batch of draws of the signed kernel-side fields, less data_scale
     times the sum of the data-side fields, at each point.  Its default
-    reduces ``surrogate_fields`` over every (point, draw) pair; the plain
-    Gaussian mixture overrides it with the Gaussian's moments (one
-    ``exp`` per pair, no per-pair gradient): within 1e-14 of the largest
-    magnitude of the pairwise value sums and 1e-13 of the gradient sums'
-    (``tests/test_moment_sums_properties.py``).
+    reduces ``surrogate_fields`` over every (point, draw) pair.  The
+    Gaussian mixtures take it from their profile's one weighted sum,
+    ``centre_sums``: the plain one by the Gaussian's moments (one ``exp``
+    per pair, no per-pair gradient), the truncated one by pairs.  Both
+    are within 1e-14 of the largest magnitude of the pairwise value sums
+    and 1e-13 of the gradient sums' (``tests/test_moment_sums_properties.py``).
 
     Two pairwise forms are derived here from ``kernel_fields``.
     ``kernel_sums(t, t', w, grad)`` is the weighted kernel sum
@@ -117,7 +118,8 @@ class FeatureModel(ABC):
     ``[0]``, ``[1]``, ``[:2]`` or ``[2:]``, and the values ``kernel``,
     ``inner_y`` and ``gram`` are the ``[0]`` of the value-only calls, so a
     value equals its fused form bit for bit.  The ReLU model overrides
-    both pairwise forms for speed, through its features.
+    both pairwise forms for speed, through its features, and the mixtures
+    take ``kernel_sums`` from their kernel profile's ``centre_sums``.
 
     Each model also caches its almost-sure surrogate bounds as a
     ``_bounds`` property; ``bounds()`` returns them.

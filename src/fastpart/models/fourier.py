@@ -47,12 +47,13 @@ class FourierDeconvolutionModel(FeatureModel):
     torus = True
 
     def __init__(self, freq_cutoff: int, dim: int, truth: GroundTruth):
-        if freq_cutoff < 0:
-            raise ValueError("freq_cutoff must be >= 0")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        # refused, not truncated: int(2.7) would be a cutoff of 2
+        for name, value, least in (("freq_cutoff", freq_cutoff, 0), ("dim", dim, 1)):
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         self.freq_cutoff = int(freq_cutoff)
-        self.dim = dim
+        self.dim = int(dim)
         self.radius = TORUS_RADIUS
         self.truth = truth
 

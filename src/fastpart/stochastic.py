@@ -22,11 +22,12 @@ atoms from the model's ``kernel_sums``, the one weighted kernel sum.
 ``minibatch_fields`` takes the batch sum of m > 1 draws from the model's
 ``surrogate_sums`` hook, with the kernel side scaled by |nu| / m and the
 data side by 1 / m.  Its default reduces the per-pair fields over the
-batch axis; the plain Gaussian mixture sums by moments, one ``exp`` per
-pair, within 1e-14 (values) and 1e-13 (gradients) of the largest
-magnitude of the per-pair sums (``tests/test_moment_sums_properties.py``
-states the range).  A batch of one takes the per-pair fields for every
-model.
+batch axis.  The Gaussian mixtures take one weighted sum over the 2m
+centres t'_j + u_j and v_j, the plain one by moments (one ``exp`` per
+pair) and the truncated one by pairs, within 1e-14 (values) and 1e-13
+(gradients) of the largest magnitude of the per-pair sums
+(``tests/test_moment_sums_properties.py`` states the range).  A batch of
+one takes the per-pair fields for every model.
 """
 from __future__ import annotations
 

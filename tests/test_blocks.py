@@ -11,9 +11,12 @@ only agree to 1e-14 of the largest entry.  ``kernel_sums`` contracts each
 block's kernel values and gradients with the weights by einsum, so
 ``exact_fields`` and ``trace_stats`` must equal, bit for bit, the dense
 form that builds the whole gram and (n, q, d) gradient tensor and
-contracts them once by einsum (the ReLU model, which sums through its
-features, to 1e-14 and 1e-13 of the unsigned sums).  ``y_norm_sq`` sums
-its sample pairs a row block at a time and keeps no (N, N) matrix.
+contracts them once by einsum.  The models whose sums skip that per-pair
+arithmetic are held to 1e-14 (values) and 1e-13 (gradients) of the
+unsigned sums instead: ReLU, which sums through its features, and the
+plain mixtures, which sum by their Gaussian kernel's moments.
+``y_norm_sq`` sums its sample pairs a row block at a time and keeps no
+(N, N) matrix.
 Peak memory is read with ``tracemalloc``, which sees numpy's buffers.
 """
 import functools
@@ -73,6 +76,8 @@ MODELS = {
     "relu": (_relu, 0.1),
 }
 MIXTURES = ["gmm3a", "plain_gmm_2d", "trunc_gmm"]
+# the plain mixtures take their kernel sums from the Gaussian's moments
+BY_MOMENTS = ["gmm3a", "plain_gmm_2d"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,6 +94,15 @@ def _assert_rows_match(name, blocked, one_row):
         assert np.array_equal(blocked, one_row)
 
 
+def _assert_within_sum_bounds(got, want, kern, grads, weights):
+    """(value, gradient) sums within 1e-14 and 1e-13 of the unsigned sums
+    of the kernel values and gradients, with the weights' magnitudes."""
+    aw = np.abs(weights)
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-14 * np.max(np.abs(kern) @ aw)
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-13 * np.max(
+        np.einsum("ijd,j->id", np.abs(grads), aw))
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_pairwise_rows_match_single_row_evaluation(name):
     model, lattice = _case(name)
@@ -96,11 +110,15 @@ def test_pairwise_rows_match_single_row_evaluation(name):
     weights = np.random.default_rng(5).uniform(-1.0, 1.0, len(lattice))
     sums = model.kernel_sums(lattice, lattice, weights)
     rows = [model.kernel_fields(t, lattice) for t in lattice]
-    row_gram = np.array([k for k, _ in rows])
+    row_gram, row_grads = np.array([k for k, _ in rows]), np.array([g for _, g in rows])
     _assert_rows_match(name, gram, row_gram)
-    _assert_rows_match(name, sums[0], np.einsum("ij,j->i", row_gram, weights))
-    _assert_rows_match(name, sums[1], np.einsum(
-        "ijd,j->id", np.array([grad for _, grad in rows]), weights))
+    want = (np.einsum("ij,j->i", row_gram, weights),
+            np.einsum("ijd,j->id", row_grads, weights))
+    if name in BY_MOMENTS:
+        _assert_within_sum_bounds(sums, want, row_gram, row_grads, weights)
+    else:
+        _assert_rows_match(name, sums[0], want[0])
+        _assert_rows_match(name, sums[1], want[1])
     _assert_rows_match(name, gram, np.array([model.kernel(t, lattice) for t in lattice]))
 
 
@@ -284,13 +302,11 @@ def test_exact_layer_matches_dense_gradient_tensor(case, p):
     got = exact_fields(model, nu, pts, lam)
     value_only = exact_fields(model, nu, pts, lam, grad=False)[0]
     stats, dense_stats = trace_stats(model, nu, lam), _dense_trace_stats(model, nu, lam)
-    if isinstance(model, ReluFeatureModel):
-        # the feature sums: within the property bounds of the unsigned sums
-        gram, tensor = _dense_kernel_fields(model, pts, atoms)
-        scale = np.max(np.abs(gram) @ nu.weights)
-        grad_scale = np.max(np.einsum("ijd,j->id", np.abs(tensor), nu.weights))
-        assert np.max(np.abs(got[0] - cost)) <= 1e-14 * scale
-        assert np.max(np.abs(got[1] - grad)) <= 1e-13 * grad_scale
+    if isinstance(model, ReluFeatureModel) or case in BY_MOMENTS:
+        # the feature or moment sums: within the property bounds of the
+        # unsigned sums
+        kern, tensor = _dense_kernel_fields(model, pts, atoms)
+        _assert_within_sum_bounds(got, (cost, grad), kern, tensor, nu.weights)
         assert np.array_equal(value_only, got[0])
         assert stats == pytest.approx(dense_stats, rel=1e-12)
         return

@@ -200,6 +200,36 @@ class TestConstructorValidation:
         with pytest.raises(ValueError, match=name):
             GaussianMixtureModel(self.DATA, **kwargs)
 
+    @pytest.mark.parametrize("trunc_width", [None, 3.0])
+    def test_gmm_profiles_use_the_validated_floats(self, trunc_width):
+        # float32 scales: the profiles were built from the raw arguments,
+        # so _ktilde.var read 0.01640000008 where the floats the model
+        # reports give 0.0164000000119, and inner_y was off by 2.3e-9
+        raw = GaussianMixtureModel(self.DATA, np.float32(0.1), np.float32(0.08),
+                                   trunc_width=trunc_width)
+        ref = GaussianMixtureModel(self.DATA, raw.bandwidth, raw.mixing_scale,
+                                   trunc_width=trunc_width)
+        assert type(raw.bandwidth) is float and type(raw.mixing_scale) is float
+        t = np.linspace(-1.0, 1.0, 7)[:, None]
+        assert np.array_equal(raw.inner_y(t), ref.inner_y(t))
+        assert np.array_equal(raw.gram(t, t), ref.gram(t, t))
+        draws = ref.sample_uv(np.random.default_rng(0), len(t))
+        for got, want in zip(raw.surrogate_fields(t, t, *draws),
+                             ref.surrogate_fields(t, t, *draws)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name,value", [
+        ("freq_cutoff", 2.7), ("freq_cutoff", 2.0), ("freq_cutoff", True),
+        ("freq_cutoff", -1), ("dim", 1.0), ("dim", True), ("dim", 0),
+    ])
+    def test_fourier_rejects_a_non_integer_count(self, name, value):
+        # a float cutoff was truncated (2.7 -> 2), a float dim failed with
+        # a bare TypeError, and True was taken for 1
+        kwargs = dict(freq_cutoff=2, dim=1)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            FourierDeconvolutionModel(truth=GroundTruth([1.0], [0.0]), **kwargs)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_gmm_rejects_nonfinite_data(self, bad):
         data = self.DATA.copy()

@@ -266,14 +266,14 @@ class TestBatchOfOne:
     @pytest.mark.parametrize("name,m", [
         pytest.param(name, m, id=name if m == 1 else f"{name}-m{m}")
         for name, m in [("gmm_trunc", 1), ("gmm_small", 1), ("relu_model", 1),
-                        ("gmm_trunc", 4), ("relu_model", 4),
-                        ("fourier_noisy", 1), ("fourier_noisy", 4)]])
+                        ("relu_model", 4), ("fourier_noisy", 1), ("fourier_noisy", 4)]])
     def test_minibatch_fields_match_the_batch_sum(self, request, name, m, lam):
         # the general estimator written out: a reduction over the batch
         # axis and a division by m.  At m = 1 ReLU's gradients hold many
-        # -0.0 terms, which the reduction turns into 0.0.  Every model but
-        # the plain mixture (gmm_small) keeps these bits at any m; that one
-        # takes m > 1 batch sums from the Gaussian's moments
+        # -0.0 terms, which the reduction turns into 0.0.  ReLU and Fourier
+        # keep these bits at any m; the mixtures (gmm_small, gmm_trunc) take
+        # m > 1 batch sums from their profile's centre sums, which
+        # tests/test_moment_sums_properties.py holds to this reduction
         model = request.getfixturevalue(name)
         rng = np.random.default_rng(17)
         p = 5
