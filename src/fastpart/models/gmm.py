@@ -26,7 +26,6 @@ import math
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_legendre
 
 from .base import (_BLOCK_PAIRS, FeatureModel, GroundTruth, ModelBounds,
                    _fill_point_blocks, _fill_row_blocks, coordinate_product_grad,
@@ -112,9 +111,11 @@ class _PairSums:
 
 class _TruncatedConvProfile(_PairSums):
     """1-D convolution of a Gaussian (variance ``vg``) with a truncated
-    Gaussian of scale ``s`` cut at ``+-a`` and renormalized."""
+    Gaussian of scale ``s`` cut at ``+-a`` and renormalized; ``ndtr`` is
+    scipy's normal CDF, bound once by the model that builds the profile."""
 
-    def __init__(self, vg: float, s: float, a: float):
+    def __init__(self, vg: float, s: float, a: float, ndtr):
+        self._ndtr = ndtr
         vsum = vg + s * s
         self.vsum = _const(vsum)
         self.z = ndtr(a / s) - ndtr(-a / s)
@@ -140,7 +141,7 @@ class _TruncatedConvProfile(_PairSums):
         # both ends there, so the box mass is |ndtr(-hi) - ndtr(-lo)|; the
         # abs keeps every other entry's bits, and _std_pdf is even
         np.negative(lo_hi, out=lo_hi, where=lo_hi[0] > 0.0)
-        cdf = ndtr(lo_hi)
+        cdf = self._ndtr(lo_hi)
         val = base * np.abs(cdf[1] - cdf[0]) * self._inv_z
         del cdf  # two block-sized arrays, not kept alive through _std_pdf
         if not grad:
@@ -154,7 +155,7 @@ class _QuadConvProfile(_PairSums):
     """1-D convolution of a profile with the truncated Gaussian, by
     Gauss-Legendre quadrature over the truncation interval."""
 
-    def __init__(self, inner, s: float, a: float):
+    def __init__(self, inner, s: float, a: float, ndtr, roots_legendre):
         nodes, wts = roots_legendre(_QUAD_NODES)
         self.u = a * nodes
         z = ndtr(a / s) - ndtr(-a / s)
@@ -289,10 +290,12 @@ def _chop_length(coeffs: np.ndarray) -> int:
 
 @cache
 def _truncation_window(trunc_width: float):
-    """Standard normal CDF at ``-trunc_width`` and the CDF mass up to
-    ``+trunc_width``: the truncated draw's quantile window, cached per width."""
+    """Standard normal CDF at ``-trunc_width``, the CDF mass up to
+    ``+trunc_width`` and the normal quantile ``ndtri``: the truncated draw's
+    quantile window, cached per width, so scipy loads on the first draw."""
+    from scipy.special import ndtr, ndtri
     lo = ndtr(-trunc_width)
-    return _const(lo), _const(ndtr(trunc_width) - lo)
+    return _const(lo), _const(ndtr(trunc_width) - lo), ndtri
 
 
 def sample_mixing_noise(rng: np.random.Generator, size, scale: float,
@@ -301,7 +304,7 @@ def sample_mixing_noise(rng: np.random.Generator, size, scale: float,
     given scale, optionally truncated at ``trunc_width`` scales per coordinate."""
     if trunc_width is None:
         return rng.normal(scale=scale, size=size)
-    lo, span = _truncation_window(trunc_width)
+    lo, span, ndtri = _truncation_window(trunc_width)
     return scale * ndtri(lo + rng.random(size=size) * span)
 
 
@@ -361,9 +364,12 @@ class GaussianMixtureModel(FeatureModel):
             self._ktilde = _GaussianProfile(m2 + s2)
             self._kern = _GaussianProfile(m2 + 2.0 * s2)
         else:
+            # the one law that needs scipy: it loads here, not with the package
+            from scipy.special import ndtr, roots_legendre
             a = trunc_width * self.mixing_scale
-            self._ktilde = _TruncatedConvProfile(m2, self.mixing_scale, a)
-            self._kern = _QuadConvProfile(self._ktilde, self.mixing_scale, a)
+            self._ktilde = _TruncatedConvProfile(m2, self.mixing_scale, a, ndtr)
+            self._kern = _QuadConvProfile(self._ktilde, self.mixing_scale, a, ndtr,
+                                          roots_legendre)
             self._pair_width = _QUAD_NODES
 
     # ----- exact quantities -------------------------------------------------

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -760,3 +764,46 @@ class TestMeasureRoundtrip:
         assert np.allclose(back.weights, nu.weights)
         assert np.allclose(back.positions, nu.positions)
         assert np.array_equal(back.signs, nu.signs)
+
+
+class TestWithoutScipy:
+    """Only the truncated mixture needs scipy: the package and every other
+    command run on numpy alone.  Each check runs in a fresh interpreter,
+    as this one already holds scipy through other test modules; "blocked"
+    makes every scipy import fail."""
+
+    BLOCKED = "import sys\nsys.modules['scipy'] = None\n"
+
+    @staticmethod
+    def python(code, cwd):
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+
+    def test_package_import_leaves_scipy_unloaded(self, tmp_path):
+        done = self.python("import sys, fastpart, fastpart.cli\n"
+                           "print('scipy.special' in sys.modules)", tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_shipped_commands_run_blocked(self, tmp_path):
+        gmm, fourier = str(CONFIGS / "gmm3a_global.cfg"), str(CONFIGS / "fourier_spikes.cfg")
+        commands = [["run", gmm, "--out-dir", "run"],
+                    ["oracle", gmm, "--out-dir", "oracle"],
+                    ["certify", gmm, "oracle/oracle_measure.csv"],
+                    ["compare", str(CONFIGS / "gmm3a_compare.cfg"), "--out-dir", "compare"],
+                    ["run", fourier, "--out-dir", "fourier"]]
+        done = self.python(self.BLOCKED + "import json\nfrom fastpart import cli\n"
+                           f"print(json.dumps([cli.main(a + ['--quiet']) for a in {commands!r}]))",
+                           tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(commands), done.stderr
+
+    def test_truncated_mixture_blocked_exits_1_naming_scipy(self, tmp_path):
+        text = BASE_GMM.format(k=5, out=tmp_path / "o", trace_every=1)
+        cfg = write_cfg(tmp_path, text.replace("n = 300", "n = 300\ntrunc_width = 3.0"))
+        done = self.python(self.BLOCKED + "from fastpart import cli\n"
+                           f"sys.exit(cli.main(['run', {cfg!r}, '--quiet']))", tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:") and "scipy" in done.stderr

@@ -505,11 +505,9 @@ def test_plain_gmm_2d_run_contracts():
     # moves its path by an ulp moves its outputs by as little, so the bit
     # policy's 1e-12 agreement can be shown for it.  Each start
     # coordinate, one ulp up and one down, moves no output array by more
-    # than 1e-12 of its largest magnitude.  Checked on plain_gmm_2d_m4
-    # and on the run cases whose path the exact layer feeds: the
-    # deterministic step, and the Fourier model, whose data side is an
-    # exact kernel sum
-    for case in ("plain_gmm_2d_m4", "gmm_deterministic", "fourier_torus"):
+    # than 1e-12 of its largest magnitude.  Checked on every run case;
+    # the perturbed start keeps the case's signs, so relu_signed stays signed
+    for case in sorted(CASES):
         cfg, model = CASES[case]()
         base = run(cfg, model)
         want = _run_arrays(base)
@@ -519,7 +517,7 @@ def test_plain_gmm_2d_run_contracts():
                 pos[i, k] = np.nextafter(pos[i, k], toward)
                 if not model.contains(pos, tol=0.0):
                     continue
-                res = run(replace(cfg, init=ParticleMeasure(cfg.init.weights, pos)), model)
+                res = run(replace(cfg, init=replace(cfg.init, positions=pos)), model)
                 assert res.evals == base.evals, case
                 for got, ref in zip(_run_arrays(res), want):
                     got, ref = np.asarray(got), np.asarray(ref)
