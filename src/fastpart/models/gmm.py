@@ -424,8 +424,10 @@ class GaussianMixtureModel(FeatureModel):
         gauss = _GaussianProfile(self.bandwidth**2)
 
         def pairs(a, b):  # i < j with a <= i < b: later samples, then in-block
-            return (gauss.pair_weights(data[a:b], data[b:]).sum()
-                    + np.triu(gauss.pair_weights(data[a:b], data[a:b]), 1).sum())
+            later = gauss.pair_weights(data[a:b], data[b:]).sum()
+            block = gauss.pair_weights(data[a:b], data[a:b])
+            block[np.tri(b - a, dtype=bool)] = 0.0  # np.triu(block, 1) without its copy
+            return later + block.sum()
 
         step = max(1, _BLOCK_PAIRS // n)
         upper = math.fsum(pairs(a, min(a + step, n)) for a in range(0, n, step))

@@ -16,7 +16,7 @@ arithmetic are held to 1e-14 (values) and 1e-13 (gradients) of the
 unsigned sums instead: ReLU, which sums through its features, and the
 plain mixtures, which sum by their Gaussian kernel's moments.
 ``y_norm_sq`` sums its sample pairs a row block at a time and keeps no
-(N, N) matrix.
+(N, N) matrix, nor a second copy of a block.
 Peak memory is read with ``tracemalloc``, which sees numpy's buffers.
 """
 import functools
@@ -252,6 +252,15 @@ def test_y_norm_sq_builds_no_sample_matrix():
     # gmm3a's 2000 x 2000 sample matrix alone is 32 MB
     model = _gmm3a()
     assert _peak_bytes(lambda: model.y_norm_sq) < 2e6
+
+
+def test_y_norm_sq_triangle_holds_one_block():
+    # N = 300 makes one square row block of 218 rows: its strict upper
+    # triangle is zeroed in place, not copied, so the block and its boolean
+    # mask are held (0.51 MB), not the block twice (0.81 MB)
+    model = _trunc()
+    rows = 2**16 // model.n_data
+    assert _peak_bytes(lambda: model.y_norm_sq) < 1.5 * rows * rows * 8
 
 
 def _dense_kernel_fields(model, t, atoms):
