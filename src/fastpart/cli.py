@@ -187,6 +187,8 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     if not out.parent.is_dir():
         raise ConfigError(f"output path {out.parent} is not a directory")
+    if out.is_dir():
+        raise ConfigError(f"output path {out} is a directory")
     data = benchmarks.gen_data(problem, args.seed)
     write_data(out, data, f"problem={problem.name} seed={args.seed} "
                           f"n={problem.n_samples}")

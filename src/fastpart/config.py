@@ -371,11 +371,8 @@ def build_init(spec: SimpleNamespace, model: FeatureModel) -> ParticleMeasure:
         pts = rng.uniform(-model.radius, model.radius,
                           size=(spec.particles, model.dim))
         pts = model.project(pts)
-    nu = ParticleMeasure(np.full(len(pts), spec.init_mass / len(pts)), pts)
-    if spec.signs == "mixed":
-        signs = np.where(np.arange(nu.size) % 2 == 0, 1.0, -1.0)
-        nu = ParticleMeasure(nu.weights, nu.positions, signs)
-    return nu
+    signs = np.resize([1.0, -1.0], len(pts)) if spec.signs == "mixed" else None
+    return ParticleMeasure(np.full(len(pts), spec.init_mass / len(pts)), pts, signs)
 
 
 def build_run_config(spec: SimpleNamespace, model: FeatureModel, init: ParticleMeasure,

@@ -33,8 +33,6 @@ def trace_stats(model: FeatureModel, measure: ParticleMeasure,
     support is to stationary.
     """
     base = 0.5 * model.y_norm_sq
-    if measure.size == 0:
-        return base, 0.0, 0.0
     pos = measure.positions
     w = measure.weights
     signs = measure.signs

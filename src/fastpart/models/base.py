@@ -208,16 +208,13 @@ class FeatureModel(ABC):
     def kernel_sums(self, t, t_prime, weights, grad=True):
         """(sum_j w_j K(t, t'_j), sum_j w_j grad_t K(t, t'_j)) at the points
         of t, shape (..., d), for the q points t' and weights w, shape (q,);
-        (the sum,) without ``grad``.  Row blocks of ``kernel_fields`` are
-        contracted by einsum, so no (n, q) matrix is held and a row's bits
-        do not depend on the rows evaluated with it."""
+        (the sum,) without ``grad``.  Row blocks of ``kernel_fields`` go
+        through ``_contract_pairs``, an einsum, so no (n, q) matrix is held
+        and a row's bits do not depend on the rows evaluated with it."""
         s = np.atleast_2d(np.asarray(t_prime, dtype=float))
-
-        def sums(pts):
-            val, *grads = self.kernel_fields(pts[:, None, :], s, grad)
-            return (np.einsum("ij,j->i", val, weights),
-                    *(np.einsum("ijd,j->id", g, weights) for g in grads))
-        return _fill_point_blocks(sums, t, len(s) * self._pair_width)
+        return _fill_point_blocks(lambda pts: _contract_pairs(
+            self.kernel_fields(pts[:, None, :], s, grad), weights),
+            t, len(s) * self._pair_width)
 
     # ----- geometry ----------------------------------------------------------
 
@@ -284,6 +281,12 @@ def _fill_point_blocks(evaluate, t, row_width: int):
     pts = t.reshape(-1, t.shape[-1])
     outs = _fill_row_blocks(lambda rows: evaluate(pts[rows]), len(pts), row_width)
     return tuple(out.reshape(t.shape[:-1] + out.shape[1:])[()] for out in outs)
+
+
+def _contract_pairs(fields, weights):
+    """Pair fields, value (n, q) then gradients (n, q, d), summed over q with
+    the weights by einsum, not BLAS, so each row's bits are its own."""
+    return tuple(np.einsum("ij...,j->i...", f, weights) for f in fields)
 
 
 def draw_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:

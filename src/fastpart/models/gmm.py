@@ -28,8 +28,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .base import (_BLOCK_PAIRS, FeatureModel, GroundTruth, ModelBounds,
-                   _fill_point_blocks, _fill_row_blocks, coordinate_product_grad,
-                   draw_indices, positive_finite)
+                   _contract_pairs, _fill_point_blocks, _fill_row_blocks,
+                   coordinate_product_grad, draw_indices, positive_finite)
 
 _QUAD_NODES = 64
 
@@ -101,12 +101,11 @@ class _GaussianProfile:
 class _PairSums:
     """``centre_sums`` by pairs, for the profiles with no moment form: the
     d-fold product and its gradient at every t - c_j, contracted with the
-    weights by einsum, so each row's bits are its own."""
+    weights by ``_contract_pairs``, so they keep ``kernel_sums``' default bits."""
 
     def centre_sums(self, pts, centres, weights, grad=True):
-        vals, *grads = _prod_profile(self, pts[:, None, :] - centres, grad)
-        return (np.einsum("ij,j->i", vals, weights),
-                *(np.einsum("ijd,j->id", g, weights) for g in grads))
+        return _contract_pairs(_prod_profile(self, pts[:, None, :] - centres, grad),
+                               weights)
 
 
 class _TruncatedConvProfile(_PairSums):
@@ -152,14 +151,13 @@ class _TruncatedConvProfile(_PairSums):
 
 
 class _QuadConvProfile(_PairSums):
-    """1-D convolution of a profile with the truncated Gaussian, by
-    Gauss-Legendre quadrature over the truncation interval."""
+    """1-D convolution of the truncated profile ``inner`` with its truncated
+    Gaussian by Gauss-Legendre quadrature, renormalized by ``inner.z``."""
 
-    def __init__(self, inner, s: float, a: float, ndtr, roots_legendre):
+    def __init__(self, inner, s: float, a: float, roots_legendre):
         nodes, wts = roots_legendre(_QUAD_NODES)
         self.u = a * nodes
-        z = ndtr(a / s) - ndtr(-a / s)
-        self.w = a * wts * _gauss_pdf(self.u, s * s) / z
+        self.w = a * wts * _gauss_pdf(self.u, s * s) / inner.z
         self.inner = inner
 
     def __call__(self, x, grad=True):
@@ -368,7 +366,7 @@ class GaussianMixtureModel(FeatureModel):
             from scipy.special import ndtr, roots_legendre
             a = trunc_width * self.mixing_scale
             self._ktilde = _TruncatedConvProfile(m2, self.mixing_scale, a, ndtr)
-            self._kern = _QuadConvProfile(self._ktilde, self.mixing_scale, a, ndtr,
+            self._kern = _QuadConvProfile(self._ktilde, self.mixing_scale, a,
                                           roots_legendre)
             self._pair_width = _QUAD_NODES
 

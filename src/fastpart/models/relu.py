@@ -78,10 +78,8 @@ class ReluFeatureModel(FeatureModel):
     # ----- exact quantities ----------------------------------------------------
 
     def kernel_fields(self, t, t_prime, grad=True):
-        zt = np.asarray(t, dtype=float) @ self.x.T
         fs = np.maximum(np.asarray(t_prime, dtype=float) @ self.x.T, 0.0)
-        val = np.mean(np.maximum(zt, 0.0) * fs, axis=-1)
-        return (val, ((zt > 0.0) * fs) @ self.x / self.n_data) if grad else (val,)
+        return self._fields(np.asarray(t, dtype=float) @ self.x.T, fs, grad)
 
     def data_fit(self, t, grad=True):
         return self._feature_sums(t, self.y, grad)
@@ -93,13 +91,14 @@ class ReluFeatureModel(FeatureModel):
         return self._feature_sums(t, weights @ fs, grad)
 
     def _feature_sums(self, t, coeffs, grad=True):
-        """(mean_n relu(<t, x_n>) c_n, its gradient in t), or the 1-tuple,
-        a row block of the points against all N samples at a time."""
-        def fields(pts):
-            zt = pts @ self.x.T
-            val = np.mean(np.maximum(zt, 0.0) * coeffs, axis=-1)
-            return (val, ((zt > 0.0) * coeffs) @ self.x / self.n_data) if grad else (val,)
-        return _fill_point_blocks(fields, t, self.n_data)
+        """``_fields`` at t, a row block of points against all N samples at a time."""
+        return _fill_point_blocks(lambda pts: self._fields(pts @ self.x.T, coeffs, grad),
+                                  t, self.n_data)
+
+    def _fields(self, zt, coeffs, grad):
+        """(mean_n relu(z_n) c_n, its gradient in t) at z = <t, x>, or (value,)."""
+        val = np.mean(np.maximum(zt, 0.0) * coeffs, axis=-1)
+        return (val, ((zt > 0.0) * coeffs) @ self.x / self.n_data) if grad else (val,)
 
     # speed override of the derived gram: one matmul over the sample (a row
     # block of t at a time) instead of an (n, q, N) broadcast.  It differs

@@ -138,6 +138,8 @@ def exact_fields(model: FeatureModel, measure: ParticleMeasure, points,
     1-tuple (cost,), for the lattice scans that need no gradient."""
     pts = np.asarray(points, dtype=float)
     iy, *giy = model.data_fit(pts, grad)
+    # -g, not the general form's 0.0 - g: at a ReLU point no sample activates
+    # the data gradient is +0.0, and the golden empty_exact_grad pins its -0.0
     if measure.size == 0:
         return lam - iy, *(-g for g in giy)
     kw, *kgrad = model.kernel_sums(pts, measure.positions, measure.signed_weights, grad)

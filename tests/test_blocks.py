@@ -31,6 +31,7 @@ from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel, GroundTru
                       sample_regression_data, uniform_grid_measure)
 from fastpart.diagnostics import trace_stats
 from fastpart.measures import grid_points
+from fastpart.models.base import _BLOCK_PAIRS, FeatureModel
 from fastpart.stochastic import exact_fields
 from test_golden import EXACT_CASES
 
@@ -120,6 +121,19 @@ def test_pairwise_rows_match_single_row_evaluation(name):
         _assert_rows_match(name, sums[0], want[0])
         _assert_rows_match(name, sums[1], want[1])
     _assert_rows_match(name, gram, np.array([model.kernel(t, lattice) for t in lattice]))
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_truncated_kernel_sums_equal_the_default(grad):
+    # the truncated profiles sum by pairs through the default's contraction,
+    # so the mixture's kernel_sums override keeps the default's bits
+    model, lattice = _case("trunc_gmm")
+    assert len(lattice) > 3 * (_BLOCK_PAIRS // (len(lattice) * model._pair_width))
+    weights = np.random.default_rng(5).uniform(-1.0, 1.0, len(lattice))
+    got = model.kernel_sums(lattice, lattice, weights, grad)
+    want = FeatureModel.kernel_sums(model, lattice, lattice, weights, grad)
+    assert len(got) == len(want) == (2 if grad else 1)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("name", MIXTURES + ["relu"])

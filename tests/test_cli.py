@@ -111,6 +111,8 @@ REFUSALS = {
     "gen-data-negative-seed": (["gen-data", "gmm3a", "-1", "{tmp}/d.csv"], "", {}, "seed"),
     "gen-data-under-a-file": (["gen-data", "gmm3a", "1", "{tmp}/afile/d.csv"], "",
                               {"afile": ""}, "afile"),
+    "gen-data-onto-a-directory": (["gen-data", "gmm3a", "1", "{tmp}"], "", {},
+                                  "is a directory"),
 }
 
 
