@@ -110,14 +110,15 @@ class _PairSums:
 
 class _TruncatedConvProfile(_PairSums):
     """1-D convolution of a Gaussian (variance ``vg``) with a truncated
-    Gaussian of scale ``s`` cut at ``+-a`` and renormalized; ``ndtr`` is
+    Gaussian of scale ``s`` cut at ``+-a`` and renormalized by its box mass
+    ``z``, the span of the draw's ``_truncation_window``; ``ndtr`` is
     scipy's normal CDF, bound once by the model that builds the profile."""
 
-    def __init__(self, vg: float, s: float, a: float, ndtr):
+    def __init__(self, vg: float, s: float, a: float, z, ndtr):
         self._ndtr = ndtr
         vsum = vg + s * s
         self.vsum = _const(vsum)
-        self.z = ndtr(a / s) - ndtr(-a / s)
+        self.z = z
         c = np.sqrt(vg * s * s / vsum)
         # constants of the Gaussian-product identity, hoisted
         mu_slope = s * s / vsum
@@ -288,9 +289,11 @@ def _chop_length(coeffs: np.ndarray) -> int:
 
 @cache
 def _truncation_window(trunc_width: float):
-    """Standard normal CDF at ``-trunc_width``, the CDF mass up to
-    ``+trunc_width`` and the normal quantile ``ndtri``: the truncated draw's
-    quantile window, cached per width, so scipy loads on the first draw."""
+    """Standard normal CDF at ``-trunc_width``, the box mass
+    ndtr(trunc_width) - ndtr(-trunc_width) and the normal quantile
+    ``ndtri``: the truncated draw's quantile window, whose span is also the
+    truncated profile's normalizer, cached per width, so scipy loads with
+    the first truncated model or draw."""
     from scipy.special import ndtr, ndtri
     lo = ndtr(-trunc_width)
     return _const(lo), _const(ndtr(trunc_width) - lo), ndtri
@@ -365,7 +368,8 @@ class GaussianMixtureModel(FeatureModel):
             # the one law that needs scipy: it loads here, not with the package
             from scipy.special import ndtr, roots_legendre
             a = trunc_width * self.mixing_scale
-            self._ktilde = _TruncatedConvProfile(m2, self.mixing_scale, a, ndtr)
+            z = _truncation_window(trunc_width)[1]
+            self._ktilde = _TruncatedConvProfile(m2, self.mixing_scale, a, z, ndtr)
             self._kern = _QuadConvProfile(self._ktilde, self.mixing_scale, a,
                                           roots_legendre)
             self._pair_width = _QUAD_NODES
