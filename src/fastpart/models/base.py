@@ -255,15 +255,19 @@ def _fill_row_blocks(evaluate, n_rows: int, row_width: int):
 
     ``evaluate(rows)`` takes a slice of rows and returns a tuple of
     arrays whose leading axis is that slice; each block holds
-    ``_BLOCK_PAIRS // row_width`` rows (at least one) and is written into
-    preallocated outputs, so the peak is the outputs plus one block's
-    temporaries.  Only the row axis is split, never a reduced one, so
-    every output element sees the same arithmetic as in one whole-array
-    call.  No rows still make one (empty) call, which fixes the shapes.
+    ``_BLOCK_PAIRS // row_width`` rows (at least one).  Rows that fit in
+    one block are one call, whose outputs are returned as they are (no
+    rows still make that call, which fixes the shapes); more are written a
+    block at a time into preallocated outputs, so the peak is the outputs
+    plus one block's temporaries.  Only the row axis is split, never a
+    reduced one, so every output element sees the same arithmetic as in
+    one whole-array call.
     """
     step = max(1, _BLOCK_PAIRS // max(row_width, 1))
+    if n_rows <= step:
+        return tuple(evaluate(slice(0, n_rows)))
     outs = None
-    for start in range(0, max(n_rows, 1), step):
+    for start in range(0, n_rows, step):
         rows = slice(start, min(start + step, n_rows))
         parts = evaluate(rows)
         if outs is None:

@@ -200,13 +200,27 @@ class _ChebyshevSeries:
     the nodes within ``_SERIES_CHECK`` of their largest magnitude; it
     returns None when ``_SERIES_CAP`` nodes do not resolve them.
     ``sample(pts)`` gives (values, (n, 1) derivatives) at (n, 1) points.
+
+    A kept series of ``length`` terms is tabulated once at its own
+    ``length`` first-kind points x_j = radius cos(theta_j), from its
+    coefficients by the exact-angle cosine sums, and evaluated there by
+    the second ("true") barycentric formula with the weights
+    (-1)^j sin(theta_j) (Berrut & Trefethen, "Barycentric Lagrange
+    interpolation", SIAM Review 46, 2004), which is forward stable at
+    these points (Higham, IMA J. Numer. Anal. 24, 2004).
     """
 
     def __init__(self, coeffs: np.ndarray, radius: float):
-        self.coeffs = coeffs  # (2, length): the value row, the derivative row
+        # coeffs (2, length): the value row, the derivative row
         self.length = coeffs.shape[1]
         self.radius = _const(radius)
-        self._k = np.arange(self.length, dtype=float)
+        theta = (np.arange(self.length) + 0.5) * (np.pi / self.length)
+        self.nodes = radius * np.cos(theta)
+        self._weights = np.sin(theta)
+        self._weights[1::2] *= -1.0
+        values, ders = _cosine_sums(coeffs, inverse=True)
+        # the node values, ones for the denominator, the node derivatives
+        self.node_table = np.stack([values, np.ones(self.length), ders])
 
     @classmethod
     def fit(cls, sample, radius: float) -> _ChebyshevSeries | None:
@@ -215,10 +229,11 @@ class _ChebyshevSeries:
             nodes = radius * np.cos((np.arange(n) + 0.5) * (np.pi / n))
             val, der = sample(nodes[:, None])
             samples = np.stack([val, der[:, 0]])
-            coeffs = _cosine_coefficients(samples)
+            coeffs = _cosine_sums(samples) * (2.0 / n)
+            coeffs[:, 0] *= 0.5
             length = max(_chop_length(row) for row in coeffs)
             if length < n:
-                series = cls(coeffs[:, :length].copy(), radius)
+                series = cls(coeffs[:, :length], radius)
                 if all(np.max(np.abs(got.ravel() - f)) <= _SERIES_CHECK * np.max(np.abs(f))
                        for got, f in zip(series(nodes, True), samples)):
                     return series
@@ -227,33 +242,41 @@ class _ChebyshevSeries:
 
     def __call__(self, x, grad):
         """(value,) or (value, (n, 1) derivative) at points x of [-radius,
-        radius]: each row reduces its own cos(k arccos(x / radius)) table
-        row against the coefficients, so its bits are its own."""
-        table = np.cos(np.multiply.outer(np.arccos(x / self.radius), self._k))
-        val = np.add.reduce(table * self.coeffs[0], axis=1)
-        if not grad:
-            return (val,)
-        return val, np.add.reduce(table * self.coeffs[1], axis=1)[:, None]
+        radius]: with q_j = w_j / (x - x_j), sum_j q_j f_j / sum_j q_j for
+        each row, the sums one einsum, not BLAS, so a point's bits are its
+        own.  A point exactly at a node, where q_j is infinite, takes that
+        node's tabulated values."""
+        q = np.subtract.outer(x, self.nodes)
+        table = self.node_table[:2 + grad]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(self._weights, q, out=q)
+            sums = np.einsum("ij,kj->ki", q, table)
+            outs = sums[::2] / sums[1]
+        hits = np.flatnonzero(np.isinf(sums[1]))
+        if hits.size:
+            outs[:, hits] = table[::2, np.argmax(np.isinf(q[hits]), axis=1)]
+        return (outs[0], outs[1][:, None]) if grad else (outs[0],)
 
 
-def _cosine_coefficients(samples: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients c_k = (2/n) sum_j f_j cos(k theta_j), c_0
-    halved, of each row of samples f at the n first-kind angles
-    theta_j = (2j + 1) pi / (2n): the cosine table a row block of k at a
-    time, each row reduced, no BLAS.  k theta_j is reduced exactly, as the
-    integer k (2j + 1) mod 4n, so each entry is cos of an angle in
-    [0, 2 pi) and the high coefficients keep their accuracy."""
-    n = samples.shape[1]
+def _cosine_sums(rows: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The sums sum_j f_j cos(k theta_j), k < n, of each row f of ``rows``,
+    shape (r, n), over the n first-kind angles theta_j = (2j + 1) pi / (2n)
+    (Chebyshev coefficients up to scale); with ``inverse`` the transposed
+    sums sum_k f_k cos(k theta_j), j < n (a series' values at its nodes):
+    the cosine table a row block at a time, each row reduced, no BLAS.
+    k theta_j is reduced exactly, as the integer k (2j + 1) mod 4n, so each
+    entry is cos of an angle in [0, 2 pi) and the high terms keep their
+    accuracy."""
+    n = rows.shape[1]
     cosines = np.cos(np.arange(4 * n) * (np.pi / (2 * n)))
-    odd = 2 * np.arange(n) + 1
+    k, odd = np.arange(n), 2 * np.arange(n) + 1
+    outer, inner = (odd, k) if inverse else (k, odd)
 
-    def rows(ks):
-        table = cosines[np.multiply.outer(np.arange(n)[ks], odd) % (4 * n)]
-        return tuple(np.add.reduce(table * f, axis=1) for f in samples)
+    def block(sl):
+        table = cosines[np.multiply.outer(outer[sl], inner) % (4 * n)]
+        return tuple(np.add.reduce(table * f, axis=1) for f in rows)
 
-    coeffs = np.stack(_fill_row_blocks(rows, n, n)) * (2.0 / n)
-    coeffs[:, 0] *= 0.5
-    return coeffs
+    return np.stack(_fill_row_blocks(block, n, n))
 
 
 def _chop_length(coeffs: np.ndarray) -> int:

@@ -231,6 +231,18 @@ def test_inner_y_on_oracle_lattice_peaks_below_8_mb(oracle_lattice):
     assert _peak_bytes(lambda: model.inner_y(oracle_lattice)) < 8e6
 
 
+def test_data_series_on_oracle_lattice_holds_one_block(oracle_lattice):
+    # the 2001 points span three row blocks of the 1-D data series' rows,
+    # each as wide as the series: its barycentric sums hold one block's
+    # (rows, length) array, where a cosine table and its product with the
+    # coefficients held two (1.17 MB)
+    model = _gmm3a()
+    model.data_fit(oracle_lattice[:1])  # the series is built outside the trace
+    width = model._data_series.length
+    rows = _BLOCK_PAIRS // width
+    assert _peak_bytes(lambda: model.data_fit(oracle_lattice)) < 1.5 * rows * width * 8
+
+
 def test_relu_data_fit_on_2d_lattice_peaks_below_8_mb():
     # 3483 lattice points against N = 500 samples: one (n, N) temporary
     # alone is 14 MB, and a whole-array evaluation peaks near 42 MB

@@ -5,10 +5,11 @@ In 1-D the observation is fixed, so ``data_fit`` tabulates the sample sum
 Chebyshev series on [-R, R], and evaluates those.  The series stay within
 1e-13 of the largest value of the sum they tabulate, for value and
 gradient (``test_data_series_properties.py`` draws random mixtures
-too); a point's bits do not depend on the other points of its call;
-points outside [-R, R], mixtures with d >= 2 and functions the node cap
-leaves unresolved take the sum's own bits; and nothing but ``data_fit``
-builds the series.
+too); a point's bits do not depend on the other points of its call; a
+point exactly at one of the series' interpolation nodes takes the values
+tabulated there; points outside [-R, R], mixtures with d >= 2 and
+functions the node cap leaves unresolved take the sum's own bits; and
+nothing but ``data_fit`` builds the series.
 """
 import numpy as np
 import pytest
@@ -68,6 +69,31 @@ def test_point_alone_and_in_a_multi_block_lattice_agree_bitwise(name, step, gmm_
     assert np.array_equal(val, [v for v, _ in alone])
     assert np.array_equal(grad, [g for _, g in alone])
     assert np.array_equal(model.inner_y(lattice), val)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["gmm3a", "criterion_1"])
+def test_points_at_the_nodes_take_the_tabulated_values(name, gmm_trunc):
+    # the barycentric formula divides by t - x_j: at a node that is zero,
+    # so the node's tabulated value and derivative stand in, bit for bit
+    # and with no floating-point warning, alone and inside a lattice
+    model = gmm_trunc if name == "criterion_1" else _benchmark(name)
+    series = model._data_series
+    values, ders = series.node_table[0], series.node_table[2]
+    base = np.linspace(-model.radius, model.radius, 3001)
+    lattice = np.concatenate([base[:1500], series.nodes, base[1500:]])[:, None]
+    val, grad = model.data_fit(lattice)
+    at = slice(1500, 1500 + series.length)
+    assert np.array_equal(val[at], values) and np.array_equal(grad[at, 0], ders)
+    assert np.array_equal(model.inner_y(lattice), val)
+    for j, node in enumerate(series.nodes):
+        alone_val, alone_grad = model.data_fit(np.array([node]))
+        assert alone_val == values[j] and alone_grad[0] == ders[j]
+        assert model.inner_y(np.array([node])) == values[j]
+    # a node's one-ulp neighbours take the formula, within the bound
+    neighbours = np.concatenate([np.nextafter(series.nodes, np.inf),
+                                 np.nextafter(series.nodes, -np.inf)])
+    assert_within_bound(model, np.concatenate([base, neighbours])[:, None])
 
 
 def test_points_outside_the_interval_take_the_sum(gmm_trunc):

@@ -11,8 +11,10 @@ measure, each oracle case pins a ``grid_oracle`` solve, and each bounds
 case pins the surrogate bounds a model reports and the mass radii and
 bound constant derived from them.  The blocks cases pin the pairwise and
 data-side arrays on lattices long enough to be evaluated in several row
-blocks (but for the 1-D mixtures' data side, a Chebyshev series evaluated
-in one), and a ``grid_oracle`` solve whose lattice gram spans 16 blocks.
+blocks (but for the 1-D mixtures' data side, a Chebyshev series whose
+rows, each as wide as the series, fit in one block; it is evaluated by
+the barycentric formula at its own interpolation nodes), and a
+``grid_oracle`` solve whose lattice gram spans 16 blocks.
 The configs cases pin, for every shipped config (and two inline ones
 covering the ReLU model, random and mixed-sign starts and the explicit
 global schedule keys), the ``RunConfig`` fields, initial measure and
