@@ -76,12 +76,9 @@ def kkt_certificate(model: FeatureModel, measure: ParticleMeasure, lam: float,
     grid = model_lattice(model, grid_step)
     grid_vals = marginal_cost(model, measure, grid, lam)
     grid_min = float(np.min(grid_vals))
-    support_max = 0.0
-    if measure.size:
-        mask = measure.weights > mass_threshold * measure.tv_norm
-        if np.any(mask):
-            atom_vals = marginal_cost(model, measure, measure.positions[mask], lam)
-            support_max = float(np.max(np.abs(atom_vals)))
+    mask = measure.weights > mass_threshold * measure.tv_norm
+    atom_vals = marginal_cost(model, measure, measure.positions[mask], lam)
+    support_max = float(np.max(np.abs(atom_vals), initial=0.0))
     return KktReport(grid_min, support_max, grid_step)
 
 

@@ -27,7 +27,7 @@ centres t'_j + u_j and v_j, the plain one by moments (one ``exp`` per
 pair) and the truncated one by pairs, within 1e-14 (values) and 1e-13
 (gradients) of the largest magnitude of the per-pair sums
 (``tests/test_moment_sums_properties.py`` states the range).  A batch of
-one takes the per-pair fields for every model.
+one is its ``sample_fields`` draw, bit for bit, for every model.
 """
 from __future__ import annotations
 
@@ -37,9 +37,6 @@ import numpy as np
 
 from .measures import ParticleMeasure, sample_particle_index
 from .models.base import FeatureModel
-
-
-_ZERO = np.array(0.0)
 
 
 @dataclass(slots=True)
@@ -118,10 +115,6 @@ def minibatch_fields(model: FeatureModel, measure: ParticleMeasure, points,
         cost, grad = model.surrogate_sums(pts, atoms, signs, batch.u, batch.v,
                                           total * inv_m, inv_m)
         return cost + lam, grad
-    # a batch of one, with the general form's bits and no reductions:
-    # inv_m is 1, and numpy's sum over the batch axis is 0.0 + its one
-    # term, which turns -0.0 into 0.0.  The cost skips that + 0.0: a
-    # zero's sign cannot reach it through the final + lam (lam != -0.0)
     gval, ggrad, hval, hgrad = model.surrogate_fields(
         pts[:, None, :], atoms[None, :, :], batch.u[None, ...], batch.v[None, ...])
     if not measure.unsigned:
@@ -129,7 +122,7 @@ def minibatch_fields(model: FeatureModel, measure: ParticleMeasure, points,
         gval = signs * gval
         ggrad = signs[None, :, None] * ggrad
     return (total * gval[:, 0] - hval[:, 0] + lam,
-            total * (ggrad[:, 0] + _ZERO) - (hgrad[:, 0] + _ZERO))
+            total * ggrad[:, 0] - hgrad[:, 0])
 
 
 def exact_fields(model: FeatureModel, measure: ParticleMeasure, points,
@@ -138,9 +131,5 @@ def exact_fields(model: FeatureModel, measure: ParticleMeasure, points,
     1-tuple (cost,), for the lattice scans that need no gradient."""
     pts = np.asarray(points, dtype=float)
     iy, *giy = model.data_fit(pts, grad)
-    # -g, not the general form's 0.0 - g: at a ReLU point no sample activates
-    # the data gradient is +0.0, and the golden empty_exact_grad pins its -0.0
-    if measure.size == 0:
-        return lam - iy, *(-g for g in giy)
     kw, *kgrad = model.kernel_sums(pts, measure.positions, measure.signed_weights, grad)
     return kw - iy + lam, *(kg - g for kg, g in zip(kgrad, giy))

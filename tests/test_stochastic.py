@@ -235,8 +235,10 @@ def law_draw(model, rng):
 
 
 class TestBatchOfOne:
-    """The batch-of-one fast paths of the stochastic step against the
-    general forms they replace, bit for bit."""
+    """The batch-of-one paths of the stochastic step: a one-index draw
+    against the sized draw, and a batch of one against its
+    ``sample_fields`` draw, bit for bit, and against the general batch
+    sum by value."""
 
     @pytest.mark.parametrize("name,draw,sides", [
         ("gmm_small", "sample_uv", lambda uv: uv),
@@ -269,10 +271,12 @@ class TestBatchOfOne:
                         ("relu_model", 4), ("fourier_noisy", 1), ("fourier_noisy", 4)]])
     def test_minibatch_fields_match_the_batch_sum(self, request, name, m, lam):
         # the general estimator written out: a reduction over the batch
-        # axis and a division by m.  At m = 1 ReLU's gradients hold many
-        # -0.0 terms, which the reduction turns into 0.0.  ReLU and Fourier
-        # keep these bits at any m; the mixtures (gmm_small, gmm_trunc) take
-        # m > 1 batch sums from their profile's centre sums, which
+        # axis and a division by m.  The cost keeps these bits at any m, and
+        # so does the gradient at m > 1; at m = 1 the gradient is the
+        # draw's, bit for bit, and the reduction's value: ReLU's gradients
+        # hold many -0.0 terms, which the reduction's 0.0 + term turns into
+        # 0.0.  The mixtures (gmm_small, gmm_trunc) take m > 1 batch sums
+        # from their profile's centre sums, which
         # tests/test_moment_sums_properties.py holds to this reduction
         model = request.getfixturevalue(name)
         rng = np.random.default_rng(17)
@@ -295,8 +299,29 @@ class TestBatchOfOne:
             add = np.add.reduce
             assert same_bits(cost, scale * add(gval, axis=1)
                              - inv_m * add(hval, axis=1) + lam)
-            assert same_bits(grad, scale * add(ggrad, axis=1)
-                             - inv_m * add(hgrad, axis=1))
+            reduced = scale * add(ggrad, axis=1) - inv_m * add(hgrad, axis=1)
+            if m == 1:
+                draw = sample_fields(model, nu, pts, lam, batch)[1][:, 0]
+                assert same_bits(grad, draw) and np.array_equal(grad, reduced)
+            else:
+                assert same_bits(grad, reduced)
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    @pytest.mark.parametrize("name", ["gmm_unit", "gmm_small", "gmm_trunc", "fourier_flat",
+                                      "fourier_fc1", "fourier_noisy", "relu_model"])
+    def test_batch_of_one_is_its_draw(self, request, name, signed):
+        # cost and gradient of a batch of one are sample_fields' single
+        # draw bit for bit, the sign of every zero included
+        model = request.getfixturevalue(name)
+        rng = np.random.default_rng(26)
+        p = 5
+        pts = model.project(rng.uniform(-1, 1, size=(p, model.dim)))
+        nu = ParticleMeasure(rng.random(p) + 0.1, pts, [1, -1, 1, -1, 1] if signed else None)
+        for _ in range(100):
+            batch = draw_batch(model, nu, 1, rng)
+            got = minibatch_fields(model, nu, pts, 0.25, batch)
+            draw = sample_fields(model, nu, pts, 0.25, batch)
+            assert all(same_bits(g, d[:, 0]) for g, d in zip(got, draw))
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("m", [4, 64])
