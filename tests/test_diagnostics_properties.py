@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fastpart.diagnostics import _kkt_residual, _lawson_hanson  # noqa: E402
@@ -30,6 +30,9 @@ class _GaussianLattice:
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 40), width=st.floats(0.03, 1.0), lam=st.floats(0.0, 0.5),
        share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+# both solutions certify, w = [1.5e-323] and w' = [0.0]: 2 TOL times their
+# sum underflows to 0.0, while the bound is 5.4e-165
+@example(n=1, width=0.03, lam=0.0, share=0.0, seed=978)
 def test_active_set_is_feasible_and_certifies_where_greedy_does(n, width, lam, share,
                                                                 seed):
     rng = np.random.default_rng(seed)
@@ -53,8 +56,9 @@ def test_active_set_is_feasible_and_certifies_where_greedy_does(n, width, lam, s
         # (lam_min |w - w'|^2 <= 2 TOL (|w|_1 + |w'|_1)), so both supports
         # hold every point weighing more than delta in either.  The supports
         # need not be equal: a weight near roundoff or a near-singular gram
-        # leaves several certified ones.
+        # leaves several certified ones.  The bound is taken as a product
+        # of square roots, so a subnormal weight sum does not underflow it.
         lam_min = np.linalg.eigvalsh(gram)[0]
         if lam_min > 0.0:
-            delta = np.sqrt(2.0 * TOL * (w.sum() + w_ref.sum()) / lam_min)
+            delta = np.sqrt(2.0 * TOL / lam_min) * np.sqrt(w.sum() + w_ref.sum())
             assert np.max(np.abs(w - w_ref)) <= delta
