@@ -151,7 +151,7 @@ def cmd_compare(args) -> int:
     for name, rc in rcs.items():
         result = run(rc, model)
         write_trace(out / f"{name}_trace.csv", result,
-                    f"variant={name} seed={rc.seed} mode={rc.mode}")
+                    f"variant={name} seed={rc.seed} mode={rc.mode} status={result.status}")
         hit = next((str(r.evals) for r in result.trace if r.objective <= threshold), "")
         lines.append(f"{name},{hit},{_FMT % result.trace[-1].objective}")
         if not args.quiet:

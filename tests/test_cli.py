@@ -588,18 +588,26 @@ class TestShippedCompare:
             assert main(["compare", str(CONFIGS / "gmm3a_compare.cfg"),
                          "--out-dir", str(out), "--quiet"]) == 0
         rows = (out / "comparison.csv").read_text().splitlines()[2:]
-        return lattices, {r.split(",")[0]: r.split(",")[1] for r in rows}
+        return lattices, {r.split(",")[0]: r.split(",")[1] for r in rows}, out
 
     def test_each_start_is_built_once(self, shipped):
         # the [solver] start, one per variant, then the oracle's lattice;
         # each variant's start used to be built twice (6 lattices)
-        lattices, _ = shipped
+        lattices, _, _ = shipped
         assert [step for step, *_ in lattices] == [0.040816326530612242] * 3 + [0.001]
 
     def test_evaluations_to_threshold_are_unchanged(self, shipped):
         # the exact data side's Chebyshev series moves J only at rounding
-        _, evals = shipped
+        _, evals, _ = shipped
         assert evals == {"exact": "6150000", "stochastic": "240000"}
+
+    def test_each_trace_records_why_its_run_stopped(self, shipped):
+        # as run's trace does; a variant stopped early leaves a shorter trace
+        _, evals, out = shipped
+        for name in evals:
+            header = (out / f"{name}_trace.csv").read_text().splitlines()[1]
+            assert header.startswith(f"# fastpart trace variant={name} seed=0 ")
+            assert header.endswith(" status=ok")
 
 
 class TestFourier2dConfig:
