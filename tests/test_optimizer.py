@@ -233,6 +233,24 @@ class TestRun:
         res = run(run_cfg(nu, alpha=1.0, lam=50.0, iterations=100), gmm_small)
         assert res.status == "mass extinct"
 
+    def test_mass_extinct_run_averages_the_states_before_the_stop(self, gmm_small):
+        nu = measure_1d([1e-290], [0.1])
+        cfg = run_cfg(nu, alpha=1.0, lam=50.0, iterations=100, cesaro=True)
+        res = run(cfg, gmm_small)
+        assert res.status == "mass extinct"
+        # the same iterates, stepped by hand up to the stop
+        state = IterateState(k=0, measure=nu, rng=np.random.default_rng(cfg.seed))
+        states = [nu]
+        while step(state, gmm_small, cfg).status == "running":
+            states.append(state.measure)
+        assert len(states) == res.trace[-1].k + 1 < cfg.iterations + 1
+        weights = positions = 0.0
+        for m in states:  # summed in order, as the tracker does
+            weights = weights + m.weights
+            positions = positions + m.positions
+        assert np.array_equal(res.cesaro.weights, weights / len(states))
+        assert np.array_equal(res.cesaro.positions, positions / len(states))
+
     def test_cesaro_tracking(self, fourier_flat):
         nu = measure_1d([1.0], [0.3])
         cfg = run_cfg(nu, alpha=0.2, eta=0.0, lam=0.5, iterations=2,
