@@ -183,41 +183,34 @@ def uniform_grid_measure(radius: float, dim: int, step: float,
     return ParticleMeasure(w, pts)
 
 
-@dataclass
 class CesaroTracker:
     """Running per-particle averages of the weights and positions.
 
     Averaging a sequence of particle measures exactly would multiply the
     support; instead the tracker averages each particle's weight and
-    position across the recorded states, which is the cheap approximation
-    used for reporting.
+    position across the start and every recorded state, which is the
+    cheap approximation used for reporting.
     """
 
-    count: int = 0
-    weight_sums: np.ndarray = None  # type: ignore[assignment]
-    position_sums: np.ndarray = None  # type: ignore[assignment]
-    signs: np.ndarray = None  # type: ignore[assignment]
+    def __init__(self, start: ParticleMeasure):
+        self.count = 1
+        self.weight_sums = start.weights.copy()
+        self.position_sums = start.positions.copy()
+        self.signs = start.signs
 
     def record(self, measure: ParticleMeasure) -> None:
-        if self.count == 0:
-            self.weight_sums = measure.weights.copy()
-            self.position_sums = measure.positions.copy()
-            self.signs = measure.signs
-        else:
-            if measure.size != len(self.weight_sums):
-                raise ValueError(
-                    f"particle count changed across records: "
-                    f"{len(self.weight_sums)} then {measure.size}"
-                )
-            self.weight_sums += measure.weights
-            self.position_sums += measure.positions
+        if measure.size != len(self.weight_sums):
+            raise ValueError(
+                f"particle count changed across records: "
+                f"{len(self.weight_sums)} then {measure.size}"
+            )
+        self.weight_sums += measure.weights
+        self.position_sums += measure.positions
         self.count += 1
 
 
 def cesaro_average(tracker: CesaroTracker) -> ParticleMeasure:
     """Measure whose particle j carries the mean recorded weight and position."""
-    if tracker.count == 0:
-        raise ValueError("no recorded state to average")
     return ParticleMeasure(
         tracker.weight_sums / tracker.count,
         tracker.position_sums / tracker.count,

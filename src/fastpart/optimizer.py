@@ -134,7 +134,6 @@ class IterateState:
     measure: ParticleMeasure
     rng: np.random.Generator
     evals: int = 0
-    tracker: Optional[CesaroTracker] = None
     status: str = "running"
 
 
@@ -214,13 +213,10 @@ def step(state: IterateState, model: FeatureModel, cfg: RunConfig) -> IterateSta
         raise RuntimeError("projected position left the domain")
 
     # the checked sum is the new mass unless finalize_positions reweighted
-    new_measure = ParticleMeasure._unchecked(
+    state.measure = ParticleMeasure._unchecked(
         new_w, new_pos, nu.signs, nu.unsigned,
         tv=upd_tv if new_w is upd_w else None)
-    state.measure = new_measure
     state.k += 1
-    if state.tracker is not None:
-        state.tracker.record(new_measure)
     return state
 
 
@@ -255,10 +251,8 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
         k=0,
         measure=cfg.init,
         rng=np.random.default_rng(cfg.seed),
-        tracker=CesaroTracker() if cfg.cesaro else None,
     )
-    if state.tracker is not None:
-        state.tracker.record(cfg.init)
+    tracker = CesaroTracker(cfg.init) if cfg.cesaro else None
 
     t0 = time.perf_counter_ns()
     trace: list[TraceRecord] = []
@@ -266,7 +260,7 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
     def emit(k: int):
         target = state.measure
         if cfg.trace_cesaro:
-            target = cesaro_average(state.tracker)
+            target = cesaro_average(tracker)
         stats = diagnostics.trace_stats(model, target, cfg.lam)
         trace.append(TraceRecord(k, stats[0], target.tv_norm,
                                  stats[1], stats[2], state.evals,
@@ -280,6 +274,8 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
             if state.status != "running":
                 emit(state.k)
                 break
+            if tracker is not None:
+                tracker.record(state.measure)
             if check_tv and state.measure.tv_norm > radii.R0 + 1e-12:
                 raise RuntimeError(
                     f"total mass {state.measure.tv_norm} exceeded its "
@@ -290,5 +286,5 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
 
     if state.status == "running":
         state.status = "ok"
-    ces = cesaro_average(state.tracker) if state.tracker is not None else None
+    ces = cesaro_average(tracker) if tracker is not None else None
     return RunResult(state.measure, ces, trace, state.status, radii, state.evals)

@@ -150,36 +150,29 @@ class TestGridInit:
 class TestCesaro:
     def test_constant_sequence(self):
         m = measure_1d([1.0, 2.0], [0.0, 0.5])
-        tr = CesaroTracker()
-        tr.record(m)
+        tr = CesaroTracker(m)
         tr.record(m)
         avg = cesaro_average(tr)
         assert np.array_equal(avg.weights, m.weights)
         assert np.array_equal(avg.positions, m.positions)
 
     def test_two_state_mean(self):
-        tr = CesaroTracker()
-        tr.record(measure_1d([1.0], [0.0]))
+        tr = CesaroTracker(measure_1d([1.0], [0.0]))
         tr.record(measure_1d([3.0], [1.0]))
         avg = cesaro_average(tr)
         assert avg.weights[0] == pytest.approx(2.0)
         assert avg.positions[0, 0] == pytest.approx(0.5)
 
     def test_three_state_mean(self):
-        tr = CesaroTracker()
-        for w in (1.0, 1.0, 4.0):
+        tr = CesaroTracker(measure_1d([1.0], [0.0]))
+        for w in (1.0, 4.0):
             tr.record(measure_1d([w], [0.0]))
         assert cesaro_average(tr).weights[0] == pytest.approx(2.0)
 
     def test_mismatched_counts_rejected(self):
-        tr = CesaroTracker()
-        tr.record(measure_1d([1.0], [0.0]))
+        tr = CesaroTracker(measure_1d([1.0], [0.0]))
         with pytest.raises(ValueError, match="particle count"):
             tr.record(measure_1d([1.0, 2.0], [0.0, 1.0]))
-
-    def test_empty_tracker_rejected(self):
-        with pytest.raises(ValueError):
-            cesaro_average(CesaroTracker())
 
     def test_average_stays_in_ball(self):
         # convexity: averaged positions stay inside any ball containing
@@ -187,11 +180,14 @@ class TestCesaro:
         rng = np.random.default_rng(4)
         for _ in range(10):
             p, d, n_states = 5, 3, 6
-            tr = CesaroTracker()
+            states = []
             for _ in range(n_states):
                 pts = rng.standard_normal((p, d))
                 pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1.0)
-                tr.record(ParticleMeasure(rng.random(p), pts))
+                states.append(ParticleMeasure(rng.random(p), pts))
+            tr = CesaroTracker(states[0])
+            for nu in states[1:]:
+                tr.record(nu)
             avg = cesaro_average(tr)
             assert np.all(np.linalg.norm(avg.positions, axis=1) <= 1.0 + 1e-12)
 
