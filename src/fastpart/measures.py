@@ -139,12 +139,18 @@ def grid_size_estimate(radius: float, dim: int, step: float,
     """About how many points ``grid_points`` returns, without building it.
 
     The cube count (floor(2R/step) + 1)^d bounds the lattice; on the ball
-    it is scaled by the ball's share of its bounding cube (exact in 1-D).
+    it is scaled by the ball's share of its bounding cube (exact in 1-D),
+    taken in logs from d = 340 on, where the share leaves the float range.
+    A cube count past the float range is inf.
     """
-    share = 1.0 if torus else (
-        math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) / 2.0**dim)
     # a product, not **, so a count past the float range is inf, not an error
-    return math.prod([float(_axis_steps(radius, step, torus) + 1)] * dim) * share
+    cube = math.prod([float(_axis_steps(radius, step, torus) + 1)] * dim)
+    if torus or cube == math.inf:
+        return cube
+    if dim < 340:
+        return cube * (math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) / 2.0**dim)
+    return math.exp(math.log(cube) + dim / 2.0 * math.log(math.pi)
+                    - math.lgamma(dim / 2.0 + 1.0) - dim * math.log(2.0))
 
 
 def grid_points(radius: float, dim: int, step: float, torus: bool = False) -> np.ndarray:

@@ -66,7 +66,8 @@ class Radii:
     ``r0`` bounds any single weight, ``R0 = max(initial mass, p * r0)``
     bounds the total mass of every iterate.  Only meaningful when the
     kernel surrogate is bounded away from zero (``hypothesis_ok``);
-    otherwise ``r0`` is reported infinite.
+    otherwise ``r0`` is reported infinite.  Both are infinite, a vacuous
+    bound, when the surrogate's excess over lam overflows the exponential.
     """
 
     r0: float
@@ -81,7 +82,10 @@ def mass_radii(model: FeatureModel, lam: float,
     if b.g_inf <= 0.0:
         return Radii(math.inf, math.inf, False)
     excess = max(0.0, b.h_sup - lam)
-    r0 = excess / b.g_inf * math.exp(excess)
+    try:
+        r0 = excess / b.g_inf * math.exp(excess)
+    except OverflowError:  # past exp's range the bound is vacuous
+        r0 = math.inf
     R0 = max(init.tv_norm, init.size * r0)
     return Radii(r0, R0, True)
 
@@ -108,7 +112,13 @@ def make_schedule(kind: str, dim: int, tv_star: float, R0: float, K: int,
     if dim < 1 or tv_star <= 0 or R0 <= 0 or K < 1:
         raise ValueError("schedule inputs must be positive")
     if kind == "global":
-        alpha = math.sqrt(dim * tv_star / (R0**3 * K))
+        try:
+            cube_k = R0**3 * K
+        except OverflowError:
+            cube_k = math.inf
+        if not math.isfinite(cube_k):
+            raise ValueError(f"R0 = {R0:.3g} is too large: R0**3 * K overflows at K = {K}")
+        alpha = math.sqrt(dim * tv_star / cube_k)
         eta = math.sqrt(dim * R0 / (K**3 * tv_star))
         return Schedule(alpha, eta, 1)
     if kind == "local":

@@ -4,11 +4,13 @@ label outside ``[A-Za-z0-9_.-]+`` are refused with a message naming them."""
 import configparser
 import math
 import re
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fastpart import config, diagnostics
+from fastpart import benchmarks, config, diagnostics, sample_mixture_data
 from fastpart.cli import main
 from fastpart.config import (ConfigError, build_init, build_model, build_run_config,
                              parse_config)
@@ -71,6 +73,58 @@ def test_schedule_without_r0_takes_the_mass_bound_r0(tmp_path, schedule):
         with pytest.warns(RuntimeWarning, match=re.escape(f"R0={r0:.3g})")):
             rc = build_run_config(cfg.solver, model, init, 1)
         assert (rc.alpha, rc.eta, rc.batch_schedule) == (1 / math.sqrt(5),) * 2 + (3,)
+
+
+GMM3A_MM = ("kind = gmm\ndata = mm.csv\nbandwidth = 1e-4\nmixing_scale = 8e-5\n"
+            "radius = 1e-3\ntrunc_width = 3\n")
+
+
+def test_mass_bound_past_the_exponential_range_leaves_a_manual_run_alone(tmp_path,
+                                                                          capsys):
+    # gmm3a in millimetres: h_sup - lambda is about 3123, past exp's range;
+    # the run used to exit 1 with "math range error" from the mass bound,
+    # which a manual schedule never reads
+    problem = benchmarks.get_benchmark("gmm3a")
+    data = sample_mixture_data(problem.truth, problem.mixing_scale, 50,
+                               np.random.default_rng(problem.data_seed))
+    np.savetxt(tmp_path / "mm.csv", data * 1e-3)
+    path = _config(tmp_path)
+    path.write_text(f"[model]\n{GMM3A_MM}\n[solver]\nalpha = 2e-4\neta = 1e-10\n"
+                    "k = 5\nlambda = 0.05\ninit_step = 4e-5\n", encoding="utf-8")
+    cfg = parse_config(path)
+    model = build_model(cfg)
+    radii = mass_radii(model, cfg.solver.lam, build_init(cfg.solver, model))
+    assert radii.hypothesis_ok and radii.r0 == radii.R0 == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("status=ok k=5 ")
+
+
+GMM3A_NARROW = "bandwidth = 1e-3\nmixing_scale = 1e-3\nradius = 4e-3\ntrunc_width = 3\n"
+
+
+@pytest.mark.parametrize("command,extra,section", [
+    ("run", "schedule = global\ntv_star = 1.0\n", "solver"),
+    ("compare", "\n[variant a]\n\n[variant glob]\nschedule = global\ntv_star = 1.0\n",
+     "variant glob"),
+], ids=["run", "compare"])
+def test_global_schedule_on_an_overflowing_mass_bound_exits_2(tmp_path, capsys,
+                                                              monkeypatch, command,
+                                                              extra, section):
+    # gmm3a's mixture at scale 1e-3 on a radius of 4e-3 has a mass bound
+    # R0 of about 4e140, whose cube overflows: the run used to exit 1 with
+    # "(34, 'Numerical result out of range')", naming no key
+    monkeypatch.setattr(diagnostics, "grid_oracle",
+                        lambda *args: pytest.fail("the oracle ran first"))
+    out = tmp_path / "out"
+    path = _config(tmp_path, extra_model=GMM3A_NARROW,
+                   extra=extra + f"\n[output]\ndir = {out}\n")
+    path.write_text(path.read_text().replace("init_step = 0.5", "init_step = 1e-3"))
+    assert main([command, str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"key 'r0' in [{section}]" in err and "R0**3 * K overflows" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -251,6 +305,31 @@ def test_init_step_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, model, s
     assert f"[solver] init_step = {float(step):g} gives" in err
     assert "no lattice point" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,dim,init_step,extra,key", [
+    ("oracle", 400, 0.5, "", "grid_step"),
+    ("oracle", 340, 0.5, "\n[oracle]\ngrid_step = 0.02\n", "grid_step"),
+    ("run", 340, 0.02, "", "init_step"),
+    ("run", 400, 0.5, "", "init_step"),
+], ids=["oracle-d400", "oracle-d340", "grid-start-d340", "grid-start-d400"])
+def test_lattice_in_high_dimension_is_refused_on_memory(tmp_path, capsys, monkeypatch,
+                                                        command, dim, init_step, extra,
+                                                        key):
+    # past d = 341 the ball's share raised OverflowError (exit 1, "math
+    # range error"); at d = 340 it underflowed, the point estimate was nan,
+    # the memory refusal was skipped and the lattice was called too coarse
+    monkeypatch.setattr(diagnostics, "grid_points",
+                        lambda *args: pytest.fail("the lattice was built"))
+    out = tmp_path / "out"
+    path = _config(tmp_path, "relu", extra=extra + f"\n[output]\ndir = {out}\n")
+    path.write_text(path.read_text().replace("dim = 2", f"dim = {dim}", 1)
+                    .replace("init_step = 0.5", f"init_step = {init_step}"))
+    assert main([command, str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} = " in err and f"raise {key}" in err
+    assert "no lattice point" not in err
+    assert not out.exists()
 
 
 def _with_value(source, dest, section, key, value):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,15 @@ def test_grid_size_estimate_tracks_the_lattice(radius, dim, step):
     # lattice on these grids, equal to it in 1-D
     assert n * (1 - 1e-12) <= est < 1.2 * n
     assert est <= (int(2 * radius / step + 1e-9) + 1) ** dim
+
+
+@pytest.mark.parametrize("dim,step", [(340, 0.02), (341, 0.02), (342, 0.02),
+                                      (400, 0.001), (400, 0.5), (2000, 3.0)])
+def test_grid_size_estimate_in_high_dimension(dim, step):
+    # the ball's share underflowed to 0.0 at d = 340 and 341, so an
+    # overflowing cube count gave inf * 0.0 = nan, and math.gamma raised
+    # OverflowError from d = 342 on
+    est = grid_size_estimate(1.0, dim, step)
+    cube = grid_size_estimate(1.0, dim, step, torus=True)
+    assert 0.0 <= est <= cube
+    assert (est == math.inf) == (cube == math.inf)

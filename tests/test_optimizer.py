@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,24 @@ class TestMassRadii:
         assert radii.r0 == pytest.approx(0.2, rel=1e-12)
         assert radii.R0 == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("excess", [700.0, 710.0, 3123.0])
+    def test_bound_past_the_exponential_range_is_vacuous(self, stub_model, excess):
+        # exp(excess) overflows past about 709.8: mass_radii raised
+        # OverflowError, which stopped even a run with manual step sizes
+        model = stub_model(stub_bounds=ModelBounds(g_inf=0.5, g_sup=1.0,
+                                                   h_sup=0.05 + excess))
+        nu0 = measure_1d([0.5, 0.5], [-0.3, 0.3])
+        radii = mass_radii(model, 0.05, nu0)
+        if excess < 709.0:  # a finite bound keeps its formula's bits
+            assert radii.r0 == excess / 0.5 * math.exp(excess) and radii.R0 == 2 * radii.r0
+        else:
+            assert radii.r0 == radii.R0 == math.inf
+        assert radii.hypothesis_ok
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(run_cfg(nu0, lam=0.05, iterations=3), model)
+        assert res.status == "ok" and res.radii == radii
+
     def test_hypothesis_violation_flag(self, gmm_unit):
         radii = mass_radii(gmm_unit, 0.1, measure_1d([1.0], [0.0]))
         assert not radii.hypothesis_ok
@@ -75,6 +94,13 @@ class TestSchedules:
         assert sch.alpha == pytest.approx(0.0353553, abs=1e-6)
         assert sch.eta == pytest.approx(math.sqrt(4 / (800**3 * 4.0)), rel=1e-12)
         assert sch.eta == pytest.approx(4.4194e-5, abs=1e-8)
+
+    @pytest.mark.parametrize("R0,K", [(1e103, 10), (1e100, 10**9)])
+    def test_global_refuses_an_overflowing_R0(self, R0, K):
+        # R0**3 raised OverflowError past about 5.6e102, and a finite R0**3
+        # whose product with K overflowed gave alpha = 0.0 without a word
+        with pytest.raises(ValueError, match="R0"):
+            make_schedule("global", 1, 1.0, R0, K)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
