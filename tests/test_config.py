@@ -88,7 +88,7 @@ def test_mass_bound_past_the_exponential_range_leaves_a_manual_run_alone(tmp_pat
     data = sample_mixture_data(problem.truth, problem.mixing_scale, 50,
                                np.random.default_rng(problem.data_seed))
     np.savetxt(tmp_path / "mm.csv", data * 1e-3)
-    path = _config(tmp_path)
+    path = tmp_path / "exp.cfg"
     path.write_text(f"[model]\n{GMM3A_MM}\n[solver]\nalpha = 2e-4\neta = 1e-10\n"
                     "k = 5\nlambda = 0.05\ninit_step = 4e-5\n", encoding="utf-8")
     cfg = parse_config(path)
