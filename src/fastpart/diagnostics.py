@@ -104,9 +104,9 @@ def model_lattice(model: FeatureModel, step: float,
     is refused, with a ``LatticeRefused`` naming ``key`` and ``step``: a
     step that is not positive, one that leaves no point in the domain, or,
     before anything is built, one whose working set exceeds physical
-    memory (about two d-vectors a point of the bounding cube, ``grid_points``'
-    peak, then a few floats a lattice point for the scans and one a point
-    per support column)."""
+    memory (about two d-vectors a point of the cube ``grid_points`` builds,
+    its peak, then a few floats a lattice point for the scans and one a
+    point per support column, each counted on that cube)."""
     if not step > 0:
         raise LatticeRefused(f"{key} = {step:g} must be > 0")
     try:
@@ -114,12 +114,10 @@ def model_lattice(model: FeatureModel, step: float,
     except (AttributeError, ValueError, OSError):  # no sysconf: no refusal
         have = math.inf
     points = grid_size_estimate(model.radius, model.dim, step, model.torus)
-    # the bounding cube is the torus lattice, up to its +radius face
-    cube = grid_size_estimate(model.radius, model.dim, step, torus=True)
-    need = 8.0 * ((2 * model.dim + 2) * cube + (model.dim + 4) * points)
+    need = 8.0 * (3 * model.dim + 6) * points
     if need > have:
         raise LatticeRefused(
-            f"{key} = {step:g} gives a lattice of about {points:.3g} points "
+            f"{key} = {step:g} gives a lattice of up to {points:.3g} points "
             f"whose scans need {need / 1e9:.3g} GB, more than the "
             f"{have / 1e9:.3g} GB of physical memory; raise {key}")
     try:

@@ -136,21 +136,11 @@ def _axis_steps(radius: float, step: float, torus: bool = False) -> int:
 
 def grid_size_estimate(radius: float, dim: int, step: float,
                        torus: bool = False) -> float:
-    """About how many points ``grid_points`` returns, without building it.
-
-    The cube count (floor(2R/step) + 1)^d bounds the lattice; on the ball
-    it is scaled by the ball's share of its bounding cube (exact in 1-D),
-    taken in logs from d = 340 on, where the share leaves the float range.
-    A cube count past the float range is inf.
-    """
+    """The point count of the cube ``grid_points`` builds, without building
+    it: (axis steps + 1)^d, inf past the float range.  Exact on the torus
+    and in 1-D, an upper bound on the ball."""
     # a product, not **, so a count past the float range is inf, not an error
-    cube = math.prod([float(_axis_steps(radius, step, torus) + 1)] * dim)
-    if torus or cube == math.inf:
-        return cube
-    if dim < 340:
-        return cube * (math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) / 2.0**dim)
-    return math.exp(math.log(cube) + dim / 2.0 * math.log(math.pi)
-                    - math.lgamma(dim / 2.0 + 1.0) - dim * math.log(2.0))
+    return math.prod([float(_axis_steps(radius, step, torus) + 1)] * dim)
 
 
 def grid_points(radius: float, dim: int, step: float, torus: bool = False) -> np.ndarray:

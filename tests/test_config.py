@@ -212,13 +212,14 @@ ORACLE_TOO_FINE = "\n[oracle]\ngrid_step = 0.001\n"
 ])
 def test_oracle_lattice_beyond_memory_is_refused_before_it_is_built(
         tmp_path, capsys, command, extra):
-    # the 3-D unit ball at step 1e-3 holds about 4.2e9 points
+    # the 3-D unit ball at step 1e-3 is cut from a cube of 2001^3, about
+    # 8.01e9 points (it holds about 4.2e9, the count this used to state)
     out = tmp_path / "out"
     path = _config(tmp_path, "relu", extra=extra + f"\n[output]\ndir = {out}\n")
     path.write_text(path.read_text().replace("dim = 2", "dim = 3", 1))
     assert main([command, str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "[oracle] grid_step = 0.001" in err and "4.2e+09 points" in err
+    assert "[oracle] grid_step = 0.001" in err and "up to 8.01e+09 points" in err
     assert not out.exists()
 
 
@@ -330,6 +331,23 @@ def test_lattice_in_high_dimension_is_refused_on_memory(tmp_path, capsys, monkey
     assert f"{key} = " in err and f"raise {key}" in err
     assert "no lattice point" not in err
     assert not out.exists()
+
+
+def test_grid_start_in_400_dimensions_states_at_least_the_balls_count(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the ball's share of the cube put this lattice at "about 5.12e-117
+    # points"; at step 0.5 a point of the unit ball is +-1 on one axis or
+    # +-0.5 on at most four, about 1.7e10 points
+    monkeypatch.setattr(diagnostics, "grid_points",
+                        lambda *args: pytest.fail("the lattice was built"))
+    path = _config(tmp_path, "relu")
+    path.write_text(path.read_text().replace("dim = 2", "dim = 400", 1))
+    assert main(["run", str(path), "--quiet", "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    stated = float(re.search(r"init_step = 0.5 gives a lattice of up to (\S+) points",
+                             err)[1])
+    ball = 2 * 400 + sum(math.comb(400, k) * 2**k for k in range(5))
+    assert ball > 1.6e10 and stated >= ball
 
 
 def _with_value(source, dest, section, key, value):

@@ -201,21 +201,24 @@ class TestGridOracle:
         assert vals[2] <= vals[1] + 1e-12
 
     def test_lattice_beyond_memory_is_refused_before_it_is_built(self, monkeypatch):
-        # the 3-D unit ball at step 1e-3 holds about 4.2e9 points
+        # the 3-D unit ball at step 1e-3 is cut from a cube of 2001^3, about
+        # 8.01e9 points
         x, y = sample_regression_data(64, 3, np.random.default_rng(3))
 
         def built(*args):
             pytest.fail("the lattice was built")
 
         monkeypatch.setattr(diagnostics, "grid_points", built)
-        with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 4\.2e\+09 points"):
+        with pytest.raises(ValueError,
+                           match=r"grid_step = 0\.001 .* up to 8\.01e\+09 points"):
             grid_oracle(ReluFeatureModel(x, y), 0.01, 1e-3)
 
     def test_certificate_lattice_beyond_memory_is_refused_before_it_is_built(
             self, monkeypatch):
         monkeypatch.setattr(diagnostics, "grid_points",
                             lambda *args: pytest.fail("the lattice was built"))
-        with pytest.raises(ValueError, match=r"grid_step = 0\.001 .* 4\.2e\+09 points"):
+        with pytest.raises(ValueError,
+                           match=r"grid_step = 0\.001 .* up to 8\.01e\+09 points"):
             kkt_certificate(_small_model("gmm", 3), EMPTY, 0.01, 1e-3)
 
     def test_certificate_peak_does_not_grow_with_the_atoms(self):
@@ -234,7 +237,7 @@ class TestGridOracle:
     @pytest.mark.parametrize("step,reason", [
         (0.0, "must be > 0"), (math.nan, "must be > 0"), (-0.5, "must be > 0"),
         (2.5, "leaves no lattice point in the ball of radius 1"),  # (-1, -1) anchor
-        (1e-300, "gives a lattice of about inf points"),
+        (1e-300, "gives a lattice of up to inf points"),
     ])
     def test_every_lattice_refusal_names_its_key_and_step(self, step, reason):
         with pytest.raises(diagnostics.LatticeRefused) as exc:

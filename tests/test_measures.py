@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -199,19 +200,24 @@ class TestCesaro:
 def test_grid_size_estimate_tracks_the_lattice(radius, dim, step):
     n = len(grid_points(radius, dim, step))
     est = grid_size_estimate(radius, dim, step)
-    # the cube count scaled by the ball's share: within 16% above the
-    # lattice on these grids, equal to it in 1-D
-    assert n * (1 - 1e-12) <= est < 1.2 * n
-    assert est <= (int(2 * radius / step + 1e-9) + 1) ** dim
+    # the count of the cube the lattice is cut from: equal to the lattice
+    # in 1-D, 1.30x above it on the disk and 2.22x in the 3-D ball here
+    assert est == (int(2 * radius / step + 1e-9) + 1) ** dim
+    assert n <= est < 2.3 * n
+    assert (est == n) == (dim == 1)
 
 
 @pytest.mark.parametrize("dim,step", [(340, 0.02), (341, 0.02), (342, 0.02),
                                       (400, 0.001), (400, 0.5), (2000, 3.0)])
 def test_grid_size_estimate_in_high_dimension(dim, step):
-    # the ball's share underflowed to 0.0 at d = 340 and 341, so an
-    # overflowing cube count gave inf * 0.0 = nan, and math.gamma raised
-    # OverflowError from d = 342 on
+    # this count was once scaled by the ball's share of the cube, which
+    # underflowed to 0.0 at d = 340 and 341 (inf * 0.0 = nan), made
+    # math.gamma raise OverflowError from d = 342 on, and put the 5^400
+    # cube at step 0.5 at about 5.12e-117 points
     est = grid_size_estimate(1.0, dim, step)
-    cube = grid_size_estimate(1.0, dim, step, torus=True)
-    assert 0.0 <= est <= cube
-    assert (est == math.inf) == (cube == math.inf)
+    cube = (int(2.0 / step + 1e-9) + 1) ** dim  # exact, as a Python int
+    if cube > sys.float_info.max:
+        assert est == math.inf
+    else:
+        assert est == pytest.approx(cube, rel=1e-12)
+    assert grid_size_estimate(1.0, dim, step, torus=True) <= est

@@ -1,10 +1,11 @@
 """Property tests of the measure and domain invariants: ``ParticleMeasure``
 accepts exactly the finite clouds with nonnegative weights, the ball and
 torus projections are idempotent and land in their domain, so does the
-ReLU model's rescale, which keeps each weight times norm, and one
-``step`` on a small random mixture problem keeps the weights nonnegative
-and finite and the positions in the domain.  Needs hypothesis (the
-``test`` extra); skipped without it."""
+ReLU model's rescale, which keeps each weight times norm, one ``step``
+on a small random mixture problem keeps the weights nonnegative and
+finite and the positions in the domain, and ``grid_size_estimate``
+bounds the lattice ``grid_points`` builds, exactly on the torus and in
+1-D.  Needs hypothesis (the ``test`` extra); skipped without it."""
 import numpy as np
 import pytest
 
@@ -15,7 +16,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel,  # noqa: E402
                       GroundTruth, ParticleMeasure, ReluFeatureModel, RunConfig,
-                      project_to_ball, sample_mixture_data, step)
+                      grid_points, project_to_ball, sample_mixture_data, step)
+from fastpart.measures import grid_size_estimate  # noqa: E402
 from fastpart.models.fourier import wrap_torus  # noqa: E402
 from fastpart.optimizer import IterateState  # noqa: E402
 
@@ -127,3 +129,29 @@ def test_one_step_keeps_weights_nonnegative_and_positions_inside(
     nu = state.measure
     assert np.all(np.isfinite(nu.weights)) and np.all(nu.weights >= 0.0)
     assert model.contains(nu.positions)
+
+
+@st.composite
+def lattices(draw):
+    """(radius, dim, step) of a cube of at most 201, 51, 29 and 14 points an
+    axis in 1 to 4 dimensions."""
+    dim = draw(st.integers(1, 4))
+    radius = draw(st.floats(1e-3, 1e3))
+    return radius, dim, radius * draw(st.floats((0.01, 0.04, 0.07, 0.15)[dim - 1], 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice=lattices(), torus=st.booleans())
+@example(lattice=(1.0, 2, 0.02), torus=False)  # 2R/step integral: +R on each axis
+@example(lattice=(np.pi, 2, np.pi / 5), torus=True)  # 10 points an axis, -pi kept
+def test_grid_size_estimate_bounds_the_lattice(lattice, torus):
+    radius, dim, spacing = lattice
+    est = grid_size_estimate(radius, dim, spacing, torus)
+    try:
+        n = len(grid_points(radius, dim, spacing, torus))
+    except ValueError:  # no lattice point in the ball
+        n = 0
+    if torus or dim == 1:
+        assert est == n
+    else:
+        assert est >= n
