@@ -134,6 +134,11 @@ def cmd_compare(args) -> int:
     cfg = parse_config(args.config)
     if len(cfg.variants) < 2:
         raise ConfigError("compare needs at least two [variant NAME] sections")
+    for spec in cfg.variants.values():  # each J is scored on the [solver] threshold
+        if spec.lam != cfg.solver.lam:
+            raise ConfigError(f"key 'lambda' in [{spec.section}] is {spec.lam:g}, but "
+                              f"compare scores every variant against the oracle "
+                              f"at [solver] lambda {cfg.solver.lam:g}; set it there")
     model = build_model(cfg)
     oracle = _oracle(cfg, model, args.quiet)
     base_init = build_init(cfg.solver, model)

@@ -393,17 +393,18 @@ def build_run_config(spec: SimpleNamespace, model: FeatureModel, init: ParticleM
         else:
             r0 = init.tv_norm
         if spec.schedule == "global":
+            try:  # at a unit mass, so R0**3 * K is refused before any oracle solve
+                make_schedule("global", model.dim, 1.0, r0, spec.iterations)
+            except ValueError as exc:  # the one left: R0**3 * K overflows
+                raise ConfigError(f"key 'r0' in [{spec.section}]: {exc} (global "
+                                  f"schedule); set a smaller r0") from None
             tv_star = spec.tv_star
             if isinstance(tv_star, str):  # "oracle"
                 tv_star = oracle_mass(spec.lam) if oracle_mass else None
             if tv_star is None or not tv_star > 0:  # a null oracle measure has mass 0
                 raise ConfigError(f"key 'tv_star' in [{spec.section}] must be > 0, got "
                                   f"{tv_star} at lambda {spec.lam:g} (global schedule)")
-            try:
-                sch = make_schedule("global", model.dim, tv_star, r0, spec.iterations)
-            except ValueError as exc:  # the one left: R0**3 * K overflows
-                raise ConfigError(f"key 'r0' in [{spec.section}]: {exc} (global "
-                                  f"schedule); set a smaller r0") from None
+            sch = make_schedule("global", model.dim, tv_star, r0, spec.iterations)
         else:
             sch = make_schedule("local", model.dim, 1.0, r0, spec.iterations,
                                 model=model, lam=spec.lam)

@@ -136,9 +136,9 @@ def _axis_steps(radius: float, step: float, torus: bool = False) -> int:
 
 def grid_size_estimate(radius: float, dim: int, step: float,
                        torus: bool = False) -> float:
-    """The point count of the cube ``grid_points`` builds, without building
-    it: (axis steps + 1)^d, inf past the float range.  Exact on the torus
-    and in 1-D, an upper bound on the ball."""
+    """The point count of the cube ``grid_points`` builds, without building it:
+    (axis steps + 1)^d, inf past the float range.  An upper bound on the ball's
+    lattice, the lattice itself on the torus and, bar roundoff at +radius, in 1-D."""
     # a product, not **, so a count past the float range is inf, not an error
     return math.prod([float(_axis_steps(radius, step, torus) + 1)] * dim)
 

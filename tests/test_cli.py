@@ -74,6 +74,7 @@ FOURIER_CFG = RELU_CFG.replace(RELU_MODEL, "kind = fourier\nfreq_cutoff = 2\n"
 GMM_DATA_CFG = RELU_CFG.replace(RELU_MODEL, "kind = gmm\ndata = d.csv\n"
                                 "bandwidth = 0.1\nmixing_scale = 0.1\n")
 RUN = ["run", "{cfg}", "--quiet"]
+COMPARE = ["compare", "{cfg}", "--quiet"]
 CERTIFY = ["certify", "{cfg}", "{tmp}/m.csv", "--quiet"]
 
 # case -> (argv, config text, {file name: text}, what stderr must name)
@@ -100,6 +101,9 @@ REFUSALS = {
     "no-model": (RUN, RELU_CFG[RELU_CFG.index("[solver]"):], {}, "[model]"),
     "no-solver": (RUN, RELU_CFG[:RELU_CFG.index("[solver]")], {}, "[solver]"),
     "empty-variant-name": (RUN, RELU_CFG + "\n[variant ]\nk = 3\n", {}, "[variant NAME]"),
+    # its J was scored against the threshold of the [solver] lambda's oracle
+    "variant-lambda": (COMPARE, RELU_CFG + "\n[variant a]\n\n[variant b]\n"
+                       "lambda = 0.5\n", {}, "'lambda' in [variant b]"),
     "missing-data-file": (RUN, GMM_DATA_CFG, {}, "d.csv"),
     "unparseable-data-file": (RUN, GMM_DATA_CFG, {"d.csv": "0.1\nabc\n"}, "d.csv"),
     "empty-measure-file": (CERTIFY, RELU_CFG, {"m.csv": ""}, "m.csv"),
@@ -512,13 +516,12 @@ tol = 1e-6
     @staticmethod
     def _manual_and_global(tmp_path, lam):
         text = BASE_GMM.format(k=10, out=tmp_path / "cmp", trace_every=1)
-        return write_cfg(tmp_path, text + f"""
+        return write_cfg(tmp_path, text.replace("lambda = 0.05", f"lambda = {lam}") + """
 [variant man]
 
 [variant zglob]
 schedule = global
 tv_star = oracle
-lambda = {lam}
 
 [oracle]
 grid_step = 0.01

@@ -108,13 +108,16 @@ GMM3A_NARROW = "bandwidth = 1e-3\nmixing_scale = 1e-3\nradius = 4e-3\ntrunc_widt
     ("run", "schedule = global\ntv_star = 1.0\n", "solver"),
     ("compare", "\n[variant a]\n\n[variant glob]\nschedule = global\ntv_star = 1.0\n",
      "variant glob"),
-], ids=["run", "compare"])
+    ("run", "schedule = global\ntv_star = oracle\n\n[oracle]\ngrid_step = 1e-4\n",
+     "solver"),
+], ids=["run", "compare", "run-oracle"])
 def test_global_schedule_on_an_overflowing_mass_bound_exits_2(tmp_path, capsys,
                                                               monkeypatch, command,
                                                               extra, section):
     # gmm3a's mixture at scale 1e-3 on a radius of 4e-3 has a mass bound
     # R0 of about 4e140, whose cube overflows: the run used to exit 1 with
-    # "(34, 'Numerical result out of range')", naming no key
+    # "(34, 'Numerical result out of range')", naming no key; with its mass
+    # from the oracle it was refused only once the oracle had been solved
     monkeypatch.setattr(diagnostics, "grid_oracle",
                         lambda *args: pytest.fail("the oracle ran first"))
     out = tmp_path / "out"
