@@ -134,7 +134,7 @@ def cmd_compare(args) -> int:
     cfg = parse_config(args.config)
     if len(cfg.variants) < 2:
         raise ConfigError("compare needs at least two [variant NAME] sections")
-    for spec in cfg.variants.values():  # each J is scored on the [solver] threshold
+    for spec in cfg.variants.values():
         if spec.lam != cfg.solver.lam:
             raise ConfigError(f"key 'lambda' in [{spec.section}] is {spec.lam:g}, but "
                               f"compare scores every variant against the oracle "
