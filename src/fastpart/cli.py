@@ -27,7 +27,7 @@ from .config import (
     parse_config,
     read_rows,
 )
-from .measures import ParticleMeasure
+from .measures import ParticleMeasure, signed_measure
 from .optimizer import RunResult, run
 
 EXIT_OK = 0
@@ -67,9 +67,7 @@ def read_measure(path: Path) -> ParticleMeasure:
         return ParticleMeasure(np.empty(0), np.empty((0, n_cols - 1)))
     if raw.shape[1] != n_cols:
         raise ConfigError(f"measure file {path} rows do not match its header")
-    signed = raw[:, 0]
-    signs = np.where(signed < 0, -1.0, 1.0)
-    return ParticleMeasure(np.abs(signed), raw[:, 1:], signs)
+    return signed_measure(raw[:, 0], raw[:, 1:])
 
 
 def write_data(path: Path, data: np.ndarray, note: str) -> None:

@@ -22,8 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import benchmarks, diagnostics
-from .measures import ParticleMeasure
-from .models.base import FeatureModel, GroundTruth
+from .measures import ParticleMeasure, signed_measure
+from .models.base import FeatureModel
 from .models.fourier import FourierDeconvolutionModel
 from .models.gmm import GaussianMixtureModel, sample_mixture_data
 from .models.relu import ReluFeatureModel, sample_regression_data
@@ -345,10 +345,13 @@ def build_model(cfg: SimpleNamespace) -> FeatureModel:
                                     trunc_width=m.trunc_width)
 
     if m.kind == "fourier":
-        truth = GroundTruth(m.spike_weights, m.spike_positions,
-                            m.noise_coeffs, m.noise_positions)
+        # the observation's signed atoms: the spikes, then any noise atoms
+        coeffs, points = m.spike_weights, m.spike_positions
+        if m.noise_coeffs is not None:
+            coeffs = np.concatenate([coeffs, m.noise_coeffs])
+            points = np.concatenate([points, m.noise_positions])
         return FourierDeconvolutionModel(freq_cutoff=m.freq_cutoff, dim=m.dim,
-                                         truth=truth)
+                                         truth=signed_measure(coeffs, points))
 
     # relu
     x, y = sample_regression_data(m.n, m.dim, np.random.default_rng(m.data_seed),

@@ -30,8 +30,8 @@ class ParticleMeasure:
     positions : array, shape (p, d)
         Atom locations.
     signs : array of +-1, shape (p,), optional
-        Fixed atom signs for signed problems (two-layer networks).  They
-        scale the embedding of each atom but not its mass.  Default all +1.
+        Fixed atom signs of a signed problem (a two-layer network, a Fourier
+        truth).  They scale each atom's embedding but not its mass; default +1.
 
     Instances are immutable snapshots; every update builds a new one.
     """
@@ -109,6 +109,13 @@ class ParticleMeasure:
         return self.weights * self.signs
 
 
+def signed_measure(coeffs, positions) -> ParticleMeasure:
+    """The measure of signed atoms ``sum_j coeffs[j] * delta(positions[j])``:
+    weights ``|coeffs|``, a -1 sign on each negative coefficient."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return ParticleMeasure(np.abs(coeffs), positions, np.where(coeffs < 0, -1.0, 1.0))
+
+
 def sample_particle_index(measure: ParticleMeasure, rng: np.random.Generator,
                           size: int | None = None):
     """Draw particle indices with probability proportional to their weights.
@@ -138,7 +145,7 @@ def grid_size_estimate(radius: float, dim: int, step: float,
                        torus: bool = False) -> float:
     """The point count of the cube ``grid_points`` builds, without building it:
     (axis steps + 1)^d, inf past the float range.  An upper bound on the ball's
-    lattice, the lattice itself on the torus and, bar roundoff at +radius, in 1-D."""
+    lattice, the lattice itself on the torus and in 1-D."""
     # a product, not **, so a count past the float range is inf, not an error
     return math.prod([float(_axis_steps(radius, step, torus) + 1)] * dim)
 
@@ -157,7 +164,9 @@ def grid_points(radius: float, dim: int, step: float, torus: bool = False) -> np
         raise ValueError("grid step must be positive")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    axis = -radius + step * np.arange(_axis_steps(radius, step, torus) + 1)
+    # _axis_steps keeps a last point up to 1e-9 steps past +radius: clip it to +radius
+    axis = np.minimum(-radius + step * np.arange(_axis_steps(radius, step, torus) + 1),
+                      radius)
     pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij", copy=False),
                    axis=-1).reshape(-1, dim)
     if not torus:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..measures import ParticleMeasure
+
 
 @dataclass(frozen=True)
 class ModelBounds:
@@ -42,41 +44,11 @@ class ModelBounds:
             raise ValueError("g_inf exceeds g_sup")
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Sparse truth behind a synthetic problem: spikes and optional noise
-    atoms.  The two noise fields come together or not at all, every array
-    must be finite and each coefficient list must match its position list
-    in length; ValueError names the field."""
-
-    weights: np.ndarray
-    positions: np.ndarray
-    noise_coeffs: np.ndarray | None = None
-    noise_positions: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.noise_coeffs is None) != (self.noise_positions is None):
-            raise ValueError("GroundTruth noise_coeffs and noise_positions must be "
-                             "given together")
-        arrays = {"weights": np.asarray(self.weights, dtype=float).ravel(),
-                  "positions": _as_points(self.positions)}
-        if self.noise_coeffs is not None:
-            arrays["noise_coeffs"] = np.asarray(self.noise_coeffs, dtype=float).ravel()
-            arrays["noise_positions"] = _as_points(self.noise_positions)
-        for name, arr in arrays.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"GroundTruth {name} must be finite")
-            object.__setattr__(self, name, arr)
-        for coeffs, points in (("weights", "positions"),
-                               ("noise_coeffs", "noise_positions")):
-            if coeffs in arrays and len(arrays[coeffs]) != len(arrays[points]):
-                raise ValueError(f"GroundTruth {coeffs} and {points} differ in length")
-
-
-def _as_points(points) -> np.ndarray:
-    """A position list as an (n, d) array; a flat list is n points in 1-D."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    return pts[:, None] if pts.ndim == 1 else pts
+# The truth behind a synthetic problem is a particle measure, signed when
+# the Fourier observation's atoms are.  The name stays because the public
+# API and perfbench's setups build GroundTruth(weights=..., positions=...);
+# measures imports nothing from the package, so there is no import cycle.
+GroundTruth = ParticleMeasure
 
 
 class FeatureModel(ABC):

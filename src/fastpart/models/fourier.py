@@ -6,9 +6,9 @@ measure on the integer frequency cube ``[-freq_cutoff, freq_cutoff]^d``
 
     k(x) = mean over frequencies of cos(<u, x>),        k(0) = 1.
 
-The observation is a spike train convolved with the kernel plus an
-optional noise term that is itself a small combination of kernel
-translates, which keeps every inner product a finite sum:
+The observation is the kernel's embedding of a signed particle measure,
+the spike train and any noise atoms, each a kernel translate with a
+signed coefficient, which keeps every inner product a finite sum:
 
     y(t) = sum_a beta_a k(t - s_a)       <phi_t, y> = y(t).
 
@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import (FeatureModel, GroundTruth, ModelBounds, broadcast_fields,
+from ..measures import ParticleMeasure
+from .base import (FeatureModel, ModelBounds, broadcast_fields,
                    coordinate_product_grad)
 
 TORUS_RADIUS = np.pi
@@ -39,19 +40,21 @@ class FourierDeconvolutionModel(FeatureModel):
         constant kernel (a zero-variance sanity model).
     dim : int
         Torus dimension.
-    truth : GroundTruth
-        Spikes (weights, positions) plus optional noise atoms
-        (noise_coeffs, noise_positions) entering the observation.
+    truth : ParticleMeasure
+        The atoms of the observation, spikes and noise alike: coefficient
+        ``signed_weights[a]`` at ``positions[a]``.
     """
 
     torus = True
 
-    def __init__(self, freq_cutoff: int, dim: int, truth: GroundTruth):
+    def __init__(self, freq_cutoff: int, dim: int, truth: ParticleMeasure):
         # refused, not truncated: int(2.7) would be a cutoff of 2
         for name, value, least in (("freq_cutoff", freq_cutoff, 0), ("dim", dim, 1)):
             if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
                     or value < least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if truth.dim != dim:
+            raise ValueError("ground-truth positions do not match dim")
         self.freq_cutoff = int(freq_cutoff)
         self.dim = int(dim)
         self.radius = TORUS_RADIUS
@@ -61,19 +64,8 @@ class FourierDeconvolutionModel(FeatureModel):
         self._n_freq_1d = len(self._freqs_1d)
         self._pair_width = dim * self._n_freq_1d
 
-        atoms = [truth.positions]
-        coeffs = [truth.weights]
-        if truth.noise_coeffs is not None and len(truth.noise_coeffs):
-            atoms.append(truth.noise_positions)
-            coeffs.append(truth.noise_coeffs)
-        self._atom_positions = np.concatenate(atoms, axis=0)
-        self._atom_coeffs = np.concatenate(coeffs)
-        if self._atom_positions.shape[1] != dim:
-            raise ValueError("ground-truth positions do not match dim")
-
-        n_atoms = len(self._atom_coeffs)
         self.cost_kernel = self._n_freq_1d**dim
-        self.cost_inner_y = n_atoms * self.cost_kernel
+        self.cost_inner_y = truth.size * self.cost_kernel
 
     # ----- kernel -------------------------------------------------------------
 
@@ -90,11 +82,11 @@ class FourierDeconvolutionModel(FeatureModel):
 
     # y is a finite combination of kernel translates
     def data_fit(self, t, grad=True):
-        return self.kernel_sums(t, self._atom_positions, self._atom_coeffs, grad)
+        return self.kernel_sums(t, self.truth.positions, self.truth.signed_weights, grad)
 
     @cached_property
     def y_norm_sq(self) -> float:
-        return float(self._atom_coeffs @ self.inner_y(self._atom_positions))
+        return float(self.truth.signed_weights @ self.inner_y(self.truth.positions))
 
     # ----- stochastic surrogates -----------------------------------------------
 
@@ -129,7 +121,7 @@ class FourierDeconvolutionModel(FeatureModel):
     @cached_property
     def _bounds(self) -> ModelBounds:
         return ModelBounds(g_inf=1.0 if self.freq_cutoff == 0 else -1.0, g_sup=1.0,
-                           h_sup=float(np.sum(np.abs(self._atom_coeffs))))
+                           h_sup=self.truth.tv_norm)
 
 
 def wrap_torus(points: np.ndarray) -> np.ndarray:

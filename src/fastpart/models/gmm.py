@@ -27,7 +27,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .base import (_BLOCK_PAIRS, FeatureModel, GroundTruth, ModelBounds,
+from ..measures import ParticleMeasure
+from .base import (_BLOCK_PAIRS, FeatureModel, ModelBounds,
                    _contract_pairs, _fill_point_blocks, _fill_row_blocks,
                    coordinate_product_grad, draw_indices, positive_finite)
 
@@ -332,12 +333,15 @@ def sample_mixing_noise(rng: np.random.Generator, size, scale: float,
     return scale * ndtri(lo + rng.random(size=size) * span)
 
 
-def sample_mixture_data(truth: GroundTruth, mixing_scale: float, n: int,
+def sample_mixture_data(truth: ParticleMeasure, mixing_scale: float, n: int,
                         rng: np.random.Generator,
                         trunc_width: float | None = None) -> np.ndarray:
-    """Synthetic sample of the mixture: pick a spike by weight, add mixing noise."""
+    """Synthetic sample of the mixture: pick a spike of the truth by weight,
+    add mixing noise.  A truth with a -1 sign has no mixture and is refused."""
     if n <= 0:
         raise ValueError("sample size must be positive")
+    if not truth.unsigned:
+        raise ValueError("a mixture truth has no signs: every atom's sign must be +1")
     w = truth.weights
     idx = rng.choice(len(w), size=n, p=w / np.sum(w))
     pts = truth.positions[idx]

@@ -9,6 +9,7 @@ from fastpart import (
     sample_mixture_data,
     sample_regression_data,
 )
+from fastpart.measures import signed_measure
 from fastpart.models.base import FeatureModel, ModelBounds
 
 
@@ -54,10 +55,8 @@ def fourier_fc1():
 
 @pytest.fixture(scope="session")
 def fourier_noisy():
-    """Cutoff-3 torus model with two spikes and a small in-space noise term."""
-    truth = GroundTruth(weights=[0.8, 0.6], positions=[[-1.2], [0.9]],
-                        noise_coeffs=[0.05, -0.03],
-                        noise_positions=[[2.0], [-2.5]])
+    """Cutoff-3 torus model with two spikes and two small signed noise atoms."""
+    truth = signed_measure([0.8, 0.6, 0.05, -0.03], [[-1.2], [0.9], [2.0], [-2.5]])
     return FourierDeconvolutionModel(freq_cutoff=3, dim=1, truth=truth)
 
 

@@ -21,6 +21,7 @@ from fastpart import (
 )
 from fastpart import diagnostics as diag
 from fastpart.cli import main, write_measure
+from fastpart.measures import signed_measure
 from fastpart.models.gmm import sample_mixing_noise
 from fastpart.optimizer import IterateState, RunConfig, make_schedule, mass_radii, run, step
 from fastpart.stochastic import draw_batch, exact_fields, marginal_cost, sample_fields
@@ -112,10 +113,7 @@ def models_2d():
     data = sample_mixture_data(truth, 0.15, 500, rng)
     gmm = GaussianMixtureModel(data, bandwidth=0.2, mixing_scale=0.15,
                                radius=1.0)
-    ftruth = GroundTruth(weights=[0.8, 0.5],
-                         positions=[[-1.0, 0.6], [1.2, -0.8]],
-                         noise_coeffs=[0.05],
-                         noise_positions=[[2.0, 1.0]])
+    ftruth = signed_measure([0.8, 0.5, 0.05], [[-1.0, 0.6], [1.2, -0.8], [2.0, 1.0]])
     fourier = FourierDeconvolutionModel(freq_cutoff=2, dim=2, truth=ftruth)
     return gmm, fourier
 

@@ -30,7 +30,7 @@ from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel, GroundTru
                       ParticleMeasure, ReluFeatureModel, benchmarks, sample_mixture_data,
                       sample_regression_data, uniform_grid_measure)
 from fastpart.diagnostics import trace_stats
-from fastpart.measures import grid_points
+from fastpart.measures import grid_points, signed_measure
 from fastpart.models.base import _BLOCK_PAIRS, FeatureModel
 from fastpart.stochastic import exact_fields
 from test_golden import EXACT_CASES
@@ -55,8 +55,7 @@ def _plain_2d():
 
 
 def _fourier():
-    truth = GroundTruth(weights=[0.8, 0.6], positions=[[-1.2], [0.9]],
-                        noise_coeffs=[0.05, -0.03], noise_positions=[[2.0], [-2.5]])
+    truth = signed_measure([0.8, 0.6, 0.05, -0.03], [[-1.2], [0.9], [2.0], [-2.5]])
     return FourierDeconvolutionModel(freq_cutoff=3, dim=1, truth=truth)
 
 

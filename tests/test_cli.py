@@ -413,6 +413,15 @@ class TestGenData:
         with pytest.raises(ValueError):
             sample_mixture_data(truth, 0.1, 0, np.random.default_rng(0))
 
+    def test_signed_truth_rejected(self):
+        # a signed truth has no mixing law: sampling it by |w| would drop
+        # the signs without a word
+        from fastpart import sample_mixture_data
+        from fastpart.measures import signed_measure
+        truth = signed_measure([0.9, -0.1], [-0.4, 0.4])
+        with pytest.raises(ValueError, match="sign"):
+            sample_mixture_data(truth, 0.1, 10, np.random.default_rng(0))
+
     def test_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["gen-data", "gmm3a", "1", str(a)])

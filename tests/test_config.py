@@ -188,6 +188,24 @@ def test_fourier_noise_key_without_its_pair_exits_2(tmp_path, capsys, present, m
     assert f"needs '{missing}'" in capsys.readouterr().err
 
 
+def test_fourier_truth_is_the_spikes_then_the_signed_noise_atoms(tmp_path):
+    # one signed measure: a negative coefficient is weight |c| and sign -1
+    path = _config(tmp_path, "fourier",
+                   extra_model="noise_coeffs = 0.05, -0.03\nnoise_positions = 2.0; -2.5\n")
+    truth = build_model(parse_config(path)).truth
+    assert truth.signed_weights.tolist() == [1.0, 0.05, -0.03]
+    assert truth.signs.tolist() == [1.0, 1.0, -1.0]
+    assert truth.positions.tolist() == [[0.5], [2.0], [-2.5]]
+
+
+def test_fourier_noise_lists_of_different_lengths_are_refused(tmp_path):
+    path = _config(tmp_path, "fourier",
+                   extra_model="noise_coeffs = 0.05, -0.03\nnoise_positions = 2.0\n")
+    with pytest.raises(ConfigError, match=r"noise_coeffs and noise_positions in \[model\] "
+                                          r"differ in length"):
+        parse_config(path)
+
+
 @pytest.mark.parametrize("model,extra_model,extra,key", [
     ("gmm", "", "seed = -1\n", "'seed' in [solver]"),
     ("gmm", "", "\n[variant a]\nseed = -1\n", "'seed' in [variant a]"),

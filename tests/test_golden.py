@@ -58,7 +58,7 @@ from fastpart import benchmarks
 from fastpart.config import build_init, build_model, build_run_config, parse_config
 from fastpart.diagnostics import (bound_c1, grid_oracle, kkt_certificate, objective,
                                   trace_stats)
-from fastpart.measures import grid_points
+from fastpart.measures import grid_points, signed_measure
 from fastpart.optimizer import RunConfig, mass_radii, run
 from fastpart.stochastic import exact_fields, marginal_cost
 
@@ -104,9 +104,7 @@ def _plain_gmm_2d():
 
 
 def _fourier():
-    truth = GroundTruth(weights=[0.8, 0.6], positions=[[-1.2], [0.9]],
-                        noise_coeffs=[0.05, -0.03],
-                        noise_positions=[[2.0], [-2.5]])
+    truth = signed_measure([0.8, 0.6, 0.05, -0.03], [[-1.2], [0.9], [2.0], [-2.5]])
     model = FourierDeconvolutionModel(freq_cutoff=3, dim=1, truth=truth)
     # atoms next to the cut at +-pi, large eta: positions wrap around
     init = ParticleMeasure(np.full(7, 0.2),
@@ -420,10 +418,8 @@ def _config_names():
 def _model_outputs(model):
     arrays = {"GaussianMixtureModel": lambda m: [m.data],
               "ReluFeatureModel": lambda m: [m.x, m.y],
-              "FourierDeconvolutionModel": lambda m: [
-                  m.truth.weights, m.truth.positions,
-                  *((m.truth.noise_coeffs, m.truth.noise_positions)
-                    if m.truth.noise_coeffs is not None else ())]}
+              "FourierDeconvolutionModel": lambda m: [m.truth.signed_weights,
+                                                      m.truth.positions]}
     params = {}
     for key in ("bandwidth", "mixing_scale", "radius", "trunc_width",
                 "freq_cutoff", "dim"):

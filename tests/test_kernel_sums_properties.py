@@ -21,7 +21,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fastpart import (FourierDeconvolutionModel, GaussianMixtureModel,  # noqa: E402
-                      GroundTruth, ReluFeatureModel, sample_regression_data)
+                      ReluFeatureModel, sample_regression_data)
+from fastpart.measures import signed_measure  # noqa: E402
 
 VALUE_BOUND = 1e-14
 GRAD_BOUND = 1e-13
@@ -35,9 +36,9 @@ def _model(kind, dim, width, rng):
     """A model of the kind on the unit ball (Fourier: the torus), with
     kernel or mixing widths set by ``width``."""
     if kind == "fourier":
-        truth = GroundTruth(weights=rng.uniform(0.1, 1.0, 3),
-                            positions=rng.uniform(-np.pi, np.pi, (3, dim)),
-                            noise_coeffs=[0.05], noise_positions=rng.uniform(-3, 3, (1, dim)))
+        weights = rng.uniform(0.1, 1.0, 3)
+        spikes = rng.uniform(-np.pi, np.pi, (3, dim))
+        truth = signed_measure([*weights, 0.05], [*spikes, *rng.uniform(-3, 3, (1, dim))])
         return FourierDeconvolutionModel(int(rng.integers(0, 6)), dim, truth)
     if kind == "relu":
         x, y = sample_regression_data(64, dim, rng, teacher_width=3)

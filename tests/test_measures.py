@@ -132,6 +132,15 @@ class TestGridInit:
         with pytest.raises(ValueError, match="no lattice point"):
             grid_points(1.0, 2, 3.0)
 
+    def test_last_point_just_past_radius_is_kept_on_it(self):
+        # 2R/step is 1e-10 below 10: the axis's last point was at
+        # 1 + 1e-10, past the ball filter's slack, so the lattice had 10
+        # points where grid_size_estimate counts 11
+        step = 2 / (10 - 5e-10)
+        pts = grid_points(1.0, 1, step)
+        assert len(pts) == grid_size_estimate(1.0, 1, step) == 11
+        assert pts.max() == 1.0
+
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             grid_points(1.0, 1, 0.0)

@@ -134,16 +134,22 @@ def test_one_step_keeps_weights_nonnegative_and_positions_inside(
 @st.composite
 def lattices(draw):
     """(radius, dim, step) of a cube of at most 201, 51, 29 and 14 points an
-    axis in 1 to 4 dimensions."""
+    axis in 1 to 4 dimensions.  Half the steps put 2R/step up to 1e-9 below
+    an integer, where the axis's last point falls just past +R."""
     dim = draw(st.integers(1, 4))
     radius = draw(st.floats(1e-3, 1e3))
-    return radius, dim, radius * draw(st.floats((0.01, 0.04, 0.07, 0.15)[dim - 1], 3.0))
+    least = (0.01, 0.04, 0.07, 0.15)[dim - 1]
+    if draw(st.booleans()):
+        steps = draw(st.integers(1, int(2 / least)))
+        return radius, dim, 2 * radius / (steps - draw(st.floats(0.0, 1e-9)))
+    return radius, dim, radius * draw(st.floats(least, 3.0))
 
 
 @settings(max_examples=300, deadline=None)
 @given(lattice=lattices(), torus=st.booleans())
 @example(lattice=(1.0, 2, 0.02), torus=False)  # 2R/step integral: +R on each axis
 @example(lattice=(np.pi, 2, np.pi / 5), torus=True)  # 10 points an axis, -pi kept
+@example(lattice=(1.0, 1, 2 / (10 - 5e-10)), torus=False)  # last point at 1 + 1e-10
 def test_grid_size_estimate_bounds_the_lattice(lattice, torus):
     radius, dim, spacing = lattice
     est = grid_size_estimate(radius, dim, spacing, torus)

@@ -12,6 +12,7 @@ from fastpart import (
     project_to_ball,
     sample_regression_data,
 )
+from fastpart.measures import signed_measure
 from fastpart.models.gmm import sample_mixing_noise
 from fastpart.stochastic import exact_fields, marginal_cost
 
@@ -152,9 +153,8 @@ def _any_model(kind, dim):
             rng.uniform(-0.8, 0.8, size=(50, dim)), bandwidth=0.3, mixing_scale=0.2,
             radius=1.0, trunc_width=3.0 if kind == "gmm_trunc" else None)
     if kind == "fourier":
-        truth = GroundTruth(weights=[0.8, 0.6], positions=rng.uniform(-2, 2, (2, dim)),
-                            noise_coeffs=[0.05],
-                            noise_positions=rng.uniform(-2, 2, (1, dim)))
+        spikes = rng.uniform(-2, 2, (2, dim))
+        truth = signed_measure([0.8, 0.6, 0.05], [*spikes, *rng.uniform(-2, 2, (1, dim))])
         return FourierDeconvolutionModel(freq_cutoff=3, dim=dim, truth=truth)
     x, y = sample_regression_data(64, dim, rng, teacher_width=3)
     return ReluFeatureModel(x, y, radius=1.0)
@@ -254,36 +254,19 @@ class TestConstructorValidation:
         with pytest.raises(ValueError, match="y must be"):
             ReluFeatureModel(relu_model.x, y)
 
-    @pytest.mark.parametrize("field", ["weights", "positions", "noise_coeffs",
-                                       "noise_positions"])
+    @pytest.mark.parametrize("field", ["weights", "positions"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_ground_truth_rejects_nonfinite(self, field, bad):
         # a NaN weight used to give a model with NaN y_norm_sq and h_sup
-        arrays = dict(weights=[0.5, 0.5], positions=[-0.4, 0.4],
-                      noise_coeffs=[0.05], noise_positions=[2.0])
+        arrays = dict(weights=[0.5, 0.5], positions=[-0.4, 0.4])
         arrays[field] = [bad, *arrays[field][1:]]
-        with pytest.raises(ValueError, match=f"GroundTruth {field} must be finite"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             GroundTruth(**arrays)
 
     def test_ground_truth_rejects_count_mismatch(self):
         # used to build, then fail later with a matmul error
-        with pytest.raises(ValueError, match="weights and positions differ"):
+        with pytest.raises(ValueError, match="got 2 weights for 1 positions"):
             GroundTruth([1.0, 2.0], [0.0])
-
-    def test_ground_truth_rejects_noise_count_mismatch(self):
-        with pytest.raises(ValueError,
-                           match="noise_coeffs and noise_positions differ"):
-            GroundTruth([1.0], [0.0], noise_coeffs=[0.05, -0.03],
-                        noise_positions=[2.0])
-
-    @pytest.mark.parametrize("given", ["noise_coeffs", "noise_positions"])
-    def test_ground_truth_rejects_a_noise_field_without_its_partner(self, given):
-        # noise positions alone were accepted, and the Fourier model then
-        # dropped the noise; noise coefficients alone were refused as
-        # "noise_positions must be finite"
-        with pytest.raises(ValueError,
-                           match="noise_coeffs and noise_positions must be given together"):
-            GroundTruth([1.0], [0.0], **{given: [0.1]})
 
 
 class TestFourierModel:
@@ -330,12 +313,12 @@ class TestFourierModel:
         assert abs(vals.mean() - exact) <= 4 * se
 
     def test_inner_y_is_fit_plus_noise(self, fourier_noisy):
+        # y sums the spikes and the noise atoms, the last one negative
         t = pt(0.3)
         truth = fourier_noisy.truth
-        expected = sum(w * fourier_noisy.kernel(t, p)
-                       for w, p in zip(truth.weights, truth.positions))
-        expected += sum(c * fourier_noisy.kernel(t, p)
-                        for c, p in zip(truth.noise_coeffs, truth.noise_positions))
+        assert truth.signed_weights.tolist() == [0.8, 0.6, 0.05, -0.03]
+        expected = sum(c * fourier_noisy.kernel(t, p)
+                       for c, p in zip(truth.signed_weights, truth.positions))
         assert fourier_noisy.inner_y(t) == pytest.approx(float(expected), rel=1e-12)
 
     def test_torus_projection_wraps(self, fourier_fc1):
