@@ -146,11 +146,7 @@ class FeatureModel(ABC):
         (n,) and (n, d).  Draw j is (t'_j, u_j, v_j) with sign s_j
         (``signs`` None: all +1).  Each sum is numpy's reduction of the
         pairwise fields over the batch axis."""
-        gval, ggrad, hval, hgrad = self.surrogate_fields(
-            t[:, None, :], t_prime[None, :, :], u[None, ...], v[None, ...])
-        if signs is not None:
-            gval = signs * gval
-            ggrad = signs[None, :, None] * ggrad
+        gval, ggrad, hval, hgrad = _signed_draw_fields(self, t, t_prime, signs, u, v)
         add = np.add.reduce
         return (kernel_scale * add(gval, axis=1) - data_scale * add(hval, axis=1),
                 kernel_scale * add(ggrad, axis=1) - data_scale * add(hgrad, axis=1))
@@ -265,6 +261,33 @@ def _contract_pairs(fields, weights):
     return tuple(np.einsum("ij...,j->i...", f, weights) for f in fields)
 
 
+def _signed_draw_fields(model, t, t_prime, signs, u, v):
+    """(g, grad g, h, grad h) of ``surrogate_fields`` at each point of t, shape
+    (n, d), and draw (t'_j, u_j, v_j), j < m, the kernel side times the draw's
+    sign s_j (``signs`` None: all +1): shapes (n, m) and (n, m, d)."""
+    gval, ggrad, hval, hgrad = model.surrogate_fields(
+        t[:, None, :], t_prime[None, :, :], u[None, ...], v[None, ...])
+    if signs is not None:
+        gval = signs * gval
+        ggrad = signs[None, :, None] * ggrad
+    return gval, ggrad, hval, hgrad
+
+
+def _prod_profile(profile, x, grad=True):
+    """(coordinate-wise product of a 1-D profile, its gradient) at x of shape
+    (..., d) from one profile evaluation, (product,) without ``grad``; the
+    leave-one-out products keep the exact partial where a factor vanishes."""
+    if not grad:
+        return (np.prod(profile(x, False)[0], axis=-1),)
+    vals, ders = profile(x)
+    if vals.shape[-1] == 1:
+        return vals[..., 0], ders
+    grad = np.empty_like(vals)
+    for i in range(vals.shape[-1]):
+        grad[..., i] = ders[..., i] * np.prod(np.delete(vals, i, axis=-1), axis=-1)
+    return np.prod(vals, axis=-1), grad
+
+
 def draw_indices(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """``size`` uniform indices below n as an int array: the same draws,
     bit for bit, as ``rng.integers(n, size=size)``.  One index takes
@@ -290,22 +313,6 @@ def positive_finite(name: str, value) -> float:
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return value
-
-
-def coordinate_product_grad(vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
-    """Gradient of ``prod_i f(x_i)`` from per-coordinate values and derivatives.
-
-    Uses leave-one-out products so coordinates where the factor vanishes
-    still get the exact partial derivative.  Shapes (..., d) -> (..., d).
-    """
-    d = vals.shape[-1]
-    if d == 1:
-        return ders.copy()
-    grad = np.empty_like(vals)
-    for i in range(d):
-        rest = np.prod(np.delete(vals, i, axis=-1), axis=-1)
-        grad[..., i] = ders[..., i] * rest
-    return grad
 
 
 def project_to_ball(points: np.ndarray, radius: float) -> np.ndarray:

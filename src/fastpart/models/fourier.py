@@ -24,8 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from ..measures import ParticleMeasure
-from .base import (FeatureModel, ModelBounds, broadcast_fields,
-                   coordinate_product_grad)
+from .base import FeatureModel, ModelBounds, _prod_profile, broadcast_fields
 
 TORUS_RADIUS = np.pi
 
@@ -70,15 +69,15 @@ class FourierDeconvolutionModel(FeatureModel):
     # ----- kernel -------------------------------------------------------------
 
     def kernel_fields(self, t, t_prime, grad=True):
+        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
+        return _prod_profile(self._axis_profile, diff, grad)
+
+    def _axis_profile(self, x, grad=True):
         # per axis, the mean of cos(n x) over n in [-fc, fc] (even in x)
         # and of its derivative
-        diff = np.asarray(t, dtype=float) - np.asarray(t_prime, dtype=float)
-        phase = diff[..., None] * self._freqs_1d
+        phase = x[..., None] * self._freqs_1d
         vals = np.mean(np.cos(phase), axis=-1)
-        if not grad:
-            return (np.prod(vals, axis=-1),)
-        ders = np.mean(-self._freqs_1d * np.sin(phase), axis=-1)
-        return np.prod(vals, axis=-1), coordinate_product_grad(vals, ders)
+        return (vals, np.mean(-self._freqs_1d * np.sin(phase), axis=-1)) if grad else (vals,)
 
     # y is a finite combination of kernel translates
     def data_fit(self, t, grad=True):

@@ -28,9 +28,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from ..measures import ParticleMeasure
-from .base import (_BLOCK_PAIRS, FeatureModel, ModelBounds,
-                   _contract_pairs, _fill_point_blocks, _fill_row_blocks,
-                   coordinate_product_grad, draw_indices, positive_finite)
+from .base import (_BLOCK_PAIRS, FeatureModel, ModelBounds, _contract_pairs,
+                   _fill_point_blocks, _fill_row_blocks, _prod_profile,
+                   draw_indices, positive_finite)
 
 _QUAD_NODES = 64
 
@@ -46,11 +46,8 @@ _NEG_HALF = _const(-0.5)
 _SQRT_2PI = _const(np.sqrt(2.0 * np.pi))
 
 
-def _gauss_pdf(x, var, norm=None):
-    """Gaussian density of variance ``var``; ``norm`` is its hoisted
-    normalizer ``sqrt(2 pi var)`` when the caller has one."""
-    if norm is None:
-        norm = np.sqrt(2.0 * np.pi * var)
+def _gauss_pdf(x, var, norm):
+    """Gaussian density of variance ``var``, ``norm`` its sqrt(2 pi var)."""
     return np.exp(_NEG_HALF * x * x / var) / norm
 
 
@@ -159,7 +156,7 @@ class _QuadConvProfile(_PairSums):
     def __init__(self, inner, s: float, a: float, roots_legendre):
         nodes, wts = roots_legendre(_QUAD_NODES)
         self.u = a * nodes
-        self.w = a * wts * _gauss_pdf(self.u, s * s) / inner.z
+        self.w = a * wts * _GaussianProfile(s * s)(self.u, False)[0] / inner.z
         self.inner = inner
 
     def __call__(self, x, grad=True):
@@ -169,18 +166,6 @@ class _QuadConvProfile(_PairSums):
 
 def _std_pdf(z):
     return np.exp(_NEG_HALF * z * z) / _SQRT_2PI
-
-
-def _prod_profile(profile, x, grad=True):
-    """(coordinate-wise product of a 1-D profile, its gradient) at x of
-    shape (..., d), sharing one profile evaluation; (product,) without
-    ``grad``."""
-    if not grad:
-        return (np.prod(profile(x, False)[0], axis=-1),)
-    vals, ders = profile(x)
-    if x.shape[-1] == 1:
-        return vals[..., 0], ders
-    return np.prod(vals, axis=-1), coordinate_product_grad(vals, ders)
 
 
 _EPS = float(np.finfo(float).eps)

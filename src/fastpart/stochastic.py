@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import ParticleMeasure, sample_particle_index
-from .models.base import FeatureModel
+from .models.base import FeatureModel, _signed_draw_fields
 
 
 @dataclass(slots=True)
@@ -91,13 +91,11 @@ def sample_fields(model: FeatureModel, measure: ParticleMeasure, points,
     ``minibatch_fields`` returns their mean over the batch.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    atoms = measure.positions[batch.t_indices]
-    signs = measure.signs[batch.t_indices]
+    signs = None if measure.unsigned else measure.signs[batch.t_indices]
+    gval, ggrad, hval, hgrad = _signed_draw_fields(
+        model, pts, measure.positions[batch.t_indices], signs, batch.u, batch.v)
     total = measure.tv_norm
-    gval, ggrad, hval, hgrad = model.surrogate_fields(
-        pts[:, None, :], atoms[None, :, :], batch.u[None, ...], batch.v[None, ...])
-    return (total * signs * gval - hval + lam,
-            total * signs[None, :, None] * ggrad - hgrad)
+    return total * gval - hval + lam, total * ggrad - hgrad
 
 
 def minibatch_fields(model: FeatureModel, measure: ParticleMeasure, points,
@@ -108,19 +106,15 @@ def minibatch_fields(model: FeatureModel, measure: ParticleMeasure, points,
     pts = np.asarray(points, dtype=float)
     t_indices = batch.t_indices
     atoms = measure.positions[t_indices]
+    signs = None if measure.unsigned else measure.signs[t_indices]
     total = measure.tv_norm
     if len(t_indices) > 1:
         inv_m = 1.0 / len(t_indices)
-        signs = None if measure.unsigned else measure.signs[t_indices]
         cost, grad = model.surrogate_sums(pts, atoms, signs, batch.u, batch.v,
                                           total * inv_m, inv_m)
         return cost + lam, grad
-    gval, ggrad, hval, hgrad = model.surrogate_fields(
-        pts[:, None, :], atoms[None, :, :], batch.u[None, ...], batch.v[None, ...])
-    if not measure.unsigned:
-        signs = measure.signs[t_indices]
-        gval = signs * gval
-        ggrad = signs[None, :, None] * ggrad
+    gval, ggrad, hval, hgrad = _signed_draw_fields(model, pts, atoms, signs,
+                                                   batch.u, batch.v)
     return (total * gval[:, 0] - hval[:, 0] + lam,
             total * ggrad[:, 0] - hgrad[:, 0])
 
