@@ -233,8 +233,8 @@ def step(state: IterateState, model: FeatureModel, cfg: RunConfig) -> IterateSta
 def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
     """Execute the full descent; deterministic given the seed.
 
-    Emits one trace row for the initial state and then every
-    ``trace_every`` iterations (the final iterate is always traced).
+    Emits one trace row for the start, then every ``trace_every``
+    iterations, and the last iterate once, whatever stopped the run.
     When the mass-bound hypothesis holds and alpha <= 1, the total mass
     of every iterate is checked against R0.
     """
@@ -282,7 +282,6 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
         for k in range(1, cfg.iterations + 1):
             state = step(state, model, cfg)
             if state.status != "running":
-                emit(state.k)
                 break
             if tracker is not None:
                 tracker.record(state.measure)
@@ -291,8 +290,10 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
                     f"total mass {state.measure.tv_norm} exceeded its "
                     f"bound {radii.R0}"
                 )
-            if k % cfg.trace_every == 0 or k == cfg.iterations:
+            if k % cfg.trace_every == 0:
                 emit(k)
+        if trace[-1].k != state.k:
+            emit(state.k)
 
     if state.status == "running":
         state.status = "ok"

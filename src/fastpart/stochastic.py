@@ -27,7 +27,8 @@ centres t'_j + u_j and v_j, the plain one by moments (one ``exp`` per
 pair) and the truncated one by pairs, within 1e-14 (values) and 1e-13
 (gradients) of the largest magnitude of the per-pair sums
 (``tests/test_moment_sums_properties.py`` states the range).  A batch of
-one is its ``sample_fields`` draw, bit for bit, for every model.
+one is its ``sample_fields`` draw by construction: both, and the default
+``surrogate_sums``, take the signed per-draw fields from ``_signed_draw_fields``.
 """
 from __future__ import annotations
 

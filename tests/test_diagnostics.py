@@ -252,6 +252,37 @@ class TestGridOracle:
         assert orc.kkt_residual > 1e-17
         assert orc.measure.size > 0  # best iterate still returned
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_nonpositive_tol_rejected(self, gmm_small, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            grid_oracle(gmm_small, 0.05, grid_step=0.02, tol=tol)
+
+    def test_roundoff_exit_drops_the_point_that_just_joined(self, gmm_small, monkeypatch):
+        # a point joins because its cost is negative, so its restricted
+        # weight is > 0 in exact arithmetic; a solve that rounds it to <= 0
+        # stops the active set at the solve without it
+        grid = grid_points(1.0, 1, 0.02)
+        shifted = gmm_small.inner_y(grid) - 0.05
+        first, _, _ = diagnostics._lawson_hanson(gmm_small, grid, shifted, 1)
+        assert diagnostics._lawson_hanson(gmm_small, grid, shifted, 20_000)[2] > 2
+        solve, seen = np.linalg.lstsq, []
+
+        def rounded(a, b, rcond=None):  # the solve, the new point's weight -0.0
+            z = solve(a, b, rcond=rcond)
+            new = ~np.isin(b, seen)
+            seen.extend(b)
+            if len(b) > 1:
+                z[0][new] = -0.0
+            return z
+
+        monkeypatch.setattr(np.linalg, "lstsq", rounded)
+        w, cost, joined = diagnostics._lawson_hanson(gmm_small, grid, shifted, 20_000)
+        assert joined == 2 and len(seen) == 3  # one solve a round, two rounds
+        assert np.array_equal(w, first) and np.count_nonzero(w) == 1
+        on = w > 0
+        assert np.allclose(cost, gmm_small.gram(grid, grid[on]) @ w[on] - shifted,
+                           rtol=0, atol=1e-15)
+
     def test_max_iter_counts_points_joined(self, gmm_small):
         full = grid_oracle(gmm_small, 0.05, grid_step=0.02)
         assert full.converged and full.iterations >= full.measure.size > 1

@@ -65,6 +65,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             measure_1d([1.0], [0.0], signs=[2])
 
+    def test_3d_positions_rejected(self):
+        with pytest.raises(ValueError, match=r"positions must be a \(p, d\) array"):
+            ParticleMeasure([1.0], np.zeros((1, 2, 1)))
+
+    def test_signs_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="signs length does not match weights"):
+            measure_1d([1.0, 2.0], [0.0, 0.5], signs=[1.0])
+
     def test_arrays_frozen(self):
         m = measure_1d([1.0], [0.0])
         with pytest.raises(ValueError):
@@ -144,6 +152,15 @@ class TestGridInit:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             grid_points(1.0, 1, 0.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            grid_points(radius, 1, 0.5)
+
+    def test_negative_mass_rejected(self):
+        with pytest.raises(ValueError, match="total_mass must be nonnegative"):
+            uniform_grid_measure(1.0, 1, 0.5, -1.0)
 
     def test_particle_count_bound(self):
         rng = np.random.default_rng(17)

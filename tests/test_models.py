@@ -13,6 +13,7 @@ from fastpart import (
     sample_regression_data,
 )
 from fastpart.measures import signed_measure
+from fastpart.models.base import ModelBounds
 from fastpart.models.gmm import sample_mixing_noise
 from fastpart.stochastic import exact_fields, marginal_cost
 
@@ -267,6 +268,29 @@ class TestConstructorValidation:
         # used to build, then fail later with a matmul error
         with pytest.raises(ValueError, match="got 2 weights for 1 positions"):
             GroundTruth([1.0, 2.0], [0.0])
+
+    def test_bounds_reject_g_inf_above_g_sup(self):
+        with pytest.raises(ValueError, match="g_inf exceeds g_sup"):
+            ModelBounds(g_inf=1.0, g_sup=0.5, h_sup=1.0)
+
+    def test_fourier_rejects_a_truth_of_another_dim(self):
+        with pytest.raises(ValueError, match="do not match dim"):
+            FourierDeconvolutionModel(freq_cutoff=2, dim=2,
+                                      truth=GroundTruth([1.0], [0.0]))
+
+    def test_gmm_rejects_3d_data(self):
+        with pytest.raises(ValueError, match=r"data must be a nonempty \(N, d\) array"):
+            GaussianMixtureModel(np.zeros((4, 1, 1)), bandwidth=0.3, mixing_scale=0.2)
+
+    @pytest.mark.parametrize("n,dim", [(0, 2), (-1, 2), (5, 0)])
+    def test_relu_sample_rejects_bad_sizes(self, n, dim):
+        with pytest.raises(ValueError, match="need n >= 1 and dim >= 1"):
+            sample_regression_data(n, dim, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_x,n_y", [(5, 4), (0, 0)])
+    def test_relu_rejects_mismatched_or_empty_data(self, relu_model, n_x, n_y):
+        with pytest.raises(ValueError, match="x and y must be nonempty with matching length"):
+            ReluFeatureModel(relu_model.x[:n_x], relu_model.y[:n_y])
 
 
 class TestFourierModel:

@@ -259,6 +259,37 @@ class TestRun:
         res = run(run_cfg(nu, alpha=1.0, lam=50.0, iterations=100), gmm_small)
         assert res.status == "mass extinct"
 
+    @pytest.mark.parametrize("trace_every", [1, 7])
+    def test_mass_extinct_run_traces_its_last_iterate_once(self, gmm_small, trace_every):
+        # the stop traced state.k again, which trace_every = 1 had traced:
+        # trace.csv ended with two rows of the same k
+        nu = measure_1d([1e-290], [0.1])
+        cfg = run_cfg(nu, alpha=1.0, lam=50.0, iterations=100, trace_every=trace_every)
+        res = run(cfg, gmm_small)
+        assert res.status == "mass extinct"
+        ks = [r.k for r in res.trace]
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+        state = IterateState(k=0, measure=nu, rng=np.random.default_rng(cfg.seed))
+        while step(state, gmm_small, cfg).status == "running":
+            pass
+        assert ks[-1] == state.k
+        assert ks == [k for k in range(state.k) if k % trace_every == 0] + [state.k]
+
+    def test_extinct_start_is_traced_once(self, gmm_small):
+        res = run(run_cfg(measure_1d([1e-301], [0.1]), iterations=10), gmm_small)
+        assert res.status == "mass extinct"
+        assert [r.k for r in res.trace] == [0]
+
+    def test_negative_rate_rejected(self, gmm_small):
+        for field in ("alpha", "eta"):
+            with pytest.raises(ValueError, match="alpha and eta must be >= 0"):
+                run(run_cfg(measure_1d([1.0], [0.0]), **{field: -0.1}), gmm_small)
+
+    def test_trace_cesaro_without_cesaro_rejected(self, gmm_small):
+        cfg = run_cfg(measure_1d([1.0], [0.0]), trace_cesaro=True)
+        with pytest.raises(ValueError, match="trace_cesaro requires cesaro"):
+            run(cfg, gmm_small)
+
     def test_mass_extinct_run_averages_the_states_before_the_stop(self, gmm_small):
         nu = measure_1d([1e-290], [0.1])
         cfg = run_cfg(nu, alpha=1.0, lam=50.0, iterations=100, cesaro=True)
@@ -391,3 +422,38 @@ class TestRunInvariants:
             res = run(run_cfg(init, alpha=0.2, eta=0.05, lam=0.3,
                               iterations=300, trace_every=300), model)
             assert model.contains(res.measure.positions)
+
+
+class TestInvariantChecks:
+    """Each run-time invariant check fires on a model that breaks it."""
+
+    def test_increment_past_the_gradient_step(self, stub_model):
+        class Drifting(stub_model):  # moves points with a zero step
+            def finalize_positions(self, weights, raw_positions):
+                return weights, self.project(raw_positions + 0.1)
+
+        nu = measure_1d([1.0], [0.0])
+        state = IterateState(k=0, measure=nu, rng=np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="increment exceeded the gradient step"):
+            step(state, Drifting(), run_cfg(nu, eta=0.0))
+
+    def test_position_left_the_domain(self, stub_model):
+        class Unprojected(stub_model):  # keeps the raw update
+            def finalize_positions(self, weights, raw_positions):
+                return weights, raw_positions
+
+        # a constant data gradient -2 moves 0.95 to 1.15, past radius 1
+        nu = measure_1d([1.0], [0.95])
+        cfg = run_cfg(nu, alpha=0.0, eta=0.1, mode="deterministic")
+        state = IterateState(k=0, measure=nu, rng=np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="projected position left the domain"):
+            step(state, Unprojected(k0=0.0, iy=0.0, giy=2.0), cfg)
+
+    def test_total_mass_past_its_bound(self, stub_model):
+        # h_sup = lam leaves r0 = 0, so R0 is the start's mass; a marginal
+        # cost of 1 - 2 + 0.5 < 0 then grows the mass at the first step
+        model = stub_model(k0=1.0, iy=2.0,
+                           stub_bounds=ModelBounds(g_inf=0.5, g_sup=1.0, h_sup=0.5))
+        nu = measure_1d([1.0], [0.0])
+        with pytest.raises(RuntimeError, match="total mass .* exceeded its bound 1.0"):
+            run(run_cfg(nu, alpha=0.1, lam=0.5), model)
