@@ -261,8 +261,7 @@ class TestRun:
 
     @pytest.mark.parametrize("trace_every", [1, 7])
     def test_mass_extinct_run_traces_its_last_iterate_once(self, gmm_small, trace_every):
-        # the stop traced state.k again, which trace_every = 1 had traced:
-        # trace.csv ended with two rows of the same k
+        # the stop's iterate may already be traced (always at trace_every = 1)
         nu = measure_1d([1e-290], [0.1])
         cfg = run_cfg(nu, alpha=1.0, lam=50.0, iterations=100, trace_every=trace_every)
         res = run(cfg, gmm_small)
@@ -272,7 +271,6 @@ class TestRun:
         state = IterateState(k=0, measure=nu, rng=np.random.default_rng(cfg.seed))
         while step(state, gmm_small, cfg).status == "running":
             pass
-        assert ks[-1] == state.k
         assert ks == [k for k in range(state.k) if k % trace_every == 0] + [state.k]
 
     def test_extinct_start_is_traced_once(self, gmm_small):
