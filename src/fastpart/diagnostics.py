@@ -25,26 +25,47 @@ def objective(model: FeatureModel, measure: ParticleMeasure, lam: float) -> floa
 
 def trace_stats(model: FeatureModel, measure: ParticleMeasure,
                 lam: float) -> tuple[float, float, float]:
-    """(objective, weighted cost norm, weighted gradient norm) in one pass.
+    """(objective, weighted cost norm, weighted gradient norm) in one pass:
+    ``trace_rows`` on a block of one iterate.
 
     The two norms are the measure-weighted squares of the marginal cost
     and of its gradient at the atoms.  Both vanish on the support of a
     minimizer, so their decay along the iterates measures how close the
     support is to stationary.
     """
+    return trace_rows(model, [measure], lam)[0]
+
+
+def trace_rows(model: FeatureModel, measures: list[ParticleMeasure],
+               lam: float) -> list[tuple[float, float, float]]:
+    """``trace_stats`` of each measure of a block, with the bits it has alone.
+
+    The measures share their particle count and dimension, as the
+    iterates of one run do.  Their stacked atoms take one ``data_fit``
+    call, whose rows are each point's own bits (ReLU evaluates the stack
+    a measure at a time); each measure takes its own ``kernel_sums``
+    call; the objective and the two norms reduce over the block at once,
+    every reduction along a measure's own atoms, so each row rounds as
+    it would alone.
+    """
+    if not measures:
+        return []
     base = 0.5 * model.y_norm_sq
-    pos = measure.positions
-    w = measure.weights
-    signs = measure.signs
-    sw = measure.signed_weights
-    iy, giy = model.data_fit(pos)
-    kw, kgrad = model.kernel_sums(pos, pos, sw)
-    obj = float(base + lam * w.sum() - sw @ iy + 0.5 * sw @ kw)
+    w = np.stack([m.weights for m in measures])
+    signs = np.stack([m.signs for m in measures])
+    sws = [m.signed_weights for m in measures]
+    sw = np.stack(sws)
+    iy, giy = model.data_fit(np.stack([m.positions for m in measures]))
+    kw, kgrad = (np.stack(f) for f in zip(*(
+        model.kernel_sums(m.positions, m.positions, s) for m, s in zip(measures, sws))))
+    # (0.5 * sw) @ kw, not 0.5 * (sw @ kw): the two differ where 0.5 * sw
+    # is subnormal, and the recorded rows hold the first
+    obj = base + lam * np.add.reduce(w, axis=1) - np.vecdot(sw, iy) + np.vecdot(0.5 * sw, kw)
     cost = signs * (kw - iy) + lam
     grad = kgrad - giy
-    j2 = float(np.sum(w * cost**2))
-    g2 = float(np.sum(w * (grad**2).sum(axis=1)))
-    return obj, j2, g2
+    j2 = np.add.reduce(w * cost**2, axis=1)
+    g2 = np.add.reduce(w * (grad**2).sum(axis=2), axis=1)
+    return list(zip(obj.tolist(), j2.tolist(), g2.tolist()))
 
 
 # ----- certification ------------------------------------------------------------

@@ -128,9 +128,9 @@ def sample_particle_index(measure: ParticleMeasure, rng: np.random.Generator,
     if measure.tv_norm <= 0.0:
         raise ValueError("cannot sample from null measure")
     cdf = np.add.accumulate(measure.weights)
-    idx = cdf.searchsorted(rng.random(size) * cdf[-1], side="right")
-    # a uniform that rounds up to the total mass would index past the end
-    return np.minimum(idx, len(cdf) - 1)
+    # searching the first p - 1 sums counts min(count, p - 1): a uniform
+    # that rounds up to the total mass takes the last index, not one past it
+    return cdf[:-1].searchsorted(rng.random(size) * cdf[-1], side="right")
 
 
 def _axis_steps(radius: float, step: float, torus: bool = False) -> int:

@@ -92,6 +92,26 @@ class TestSampling:
         for seed in range(5):
             assert sample_particle_index(m, np.random.default_rng(seed)) == 0
 
+    class _TopUniform:
+        """A generator whose every uniform is 1.0, so that the drawn mass
+        equals the total: the largest value ``u * total`` can round to."""
+
+        def random(self, size=None):
+            return 1.0 if size is None else np.ones(size)
+
+    @pytest.mark.parametrize("weights,last", [([1.0, 2.0, 3.0], 2), ([0.5, 0.0], 1),
+                                              ([0.2, 0.7, 0.0, 0.0], 3), ([4.0], 0)])
+    def test_draw_at_the_total_takes_the_last_index(self, weights, last):
+        m = measure_1d(weights, np.zeros(len(weights)))
+        assert sample_particle_index(m, self._TopUniform()) == last
+        draws = sample_particle_index(m, self._TopUniform(), size=3)
+        assert draws.tolist() == [last] * 3
+
+    def test_singleton_draws_index_zero(self):
+        m = measure_1d([0.7], [0.1])
+        draws = sample_particle_index(m, np.random.default_rng(2), size=50)
+        assert draws.shape == (50,) and np.all(draws == 0)
+
     def test_zero_weight_atom_never_drawn(self):
         m = measure_1d([0.0, 2.0], [0.0, 1.0])
         draws = sample_particle_index(m, np.random.default_rng(5), size=1000)

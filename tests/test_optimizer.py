@@ -6,7 +6,9 @@ import pytest
 
 from fastpart import ParticleMeasure, uniform_grid_measure
 from fastpart.models.base import ModelBounds
+from fastpart import diagnostics
 from fastpart.optimizer import (
+    TRACE_BLOCK_ATOMS,
     IterateState,
     RunConfig,
     make_schedule,
@@ -114,6 +116,12 @@ class TestSchedules:
             make_schedule("local", 1, 1.0, 5.0, 4, model=gmm_trunc, lam=0.2)
 
 
+def _hex_row(r):
+    """A trace row's fields but wall_ns, floats as float.hex."""
+    return (r.k, float.hex(r.objective), float.hex(r.tv), float.hex(r.local_j2),
+            float.hex(r.local_g2), r.evals)
+
+
 def run_cfg(init, **kw):
     base = dict(alpha=0.1, eta=0.01, iterations=5, lam=0.2, init=init, seed=0)
     base.update(kw)
@@ -176,7 +184,7 @@ class TestRun:
 
     def test_unknown_mode_rejected_before_any_work(self, gmm_small, monkeypatch):
         # the misspelled mode used to surface only after the initial trace
-        monkeypatch.setattr("fastpart.diagnostics.trace_stats", None)
+        monkeypatch.setattr("fastpart.diagnostics.trace_rows", None)
         cfg = run_cfg(measure_1d([0.5, 0.5], [-0.3, 0.3]), mode="stochasitc")
         with pytest.raises(ValueError, match="mode must be"):
             run(cfg, gmm_small)
@@ -195,7 +203,7 @@ class TestRun:
                                                         field, value):
         # trace_every = 2.5 used to trace at k = 0, 5, 10 and the last step,
         # True every step, and iterations = 12.0 failed after the first trace
-        monkeypatch.setattr("fastpart.diagnostics.trace_stats", None)
+        monkeypatch.setattr("fastpart.diagnostics.trace_rows", None)
         cfg = run_cfg(measure_1d([0.5, 0.5], [-0.3, 0.3]), **{field: value})
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             run(cfg, gmm_small)
@@ -233,6 +241,43 @@ class TestRun:
         res = run(run_cfg(nu, iterations=10, trace_every=4), gmm_small)
         assert [r.k for r in res.trace] == [0, 4, 8, 10]
         assert all(b.evals >= a.evals for a, b in zip(res.trace, res.trace[1:]))
+
+    @pytest.mark.parametrize("mode", ["stochastic", "deterministic"])
+    @pytest.mark.parametrize("trace_cesaro", [False, True])
+    def test_rows_do_not_depend_on_the_cadence(self, gmm_small, relu_model, mode,
+                                               trace_cesaro):
+        # a block holds 21 iterates of 50 mixture atoms at trace_every = 1
+        # and 3 at 7, and all 46 or 8 one-atom ReLU iterates: each shared
+        # row keeps its bits, wall_ns aside
+        rng = np.random.default_rng(5)
+        for model, p, signs in ((gmm_small, 50, None), (relu_model, 1, [-1.0])):
+            pts = model.project(rng.uniform(-1.0, 1.0, size=(p, model.dim)))
+            init = ParticleMeasure(np.full(p, 1.0 / p), pts, signs)
+            rows = {}
+            for every in (1, 7):
+                cfg = run_cfg(init, iterations=45, trace_every=every, mode=mode,
+                              batch_schedule=4, cesaro=True, trace_cesaro=trace_cesaro)
+                rows[every] = {r.k: _hex_row(r) for r in run(cfg, model).trace}
+            assert sorted(rows[7]) == [0, 7, 14, 21, 28, 35, 42, 45]
+            assert {k: rows[1][k] for k in rows[7]} == rows[7]
+
+    def test_no_block_passes_the_budget_by_more_than_an_iterate(self, gmm_small,
+                                                                 monkeypatch):
+        blocks, trace_rows = [], diagnostics.trace_rows
+
+        def recorder(model, measures, lam):
+            blocks.append([m.size for m in measures])
+            return trace_rows(model, measures, lam)
+
+        monkeypatch.setattr("fastpart.diagnostics.trace_rows", recorder)
+        for p, every in ((50, 1), (300, 2), (1100, 1), (1, 3)):
+            blocks.clear()
+            init = ParticleMeasure(np.full(p, 1.0 / p), np.linspace(-0.9, 0.9, p))
+            res = run(run_cfg(init, iterations=30, trace_every=every), gmm_small)
+            assert sum(map(len, blocks)) == len(res.trace)
+            assert all(sum(sizes) <= TRACE_BLOCK_ATOMS + p for sizes in blocks)
+            # a block is evaluated once it reaches the budget, or at the end
+            assert all(sum(sizes) >= TRACE_BLOCK_ATOMS for sizes in blocks[:-1])
 
     def test_deterministic_equals_zero_variance_stochastic(self, fourier_flat):
         # single particle: both modes produce identical iterates
