@@ -74,6 +74,8 @@ def _hex(row):
 @example(model=("relu", 2), p=50, size=21, signed=True, lam=0.01, seed=1)
 @example(model=("gmm_trunc", 1), p=0, size=3, signed=False, lam=0.1, seed=2)
 @example(model=("fourier", 2), p=60, size=30, signed=True, lam=0.1, seed=3)
+# past 128 atoms numpy's pairwise sums split a row's reductions in two
+@example(model=("gmm_plain", 1), p=300, size=3, signed=False, lam=0.05, seed=4)
 def test_block_rows_equal_their_iterates_alone(model, p, size, signed, lam, seed):
     model = _model(*model)
     rng = np.random.default_rng(seed)
