@@ -44,23 +44,28 @@ def trace_rows(model: FeatureModel, measures: list[ParticleMeasure],
     iterates of one run do.  Their stacked atoms take one ``data_fit``
     call, whose rows are each point's own bits (ReLU evaluates the stack
     a measure at a time); each measure takes its own ``kernel_sums``
-    call; the objective and the two norms reduce over the block at once,
-    every reduction along a measure's own atoms, so each row rounds as
-    it would alone.
+    call and takes its two dot products alone; the objective and the two
+    norms reduce over the block at once, every reduction along a
+    measure's own atoms, so each row rounds as it would alone.
     """
     if not measures:
         return []
     base = 0.5 * model.y_norm_sq
     w = np.stack([m.weights for m in measures])
     signs = np.stack([m.signs for m in measures])
-    sws = [m.signed_weights for m in measures]
-    sw = np.stack(sws)
     iy, giy = model.data_fit(np.stack([m.positions for m in measures]))
-    kw, kgrad = (np.stack(f) for f in zip(*(
-        model.kernel_sums(m.positions, m.positions, s) for m, s in zip(measures, sws))))
-    # (0.5 * sw) @ kw, not 0.5 * (sw @ kw): the two differ where 0.5 * sw
-    # is subnormal, and the recorded rows hold the first
-    obj = base + lam * np.add.reduce(w, axis=1) - np.vecdot(sw, iy) + np.vecdot(0.5 * sw, kw)
+    kw, kgrad, fit, half = [], [], [], []
+    for m, iy_m in zip(measures, iy):
+        sw = m.signed_weights
+        k, kg = model.kernel_sums(m.positions, m.positions, sw)
+        kw.append(k)
+        kgrad.append(kg)
+        # the dot products an iterate takes alone; (0.5 * sw) @ k, not
+        # 0.5 * (sw @ k): the two differ where 0.5 * sw is subnormal
+        fit.append(sw @ iy_m)
+        half.append(0.5 * sw @ k)
+    kw, kgrad = np.stack(kw), np.stack(kgrad)
+    obj = base + lam * np.add.reduce(w, axis=1) - np.array(fit) + np.array(half)
     cost = signs * (kw - iy) + lam
     grad = kgrad - giy
     j2 = np.add.reduce(w * cost**2, axis=1)

@@ -20,13 +20,12 @@ point is safely away from every kink so derivative checks can skip.
 """
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
 
-from .base import (_BLOCK_PAIRS, FeatureModel, ModelBounds, _fill_point_blocks,
-                   _fill_row_blocks, broadcast_fields, draw_indices, positive_finite)
+from .base import (FeatureModel, ModelBounds, _fill_point_blocks, _fill_row_blocks,
+                   broadcast_fields, draw_indices, positive_finite)
 
 
 def sample_regression_data(n: int, dim: int, rng: np.random.Generator,
@@ -83,16 +82,14 @@ class ReluFeatureModel(FeatureModel):
         return self._fields(np.asarray(t, dtype=float) @ self.x.T, fs, grad)
 
     # the BLAS products give a point bits that depend on the points evaluated
-    # with it, so a stack of point sets, shape (..., n, d), takes one set a
-    # block: each set gets the bits it gets alone
+    # with it, so a stack of point sets, shape (B, n, d), takes one set at a
+    # time: each set gets the bits it gets alone
     def data_fit(self, t, grad=True):
         t = np.asarray(t, dtype=float)
         if t.ndim < 3:
             return self._feature_sums(t, self.y, grad)
-        sets = t.reshape((math.prod(t.shape[:-2]),) + t.shape[-2:])
-        outs = _fill_row_blocks(lambda s: self._feature_sums(sets[s], self.y, grad),
-                                len(sets), _BLOCK_PAIRS)
-        return tuple(out.reshape(t.shape[:-1] + out.shape[2:]) for out in outs)
+        return tuple(np.stack(f) for f in zip(*(self._feature_sums(s, self.y, grad)
+                                                 for s in t)))
 
     # through the features: sum_j w_j K(t, t'_j) is mean_n relu(<t, x_n>) c_n
     # at c = sum_j w_j relu(<t'_j, x>), so no (n, q) block is formed

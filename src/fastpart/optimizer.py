@@ -296,9 +296,9 @@ def run(cfg: RunConfig, model: FeatureModel) -> RunResult:
         if len(held) * max(target.size, 1) >= TRACE_BLOCK_ATOMS:
             evaluate_held()
 
-    emit(0)
     # exp overflow inside step raises its own error; silence the warning
     with np.errstate(over="ignore"):
+        emit(0)
         for k in range(1, cfg.iterations + 1):
             state = step(state, model, cfg)
             if state.status != "running":
